@@ -38,18 +38,20 @@ file — which no crash can produce — raises
 
 This module deliberately imports nothing from :mod:`repro.serve` at
 module level (the scheduler imports :mod:`repro.obs` first); the query
-(de)serializers import it lazily.
+(de)serializers import it lazily, once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
 
 from ..errors import ParameterError
 from . import metrics as _metrics
@@ -68,12 +70,45 @@ __all__ = [
     "load_recorded_queries",
     "query_to_record",
     "record_to_query",
+    "shared_model",
 ]
 
 #: Schema version stamped on every line; readers reject other versions.
 RECORD_VERSION = 1
 
+#: Distinct model payloads :func:`shared_model` keeps built objects for.
+SHARED_MODELS = 256
 
+_T = TypeVar("_T")
+
+
+@functools.lru_cache(maxsize=SHARED_MODELS)
+def _build_shared(build: Callable[..., Any], key: bytes) -> Any:
+    # The key holds only what shared_model pickled itself.
+    return build(*pickle.loads(key))
+
+
+def shared_model(build: Callable[..., _T], *parts: Any) -> _T:
+    """``build(*parts)``, reusing the object an identical call built.
+
+    Decoders call this for the model half of a query, which traffic
+    repeats from query to query, so each distinct model payload is
+    built and validated once.  ``build`` must return an immutable
+    object.  Calls are identical when their pickles are: pickle writes
+    every value with its type and exact bits, so ``1``, ``1.0`` and
+    ``True``, or ``0.0`` and ``-0.0``, never share an object.  The
+    objects of the last :data:`SHARED_MODELS` distinct calls are kept;
+    a call that raises keeps nothing, and parts that cannot be pickled
+    are built afresh.
+    """
+    try:
+        key = pickle.dumps(parts, pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return build(*parts)
+    return _build_shared(build, key)
+
+
+@functools.cache
 def _yield_law_registry() -> dict[str, type]:
     from ..yieldsim.models import (
         BoseEinsteinYield,
@@ -129,6 +164,12 @@ def _yield_model_from_record(data: dict[str, Any]) -> Any:
     return cls(**data.get("params", {}))
 
 
+@functools.cache
+def _query_classes() -> tuple[type, type, type]:
+    from ..serve.query import ChipletCostQuery, FabCostQuery, ModelCostQuery
+    return ChipletCostQuery, FabCostQuery, ModelCostQuery
+
+
 def query_to_record(query: "CostQuery") -> dict[str, Any] | None:
     """Serialize one query's model parameters to the ``"q"`` payload.
 
@@ -136,8 +177,7 @@ def query_to_record(query: "CostQuery") -> dict[str, Any] | None:
     custom yield model, an unknown query kind) — the recorder then
     writes ``"q": null`` and the line is traffic-shape-only.
     """
-    from ..serve.query import ChipletCostQuery, FabCostQuery, ModelCostQuery
-
+    ChipletCostQuery, FabCostQuery, ModelCostQuery = _query_classes()
     if isinstance(query, ChipletCostQuery):
         model = query.model
         fab = model.fab
@@ -224,6 +264,33 @@ def query_to_record(query: "CostQuery") -> dict[str, Any] | None:
     return None
 
 
+def _fab_model(fab: dict[str, Any]) -> Any:
+    from ..core.optimization import FabCharacterization
+    return FabCharacterization(**fab)
+
+
+def _chiplet_model(fab: dict[str, Any], packaging: dict[str, Any],
+                   test: dict[str, Any], probe_coverage: Any) -> Any:
+    from ..manufacturing.test_cost import TestCostModel
+    from ..system.chiplet import ChipletCostModel, PackagingTech
+    return ChipletCostModel(fab=_fab_model(fab),
+                            packaging=PackagingTech(**packaging),
+                            test=TestCostModel(**test),
+                            probe_coverage=probe_coverage)
+
+
+def _transistor_model(wafer_cost: dict[str, Any], wafer: dict[str, Any],
+                      volume_wafers: Any) -> Any:
+    from ..core.transistor_cost import TransistorCostModel
+    from ..core.wafer_cost import GenerationModel, WaferCostModel
+    from ..geometry.wafer import Wafer
+    wc_data = dict(wafer_cost)
+    wc_data["generation_model"] = GenerationModel[wc_data["generation_model"]]
+    return TransistorCostModel(wafer_cost=WaferCostModel(**wc_data),
+                               wafer=Wafer(**wafer),
+                               volume_wafers=volume_wafers)
+
+
 def record_to_query(data: dict[str, Any]) -> "CostQuery":
     """Rebuild a query from a ``"q"`` payload written by the recorder.
 
@@ -231,20 +298,15 @@ def record_to_query(data: dict[str, Any]) -> "CostQuery":
     equal :meth:`~repro.serve.query.CostQuery.signature` and
     :meth:`~repro.serve.query.CostQuery.point` (floats round-trip
     exactly through JSON's shortest-repr encoding), so a replayed log
-    coalesces identically to the live traffic it recorded.  Raises
+    coalesces identically to the live traffic it recorded.  Queries
+    with identical model payloads share one model object
+    (:func:`shared_model`).  Raises
     :class:`~repro.errors.ParameterError` on a malformed payload.
     """
-    from ..core.optimization import FabCharacterization
-    from ..core.transistor_cost import TransistorCostModel
-    from ..core.wafer_cost import GenerationModel, WaferCostModel
-    from ..geometry.wafer import Wafer
-    from ..manufacturing.test_cost import TestCostModel
-    from ..serve.query import ChipletCostQuery, FabCostQuery, ModelCostQuery
-    from ..system.chiplet import ChipletCostModel, PackagingTech
-
     if not isinstance(data, dict):
         raise ParameterError(
             f"recorded query payload must be an object, got {data!r}")
+    ChipletCostQuery, FabCostQuery, ModelCostQuery = _query_classes()
     try:
         if "chiplet" in data:
             spec = data["chiplet"]
@@ -252,33 +314,26 @@ def record_to_query(data: dict[str, Any]) -> "CostQuery":
                 n_transistors=data["n"],
                 feature_size_um=data["lam"],
                 chiplets=spec["chiplets"],
-                model=ChipletCostModel(
-                    fab=FabCharacterization(**spec["fab"]),
-                    packaging=PackagingTech(**spec["packaging"]),
-                    test=TestCostModel(**spec["test"]),
-                    probe_coverage=spec["probe_coverage"]))
+                model=shared_model(_chiplet_model, spec["fab"],
+                                   spec["packaging"], spec["test"],
+                                   spec["probe_coverage"]))
         if "fab" in data:
             return FabCostQuery(
                 n_transistors=data["n"],
                 feature_size_um=data["lam"],
-                fab=FabCharacterization(**data["fab"]))
-        wc_data = dict(data["wafer_cost"])
-        wc_data["generation_model"] = \
-            GenerationModel[wc_data["generation_model"]]
+                fab=shared_model(_fab_model, data["fab"]))
         yield_spec = data["yield"]
         if "value" in yield_spec:
             yield_model = None
             yield_value = yield_spec["value"]
         else:
-            yield_model = _yield_model_from_record(yield_spec)
+            yield_model = shared_model(_yield_model_from_record, yield_spec)
             yield_value = None
         return ModelCostQuery(
             n_transistors=data["n"],
             feature_size_um=data["lam"],
-            model=TransistorCostModel(
-                wafer_cost=WaferCostModel(**wc_data),
-                wafer=Wafer(**data["wafer"]),
-                volume_wafers=data.get("volume_wafers")),
+            model=shared_model(_transistor_model, data["wafer_cost"],
+                               data["wafer"], data.get("volume_wafers")),
             design_density=data["design_density"],
             yield_model=yield_model,
             defect_density_per_cm2=data.get("defect_density_per_cm2"),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import threading
 from typing import Any, Iterable
 
 from ..batch.engine import USE_DEFAULT_CACHE
@@ -124,9 +125,8 @@ class AsyncCostService:
         def _land(done: CostTicket) -> None:
             if future.cancelled():
                 return
-            try:
-                done.result(timeout=0)
-            except BaseException as exc:
+            exc = done.exception(timeout=0)
+            if exc is not None:
                 future.set_exception(exc)
             else:
                 future.set_result(done)
@@ -189,25 +189,32 @@ class AsyncCostService:
                 None, functools.partial(self.scheduler.submit_many,
                                         queries, timeout=timeout))
         future: "asyncio.Future[None]" = loop.create_future()
+        lock = threading.Lock()
         remaining = len(tickets)
 
-        def _land(done: CostTicket) -> None:
-            # Runs on the loop thread only, so the countdown needs no
-            # lock; the first flush failure wins the future.
+        def _resolve(done: CostTicket) -> None:
+            # Runs on the flusher thread, or on this one for a ticket
+            # that landed before its callback was added.  The request
+            # crosses to the loop once: after its last ticket, or at
+            # its first failed one.
             nonlocal remaining
+            with lock:
+                if not remaining:
+                    return
+                remaining = 0 if done.exception(timeout=0) is not None \
+                    else remaining - 1
+                if remaining:
+                    return
+            loop.call_soon_threadsafe(_land, done)
+
+        def _land(done: CostTicket) -> None:
             if future.done():
                 return
-            try:
-                done.result(timeout=0)
-            except BaseException as exc:
+            exc = done.exception(timeout=0)
+            if exc is not None:
                 future.set_exception(exc)
-                return
-            remaining -= 1
-            if remaining == 0:
+            else:
                 future.set_result(None)
-
-        def _resolve(done: CostTicket) -> None:
-            loop.call_soon_threadsafe(_land, done)
 
         for ticket in tickets:
             ticket.add_done_callback(_resolve)

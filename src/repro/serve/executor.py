@@ -89,34 +89,42 @@ class GroupResult:
     def __len__(self) -> int:
         return self.cost_per_transistor_dollars.size
 
-    def cost(self, slot: int) -> float:
-        """C_tr of unique point ``slot`` (inf where infeasible).
+    def _columns(self) -> tuple[list, ...]:
+        # Every field as a plain Python list, built on first access and
+        # memoized in ``__dict__``: waiters fan out one result per
+        # request, and list indexing is several times cheaper than
+        # boxing a NumPy scalar each time.  (``tolist`` round-trips
+        # float64 exactly; a racing double-build is benign because the
+        # conversion is idempotent.)
+        columns = self.__dict__.get("_column_lists")
+        if columns is None:
+            columns = self.__dict__["_column_lists"] = (
+                self.n_transistors.tolist(),
+                self.feature_sizes_um.tolist(),
+                self.wafer_cost_dollars.tolist(),
+                self.die_area_cm2.tolist(),
+                self.dies_per_wafer.tolist(),
+                self.yield_value.tolist(),
+                self.cost_per_transistor_dollars.tolist(),
+                self.feasible.tolist())
+        return columns
 
-        The array is converted to a plain Python-float list on first
-        access and memoized in ``__dict__`` — waiters fan out one
-        ``cost()`` per request, and list indexing is several times
-        cheaper than boxing a NumPy scalar each time.  (``tolist``
-        round-trips float64 exactly; a racing double-build is benign
-        because the conversion is idempotent.)
-        """
-        costs = self.__dict__.get("_costs")
-        if costs is None:
-            costs = self.__dict__["_costs"] = \
-                self.cost_per_transistor_dollars.tolist()
-        return costs[slot]
+    def cost(self, slot: int) -> float:
+        """C_tr of unique point ``slot`` (inf where infeasible)."""
+        return self._columns()[6][slot]  # cost_per_transistor_dollars
 
     def served(self, slot: int) -> ServedCost:
         """The full :class:`ServedCost` of unique point ``slot``."""
+        n, lam, wafer, area, dies, y, cost, feasible = self._columns()
         return ServedCost(
-            n_transistors=float(self.n_transistors[slot]),
-            feature_size_um=float(self.feature_sizes_um[slot]),
-            wafer_cost_dollars=float(self.wafer_cost_dollars[slot]),
-            die_area_cm2=float(self.die_area_cm2[slot]),
-            dies_per_wafer=int(self.dies_per_wafer[slot]),
-            yield_value=float(self.yield_value[slot]),
-            cost_per_transistor_dollars=float(
-                self.cost_per_transistor_dollars[slot]),
-            feasible=bool(self.feasible[slot]))
+            n_transistors=float(n[slot]),
+            feature_size_um=float(lam[slot]),
+            wafer_cost_dollars=float(wafer[slot]),
+            die_area_cm2=float(area[slot]),
+            dies_per_wafer=int(dies[slot]),
+            yield_value=float(y[slot]),
+            cost_per_transistor_dollars=float(cost[slot]),
+            feasible=bool(feasible[slot]))
 
 
 #: Row order of the result half of a shared flush matrix — rows 2..7 of

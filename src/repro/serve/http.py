@@ -72,7 +72,6 @@ replays byte-for-byte through ``python -m repro replay`` and feeds
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import functools
 import json
@@ -80,14 +79,18 @@ import signal
 import threading
 from typing import Any, Awaitable, Callable
 
+from ..core.transistor_cost import TransistorCostModel
+from ..core.wafer_cost import WaferCostModel
 from ..errors import (
     ParameterError,
     ReproError,
     ServiceClosedError,
 )
+from ..geometry.wafer import Wafer
 from ..obs import metrics as _metrics, span as _span
-from ..obs.recording import record_to_query
+from ..obs.recording import record_to_query, shared_model
 from ..obs.state import enabled as _obs_enabled
+from ..yieldsim.models import ReferenceAreaYield
 from .aio import AsyncCostService
 from .codec import error_body, retry_after_s, status_for
 from .io import RESULT_FIELDS, format_served_json, normalize_point, served_row
@@ -237,6 +240,19 @@ class RequestParser:
         return HttpRequest(method, target, version, headers, body)
 
 
+def _default_model(c0: float, x: float,
+                   wafer_radius: float) -> TransistorCostModel:
+    return TransistorCostModel(
+        wafer_cost=WaferCostModel(reference_cost_dollars=c0,
+                                  cost_growth_rate=x),
+        wafer=Wafer(radius_cm=wafer_radius))
+
+
+def _reference_yield(yield0: float) -> ReferenceAreaYield:
+    return ReferenceAreaYield(reference_yield=yield0,
+                              reference_area_cm2=1.0)
+
+
 def point_to_query(point: dict[str, float], *,
                    density: float = DEFAULT_MODEL_PARAMS["density"],
                    yield0: float = DEFAULT_MODEL_PARAMS["yield0"],
@@ -252,13 +268,10 @@ def point_to_query(point: dict[str, float], *,
     overrides).  The model mirrors the CLI's ``_build_cost_model``
     defaults, so a bare-field HTTP body prices exactly like ``python
     -m repro cost`` with the same flags — the load generator leans on
-    this to compute expected costs for verification.
+    this to compute expected costs for verification.  Points with the
+    same model parameters share one model object
+    (:func:`~repro.obs.recording.shared_model`).
     """
-    from ..core.transistor_cost import TransistorCostModel
-    from ..core.wafer_cost import WaferCostModel
-    from ..geometry.wafer import Wafer
-    from ..yieldsim.models import ReferenceAreaYield
-
     if "die_area" in point:
         raise ParameterError(
             "die_area is a /v1/optimize field; cost points take "
@@ -268,16 +281,12 @@ def point_to_query(point: dict[str, float], *,
     if transistors is None or feature_size is None:
         raise ParameterError(
             "point needs transistors and feature_size fields")
-    model = TransistorCostModel(
-        wafer_cost=WaferCostModel(reference_cost_dollars=c0,
-                                  cost_growth_rate=x),
-        wafer=Wafer(radius_cm=wafer_radius))
     return ModelCostQuery(
         n_transistors=transistors, feature_size_um=feature_size,
-        model=model, design_density=point.get("density", density),
-        yield_model=ReferenceAreaYield(
-            reference_yield=point.get("yield0", yield0),
-            reference_area_cm2=1.0))
+        model=shared_model(_default_model, c0, x, wafer_radius),
+        design_density=point.get("density", density),
+        yield_model=shared_model(_reference_yield,
+                                 point.get("yield0", yield0)))
 
 
 #: Bare-body fields ``POST /v1/chiplet`` accepts (everything else 400s).
@@ -741,7 +750,9 @@ class ServerThread:
     :class:`CostHttpServer` on its own event loop thread, exposes the
     bound :attr:`port`, and drains it (flushing the recorder) on
     exit.  :meth:`drain` can also be called early to exercise the
-    drain path while the context is still open.
+    drain path while the context is still open.  The thread runs until
+    :meth:`drain` asks it to stop, even when the server was drained
+    directly on its loop.
     """
 
     def __init__(self, **server_kwargs: Any) -> None:
@@ -749,6 +760,7 @@ class ServerThread:
         self.server: CostHttpServer | None = None
         self.port: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
         self._error: BaseException | None = None
@@ -774,31 +786,31 @@ class ServerThread:
         self.server = CostHttpServer(**self._kwargs)
         self._loop = asyncio.get_running_loop()
         await self.server.start()
+        self._stop = asyncio.Event()
         self.port = self.server.port
         self._ready.set()
-        await self.server.wait_closed()
+        await self._stop.wait()
+        await self.server.drain()  # idempotent: joins a drain under way
 
     def drain(self, timeout: float = 60.0) -> None:
-        """Drain the server from the foreground thread (idempotent)."""
-        if self.server is None or self._loop is None:
-            return
-        if self._error is not None and self.port is None:
-            return  # startup already failed; nothing to drain
-        coro = self.server.drain()
-        try:
-            future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        except RuntimeError:  # loop already closed: drain finished
-            coro.close()
-            if self._thread is not None:
-                self._thread.join(timeout=timeout)
-            return
-        try:
-            future.result(timeout=timeout)
-        except concurrent.futures.CancelledError:
-            # A completed drain lets the loop shut down out from under
-            # this call — the race means the work is already done.
-            if self._thread is not None:
-                self._thread.join(timeout=timeout)
+        """Drain the server from the foreground thread (idempotent).
+
+        Asks the loop to drain and returns once the server thread has
+        exited, re-raising any error the drain raised there.  Waiting
+        on the thread rather than on a future scheduled onto the loop
+        keeps a repeated call from blocking on a loop that is already
+        closing.
+        """
+        thread, loop, stop = self._thread, self._loop, self._stop
+        if thread is None or loop is None or stop is None:
+            return  # never entered, or the server failed to start
+        with contextlib.suppress(RuntimeError):  # loop closed: thread done
+            loop.call_soon_threadsafe(stop.set)
+        thread.join(timeout)
+        if thread.is_alive():
+            raise TimeoutError(f"HTTP server did not drain in {timeout} s")
+        if self._error is not None:
+            raise self._error
 
     def __exit__(self, *exc_info: object) -> None:
         try:

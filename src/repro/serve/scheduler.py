@@ -149,6 +149,16 @@ class CostTicket:
         assert self._group is not None
         return self._group.cost(self._slot)
 
+    def exception(self, timeout: float | None = None
+                  ) -> BaseException | None:
+        """The failed flush's exception, or ``None`` on success.
+
+        Blocks until the flush lands, like :meth:`result`, but builds
+        no result.
+        """
+        self._wait(timeout)
+        return self._exc
+
     def add_done_callback(self,
                           fn: Callable[["CostTicket"], None]) -> None:
         """Run ``fn(ticket)`` once completed (immediately if already)."""

@@ -175,6 +175,57 @@ class TestSubmitBulk:
 
         asyncio.run(run())
 
+    def test_one_loop_crossing_per_bulk_request(self):
+        # 32 points over two signatures and four flushes: the flusher
+        # hands the request back to the loop once, not once per point.
+        import dataclasses
+
+        other_fab = dataclasses.replace(FIG8_FAB, cost_growth_rate=2.0)
+        queries = [FabCostQuery(1e5 * (i + 1), 0.6,
+                                FIG8_FAB if i % 2 else other_fab)
+                   for i in range(32)]
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            crossings = []
+            call_soon_threadsafe = loop.call_soon_threadsafe
+
+            def counting(callback, *args, **kwargs):
+                crossings.append(getattr(callback, "__name__", ""))
+                return call_soon_threadsafe(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting
+            async with AsyncCostService(max_batch_size=8,
+                                        flush_history=8,
+                                        cache=None) as svc:
+                costs = await svc.costs_bulk(queries)
+                landed = crossings.count("_land")
+            return costs, landed, svc.scheduler.recent_flushes
+
+        costs, landed, flushes = asyncio.run(run())
+        assert len(flushes) == 4
+        assert landed == 1
+        assert costs == [transistor_cost_full(q.n_transistors,
+                                              q.feature_size_um, q.fab)
+                         for q in queries]
+
+    def test_failed_flush_fails_the_bulk_request(self, monkeypatch):
+        boom = RuntimeError("executor exploded")
+
+        def explode(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr("repro.serve.backend.execute_group", explode)
+        queries = [FabCostQuery(1e5 * (i + 1), 0.6) for i in range(12)]
+
+        async def run():
+            async with AsyncCostService(max_batch_size=4, backend="thread",
+                                        cache=None) as svc:
+                with pytest.raises(RuntimeError, match="executor exploded"):
+                    await asyncio.wait_for(svc.map_bulk(queries), 10)
+
+        asyncio.run(run())
+
 
 class TestCancellation:
     def test_cancelled_waiter_neither_leaks_nor_wedges(self):

@@ -12,6 +12,7 @@ from repro.serve import (
     format_served_csv,
     format_served_json,
     load_points,
+    served_row,
 )
 
 
@@ -100,6 +101,16 @@ class TestFormatting:
         assert lines[1].endswith(",True")
         assert lines[2].endswith(",False")
         assert "inf" in lines[2]
+
+    def test_json_is_compact_and_parses_back_to_the_columns(self):
+        results = [_served(), _served(math.inf, False), _served(2e-7)]
+        text = format_served_json(results)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert ", " not in text and ": " not in text
+        columns = json.loads(text)
+        assert list(columns) == list(RESULT_FIELDS)
+        for i, name in enumerate(RESULT_FIELDS):
+            assert columns[name] == [served_row(r)[i] for r in results]
 
     def test_json_is_columnar_and_parses(self):
         text = format_served_json([_served(), _served()])

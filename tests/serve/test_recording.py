@@ -9,15 +9,24 @@ from repro.errors import ParameterError
 from repro.geometry import Wafer
 from repro.obs.recording import (
     RECORD_VERSION,
+    SHARED_MODELS,
     QueryRecorder,
     is_recorded_log,
     load_recorded_log,
     load_recorded_queries,
     query_to_record,
     record_to_query,
+    shared_model,
 )
-from repro.serve import FabCostQuery, MicroBatchScheduler, ModelCostQuery
+from repro.serve import (
+    ChipletCostQuery,
+    FabCostQuery,
+    MicroBatchScheduler,
+    ModelCostQuery,
+)
+from repro.serve.http import point_to_query
 from repro.serve.tuning import signature_key
+from repro.system.chiplet import ChipletCostModel
 from repro.yieldsim import (
     MixtureYieldModel,
     MurphyYield,
@@ -78,6 +87,86 @@ class TestQueryRoundTrip:
             record_to_query({"n": 1e6})
         with pytest.raises(ParameterError):
             record_to_query("not an object")
+
+
+def _wire(payload):
+    """The payload as a server receives it: through JSON text."""
+    return json.loads(json.dumps(payload))
+
+
+class TestSharedModels:
+    def test_identical_payloads_share_one_model(self):
+        chiplet = ChipletCostQuery(3e6, 0.6, 4, ChipletCostModel())
+        for query, attr in ((FabCostQuery(1e6, 0.8), "fab"),
+                            (chiplet, "model"), (_model_query(), "model")):
+            payload = query_to_record(query)
+            first = record_to_query(_wire(payload))
+            second = record_to_query(_wire(payload))
+            assert getattr(first, attr) is getattr(second, attr)
+            assert first.signature() == second.signature() \
+                == query.signature()
+            assert query_to_record(second) == payload
+
+    def test_int_and_float_payloads_do_not_alias(self):
+        payload = _wire(query_to_record(FabCostQuery(1e6, 0.8)))
+        as_int = dict(payload, fab=dict(payload["fab"],
+                                        reference_cost_dollars=500))
+        as_float = dict(payload, fab=dict(payload["fab"],
+                                          reference_cost_dollars=500.0))
+        q_int, q_float = record_to_query(as_int), record_to_query(as_float)
+        assert q_int.fab is not q_float.fab
+        assert type(q_int.fab.reference_cost_dollars) is int
+        assert type(q_float.fab.reference_cost_dollars) is float
+        assert json.dumps(query_to_record(q_int)) == json.dumps(as_int)
+
+    def test_signed_zeros_do_not_alias(self):
+        payload = _wire(query_to_record(
+            ChipletCostQuery(3e6, 0.6, 4, ChipletCostModel())))
+        spec = payload["chiplet"]
+        rebuilt = []
+        for zero in (0.0, -0.0):
+            variant = dict(payload, chiplet=dict(
+                spec, test=dict(spec["test"], probe_base_seconds=zero)))
+            rebuilt.append(record_to_query(variant))
+            assert json.dumps(query_to_record(rebuilt[-1])) \
+                == json.dumps(variant)
+        assert rebuilt[0].model is not rebuilt[1].model
+
+    def test_malformed_payloads_raise_every_time(self):
+        payload = _wire(query_to_record(FabCostQuery(1e6, 0.8)))
+        for bad in (dict(payload, fab=[1, 2]),
+                    dict(payload, fab={"bogus": 1.0}),
+                    dict(payload, fab=dict(payload["fab"],
+                                           cost_growth_rate=-1.0))):
+            for _ in range(2):  # a failed build is not kept for reuse
+                with pytest.raises(ParameterError):
+                    record_to_query(bad)
+
+    def test_point_queries_share_the_server_default_model(self):
+        first = point_to_query({"transistors": 1e6, "feature_size": 0.8})
+        second = point_to_query({"transistors": 2e6, "feature_size": 0.5,
+                                 "yield0": 0.7})
+        assert first.model is second.model
+        assert first.yield_model is second.yield_model
+        as_int = point_to_query({"transistors": 1e6, "feature_size": 0.8},
+                                c0=500)
+        assert as_int.model is not first.model
+        assert type(as_int.model.wafer_cost.reference_cost_dollars) is int
+
+    def test_unpicklable_parts_build_unshared(self):
+        class Opaque(float):
+            def __reduce__(self):
+                raise TypeError("not picklable")
+
+        assert shared_model(float, Opaque(2.5)) == 2.5
+
+    def test_reuse_is_bounded(self):
+        payload = _wire(query_to_record(FabCostQuery(1e6, 0.8)))
+        first = record_to_query(payload).fab
+        for i in range(SHARED_MODELS):  # evicts the least recent model
+            record_to_query(dict(payload, fab=dict(
+                payload["fab"], reference_cost_dollars=1000.5 + i)))
+        assert record_to_query(payload).fab is not first
 
 
 class TestRecorderThroughScheduler:
