@@ -93,8 +93,11 @@ _YIELD_CUTOFF = 1e-250
 #: rows for a single die (the scalar loop would effectively hang too).
 _MAX_ROWS = 100_000_000
 
-#: Upper bound on elements per temporary in the chunked row reduction.
-_ROW_CHUNK_BUDGET = 1 << 22
+#: Upper bound on elements per temporary in the chunked row reduction
+#: (512 KiB of float64).  At 2**22 every sweep tile page-faulted in
+#: fresh 32 MiB temporaries: higher peak RSS and about a fifth of the
+#: sweep's CPU in the kernel (docs/performance.md).
+_ROW_CHUNK_BUDGET = 1 << 16
 
 #: Sentinel: "use the process-wide default cache".
 USE_DEFAULT_CACHE: Any = object()

@@ -62,7 +62,9 @@ class YieldLearningCurve:
         """D(t) in defects/cm²."""
         require_nonnegative("months", months)
         d0, dinf = self.initial_density_per_cm2, self.mature_density_per_cm2
-        return dinf + (d0 - dinf) * math.exp(-months / self.time_constant_months)
+        # dinf + (d0 − dinf) can round one ulp above d0 near t = 0.
+        return min(d0, dinf + (d0 - dinf)
+                   * math.exp(-months / self.time_constant_months))
 
     def yield_at(self, months: float, die_area_cm2: float) -> float:
         """Y(t) for a die of the given area."""

@@ -33,6 +33,10 @@ from ..obs import metrics as _metrics, span as _span
 from ..units import require_nonnegative, require_positive
 from .defects import DefectSizeDistribution
 
+#: Row and column offsets of the 3×3 block of pitch cells that
+#: :meth:`SpotDefectSimulator._grade_lot` tests around each killer.
+_BLOCK_ROWS, _BLOCK_COLS = np.mgrid[-1:2, -1:2].reshape(2, 9)
+
 
 @dataclass(frozen=True)
 class WaferMap:
@@ -108,7 +112,10 @@ class SpotDefectSimulator:
     kill_radius_um: float = 0.0
     clustering_alpha: float | None = None
     lot_alpha: float | None = None
-    _grid: tuple[float, float] = field(init=False, repr=False)
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+    _cells: np.ndarray = field(init=False, repr=False, compare=False)
+    _cell_origin: tuple[float, float] = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         require_nonnegative("defect_density_per_cm2", self.defect_density_per_cm2)
@@ -120,10 +127,6 @@ class SpotDefectSimulator:
         ox, oy, n = best_grid_offset(self.wafer, self.die)
         if n <= 0:
             raise ParameterError("die does not fit on the wafer")
-        self._grid = (ox, oy)
-
-    def _die_centers(self) -> np.ndarray:
-        ox, oy = self._grid
         r = self.wafer.usable_radius_cm
         px, py = self.die.pitch_x_cm, self.die.pitch_y_cm
         w, h = self.die.width_cm, self.die.height_cm
@@ -132,6 +135,11 @@ class SpotDefectSimulator:
         j_hi = math.ceil((r - oy) / py) + 1
         i_lo = math.floor((-r - ox) / px) - 1
         i_hi = math.ceil((r - ox) / px) + 1
+        # Pitch cell (j, i) spans [ox + i·px, ox + (i+1)·px) ×
+        # [oy + j·py, oy + (j+1)·py) and holds die (j, i) or none; the
+        # first and last row and column of the range never hold a die.
+        cells = np.full((j_hi - j_lo + 1, i_hi - i_lo + 1), -1,
+                        dtype=np.intp)
         r2 = r * r
         for j in range(j_lo, j_hi + 1):
             y0 = oy + j * py
@@ -143,8 +151,15 @@ class SpotDefectSimulator:
                 x0 = ox + i * px
                 x1 = x0 + w
                 if -half <= x0 and x1 <= half:
+                    cells[j - j_lo, i - i_lo] = len(centers)
                     centers.append((x0 + w / 2.0, y0 + h / 2.0))
-        return np.asarray(centers, dtype=float).reshape(-1, 2)
+        self._centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        self._cells = cells
+        self._cell_origin = (ox + i_lo * px, oy + j_lo * py)
+
+    def _die_centers(self) -> np.ndarray:
+        """A fresh copy of the (N, 2) die centres of the grid."""
+        return self._centers.copy()
 
     def simulate_wafer(self, rng: np.random.Generator) -> WaferMap:
         """Simulate one wafer and return its map."""
@@ -203,34 +218,46 @@ class SpotDefectSimulator:
                 pos = pos[radii > self.kill_radius_um]
         return n_defects, pos
 
-    def _grade_lot(self, killer_pos: list[np.ndarray],
-                   centers: np.ndarray) -> np.ndarray:
-        """Batched defect-vs-die grading for a lot (or a shard of one).
+    def _grade_lot(self, killer_pos: list[np.ndarray]) -> np.ndarray:
+        """Per-die killer counts for a lot (or a shard of one).
 
-        Returns per-die killer counts of shape ``(len(killer_pos),
-        len(centers))``.  Counts are exact integer accumulations, so
-        the result does not depend on how the lot was batched or
-        chunked.
+        Returns counts of shape ``(len(killer_pos), n_dies)``.  A killer
+        at (x, y) hits the die centred at (cx, cy) when
+        ``|x − cx| ≤ w/2`` and ``|y − cy| ≤ h/2``, so a killer on the
+        shared edge of two abutting dies hits both.  Each killer is
+        tested only against the dies of the 3×3 block of pitch cells
+        around its own cell: the pitch is at least the die size, so no
+        die farther out can satisfy the predicate, and the block
+        absorbs rounding in the cell index.  Counts are exact integer
+        accumulations, so the result does not depend on how the lot was
+        batched or sharded.
         """
+        centers, cells = self._centers, self._cells
         n_dies = centers.shape[0]
         n_wafers = len(killer_pos)
-        counts = np.zeros((n_wafers, n_dies), dtype=int)
         per_wafer = np.array([p.shape[0] for p in killer_pos],
                              dtype=np.int64)
-        if per_wafer.sum() > 0:
-            pos = np.concatenate(killer_pos, axis=0)
-            wafer_ids = np.repeat(np.arange(n_wafers), per_wafer)
-            half_w = self.die.width_cm / 2.0
-            half_h = self.die.height_cm / 2.0
-            # Bound the (defects, dies) boolean temporary to ~4M cells.
-            chunk = max(1, (1 << 22) // max(n_dies, 1))
-            for lo in range(0, pos.shape[0], chunk):
-                hi = lo + chunk
-                dx = np.abs(pos[lo:hi, 0:1] - centers[:, 0][None, :])
-                dy = np.abs(pos[lo:hi, 1:2] - centers[:, 1][None, :])
-                d_idx, die_idx = np.nonzero((dx <= half_w) & (dy <= half_h))
-                np.add.at(counts, (wafer_ids[lo:hi][d_idx], die_idx), 1)
-        return counts
+        if per_wafer.sum() == 0:
+            return np.zeros((n_wafers, n_dies), dtype=int)
+        pos = np.concatenate(killer_pos, axis=0)
+        wafer_ids = np.repeat(np.arange(n_wafers), per_wafer)
+        x0, y0 = self._cell_origin
+        # Killers off the table are clamped to its border ring, whose
+        # cells hold no die; the block still covers every die in reach.
+        col = np.clip(np.floor((pos[:, 0] - x0) / self.die.pitch_x_cm),
+                      1, cells.shape[1] - 2).astype(np.intp)
+        row = np.clip(np.floor((pos[:, 1] - y0) / self.die.pitch_y_cm),
+                      1, cells.shape[0] - 2).astype(np.intp)
+        block = cells[row[:, None] + _BLOCK_ROWS, col[:, None] + _BLOCK_COLS]
+        k, slot = np.nonzero(block >= 0)
+        die = block[k, slot]
+        hit = ((np.abs(pos[k, 0] - centers[die, 0])
+                <= self.die.width_cm / 2.0)
+               & (np.abs(pos[k, 1] - centers[die, 1])
+                  <= self.die.height_cm / 2.0))
+        flat = wafer_ids[k[hit]] * n_dies + die[hit]
+        return np.bincount(flat, minlength=n_wafers * n_dies).reshape(
+            n_wafers, n_dies)
 
     def simulate_lot(self, n_wafers: int,
                      rng: np.random.Generator | None = None, *,
@@ -248,9 +275,8 @@ class SpotDefectSimulator:
             positions, defect radii) advance the one generator in the
             same per-wafer order as :meth:`simulate_wafer`, so a
             seeded lot is bitwise-reproducible regardless of batch
-            size.  The expensive part — testing every killer defect
-            against every die — is batched across the whole lot in one
-            chunked pass.
+            size.  Grading, which finds the dies each killer defect
+            lands on, runs once for the whole lot.
         ``seed``
             Spawned per-wafer streams (``SeedSequence.spawn``), which
             makes the result bitwise independent of ``workers``:
@@ -296,7 +322,7 @@ class SpotDefectSimulator:
                 killer_pos.append(pos)
                 _metrics.inc("mc.wafers_simulated")
                 _metrics.inc("mc.defects_thrown", thrown)
-            counts = self._grade_lot(killer_pos, centers)
+            counts = self._grade_lot(killer_pos)
         _metrics.inc("mc.lots_simulated")
         return LotResult(tuple(
             WaferMap(die_centers_cm=centers, defect_counts=counts[i],

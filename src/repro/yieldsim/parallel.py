@@ -167,13 +167,13 @@ def _simulate_shard(sim: "SpotDefectSimulator",
                     ) -> tuple[list[int], np.ndarray, dict | None]:
     # One worker's unit: draw each wafer from its own child stream (in
     # exactly simulate_wafer's draw order), then grade the whole shard
-    # in one batched defect-vs-die pass.  Returns (defects thrown per
-    # wafer, counts array of shape (len(seeds), n_dies), observability
-    # payload or None) — centers are NOT shipped back; the parent
-    # re-attaches its own copy.  ``obs_capture`` carries the parent's
-    # obs flags (None when off); spans/metrics recorded under it are
-    # returned in the payload for the parent to absorb, which works
-    # identically in-process and across a spawn/fork pool boundary.
+    # in one pass.  Returns (defects thrown per wafer, counts array of
+    # shape (len(seeds), n_dies), observability payload or None) —
+    # centers are NOT shipped back; the parent re-attaches its own copy.
+    # ``obs_capture`` carries the parent's obs flags (None when off);
+    # spans/metrics recorded under it are returned in the payload for
+    # the parent to absorb, which works identically in-process and
+    # across a spawn/fork pool boundary.
     # ``density_scale`` is the lot-level hierarchy factor — one scalar
     # drawn by the parent and shipped to every shard, so it cannot
     # depend on how the lot was split.
@@ -193,7 +193,7 @@ def _simulate_shard(sim: "SpotDefectSimulator",
                 killer_pos.append(pos)
                 _metrics.inc("mc.wafers_simulated")
                 _metrics.inc("mc.defects_thrown", thrown)
-            counts = sim._grade_lot(killer_pos, sim._die_centers())
+            counts = sim._grade_lot(killer_pos)
         if obs_capture:
             _metrics.observe("mc.worker.wall_seconds",
                              time.perf_counter() - t0)

@@ -147,20 +147,18 @@ def wafer_size_penalty(profile: RadialDefectProfile, die: Die, *,
     return 1.0 - actual_gain / ideal_gain
 
 
-def _radial_wafer(profile: RadialDefectProfile, wafer: Wafer, die: Die,
-                  centers: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
+def _radial_wafer(profile: RadialDefectProfile, wafer: Wafer,
+                  rng: np.random.Generator) -> np.ndarray:
     # One wafer's draws in the canonical order: Poisson count at the
     # max (edge) density, per-defect rejection into the circle, then
     # thinning against D(r)/D(edge).  Any path that hands each wafer
     # its own generator — the legacy shared-stream loop or a spawned
-    # child stream — replays this order exactly.
+    # child stream — replays this order exactly.  Returns the accepted
+    # positions, in draw order, as a (kept, 2) array.
     max_density = profile.density_at(wafer.radius_cm, wafer.radius_cm)
     radius = wafer.radius_cm
-    half_w, half_h = die.width_cm / 2.0, die.height_cm / 2.0
     n_defects = rng.poisson(max_density * wafer.area_cm2)
-    counts = np.zeros(centers.shape[0], dtype=int)
-    kept = 0
+    kept = []
     for _k in range(n_defects):
         while True:
             x, y = rng.uniform(-radius, radius, size=2)
@@ -170,53 +168,49 @@ def _radial_wafer(profile: RadialDefectProfile, wafer: Wafer, die: Die,
         accept = profile.density_at(r, radius) / max_density
         if rng.random() > accept:
             continue
-        kept += 1
-        dx = np.abs(x - centers[:, 0])
-        dy = np.abs(y - centers[:, 1])
-        counts += ((dx <= half_w) & (dy <= half_h)).astype(int)
-    return counts, kept
+        kept.append((x, y))
+    return np.asarray(kept, dtype=float).reshape(-1, 2)
 
 
-def _radial_centers(profile: RadialDefectProfile, wafer: Wafer,
-                    die: Die) -> np.ndarray:
+def _radial_simulator(profile: RadialDefectProfile, wafer: Wafer,
+                      die: Die) -> SpotDefectSimulator:
+    # The die grid and grader of a radial lot; its own defect process
+    # is never run.
     max_density = profile.density_at(wafer.radius_cm, wafer.radius_cm)
-    base = SpotDefectSimulator(wafer, die,
+    return SpotDefectSimulator(wafer, die,
                                defect_density_per_cm2=max_density)
-    return base._die_centers()
 
 
 def _radial_shard(profile: RadialDefectProfile, wafer: Wafer, die: Die,
                   seeds: list, first_wafer: int = 0,
                   obs_capture: tuple[bool, bool] | None = None
-                  ) -> tuple[list[np.ndarray], list[int], dict | None]:
+                  ) -> tuple[np.ndarray, list[int], dict | None]:
     # One worker's unit of a sharded radial lot — the radial analog of
     # repro.yieldsim.parallel._simulate_shard, with the same capture
     # protocol (spans/metrics come back in the payload for the parent
-    # to absorb).  Centers are recomputed in the worker and not shipped
-    # back; the parent re-attaches its own copy.
+    # to absorb).  Returns (counts of shape (len(seeds), n_dies),
+    # defects kept per wafer, payload); centers are not shipped back,
+    # the parent re-attaches its own copy.
     frame = begin_capture(obs_capture) if obs_capture else None
     try:
         t0 = time.perf_counter() if obs_capture else 0.0
         with _span("mc.shard", first_wafer=first_wafer,
                    n_wafers=len(seeds)):
-            centers = _radial_centers(profile, wafer, die)
-            counts_list: list[np.ndarray] = []
-            kept_list: list[int] = []
+            sim = _radial_simulator(profile, wafer, die)
+            positions: list[np.ndarray] = []
             for i, ss in enumerate(seeds):
                 with _span("mc.wafer", wafer=first_wafer + i):
                     rng = np.random.default_rng(ss)
-                    counts, kept = _radial_wafer(profile, wafer, die,
-                                                 centers, rng)
-                counts_list.append(counts)
-                kept_list.append(kept)
+                    positions.append(_radial_wafer(profile, wafer, rng))
                 _metrics.inc("mc.wafers_simulated")
-                _metrics.inc("mc.defects_thrown", kept)
+                _metrics.inc("mc.defects_thrown", len(positions[-1]))
+            counts = sim._grade_lot(positions)
         if obs_capture:
             _metrics.observe("mc.worker.wall_seconds",
                              time.perf_counter() - t0)
     finally:
         payload = end_capture(frame) if frame else None
-    return counts_list, kept_list, payload
+    return counts, [len(p) for p in positions], payload
 
 
 def simulate_radial_lot(profile: RadialDefectProfile, wafer: Wafer, die: Die,
@@ -250,21 +244,22 @@ def simulate_radial_lot(profile: RadialDefectProfile, wafer: Wafer, die: Die,
             "per-wafer streams to stay independent of worker count")
     if workers is not None and workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    centers = _radial_centers(profile, wafer, die)
+    sim = _radial_simulator(profile, wafer, die)
+    centers = sim._die_centers()
 
     if rng is not None:
         with _span("mc.simulate_lot", n_wafers=n_wafers, workers=1):
-            parts = []
+            positions = []
             for i in range(n_wafers):
                 with _span("mc.wafer", wafer=i):
-                    parts.append(_radial_wafer(profile, wafer, die,
-                                               centers, rng))
+                    positions.append(_radial_wafer(profile, wafer, rng))
                 _metrics.inc("mc.wafers_simulated")
-                _metrics.inc("mc.defects_thrown", parts[-1][1])
+                _metrics.inc("mc.defects_thrown", len(positions[-1]))
+            counts = sim._grade_lot(positions)
         _metrics.inc("mc.lots_simulated")
-        return [WaferMap(die_centers_cm=centers, defect_counts=counts,
-                         n_defects_total=kept)
-                for counts, kept in parts]
+        return [WaferMap(die_centers_cm=centers, defect_counts=counts[i],
+                         n_defects_total=len(positions[i]))
+                for i in range(n_wafers)]
 
     seeds = spawn_wafer_seeds(seed, n_wafers)
     n_workers = 1 if workers is None else min(workers, max(n_wafers, 1))

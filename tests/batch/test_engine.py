@@ -15,6 +15,7 @@ from repro.batch import (
     wafer_cost_batch,
 )
 from repro.batch.engine import (
+    _ROW_CHUNK_BUDGET,
     generations_batch,
     poisson_yield_batch,
     scenario1_cost_batch,
@@ -123,6 +124,27 @@ class TestDiesPerWaferBatch:
             for j, h in enumerate((0.5, 1.0)):
                 assert int(counts[i, j]) == dies_per_wafer_maly(
                     wafer, Die(width_cm=w, height_cm=h))
+
+    def test_parity_when_buckets_span_several_chunks(self):
+        # 2,400 small dies: their row counts fall into several x1.5
+        # buckets, and three buckets' (dies x rows) matrices are each
+        # split into three or more chunks by the element budget.
+        wafer = Wafer(radius_cm=7.5, edge_exclusion_cm=0.3)
+        rng = np.random.default_rng(4)
+        widths = rng.uniform(0.04, 0.3, 2400)
+        heights = rng.uniform(0.03, 0.12, 2400)
+        rows = np.floor(2.0 * wafer.usable_radius_cm / heights)
+        bucket = np.floor(np.log(rows) / math.log(1.5))
+        chunks = [math.ceil(np.count_nonzero(bucket == b)
+                            / (_ROW_CHUNK_BUDGET // (rows[bucket == b].max()
+                                                     + 2)))
+                  for b in np.unique(bucket)]
+        assert sum(n >= 3 for n in chunks) >= 3
+        counts = dies_per_wafer_batch(wafer, widths, heights, cache=None)
+        assert counts.tolist() == [
+            dies_per_wafer_maly(wafer, Die(width_cm=float(w),
+                                           height_cm=float(h)))
+            for w, h in zip(widths, heights)]
 
     def test_absurd_row_count_refused(self):
         with pytest.raises(ParameterError):
