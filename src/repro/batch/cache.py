@@ -128,7 +128,10 @@ class BatchCache:
         eq.-(3) wafer costs — are resident before live traffic
         arrives.  A service whose flushes repeat the recorded grids
         then starts at its steady-state hit rate instead of paying
-        the cold-start misses (see ``docs/serving.md``).
+        the cold-start misses (see ``docs/serving.md``).  Groups of
+        at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
+        warm nothing: the executor prices them through the scalar
+        references, which use no cache.
 
         Returns the number of unique points evaluated.  The computed
         group results are discarded — only the cache entries matter.

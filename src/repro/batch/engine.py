@@ -72,6 +72,7 @@ from ..yieldsim.models import (
     PoissonYield,
     ReferenceAreaYield,
     SeedsYield,
+    YIELD_CUTOFF,
     YieldModel,
 )
 from .cache import BatchCache, array_fingerprint, default_cache
@@ -85,9 +86,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with core.optimization
 _EXPONENT_CLAMP = 700.0
 _TINY_YIELD = 5e-324
 
-#: Yields below this are treated as economically infeasible cells,
-#: matching ``transistor_cost_full``.
-_YIELD_CUTOFF = 1e-250
+#: Batches of at most this many points are priced point by point
+#: through the scalar reference: on them the vectorized kernels' fixed
+#: NumPy overhead costs more than the scalar loop, which they match bit
+#: for bit anyway (crossover table: docs/performance.md, "Serving
+#: single-point queries").  Used by :func:`chiplet_cost_batch` and the
+#: serve executor.
+SCALAR_MAX_POINTS = 8
 
 #: Refuse eq.-(4) batches whose row reduction would exceed this many
 #: rows for a single die (the scalar loop would effectively hang too).
@@ -601,7 +606,7 @@ def transistor_cost_batch(n_transistors, feature_sizes_um,
         with np.errstate(divide="ignore", over="ignore", invalid="ignore",
                          under="ignore"):
             cost = c_w / (n_ch * n * y)
-        feasible = (n_ch >= 1) & (y >= _YIELD_CUTOFF)
+        feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
         cost = np.where(feasible, cost, np.inf)
     if obs_on:
         _metrics.inc("batch.evaluate.calls")
@@ -861,7 +866,9 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
     established).  That lets the serve executor and the loadgen
     verifier hold chiplet traffic to the same bitwise contract as fab
     queries.  Sub-results (die counts, wafer cost, die yield) memoize
-    in the shared :class:`~repro.batch.cache.BatchCache`.
+    in the shared :class:`~repro.batch.cache.BatchCache`.  A batch of
+    at most :data:`SCALAR_MAX_POINTS` elements skips the kernel and
+    the cache: each element is priced by ``system_cost`` itself.
 
     With ``out`` the composed C_tr lands in the caller's float64
     buffer (e.g. a shared-memory sweep tile), which also becomes the
@@ -883,70 +890,111 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
         raise ParameterError(
             "chiplets must be integer-valued and >= 1 for every element")
     cache = _resolve_cache(cache)
-    fab = model.fab
-    pk = model.packaging
-    t = model.test
 
     obs_on = _obs_enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with _span("batch.chiplet_cost", cells=int(n.size)):
-        wafer = Wafer(radius_cm=fab.wafer_radius_cm)
-        wafer_cost_model = WaferCostModel(
-            reference_cost_dollars=fab.reference_cost_dollars,
-            cost_growth_rate=fab.cost_growth_rate)
-        n_k = n / kk
-        width, height, area_cm2 = _die_geometry(n_k, fab.design_density,
-                                                lam, 1.0)
-        n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
-        c_w = _scalar_wafer_cost_batch(wafer_cost_model, lam, cache)
-        ykey = ("chiplet_die_yield", fab.design_density,
-                fab.defect_coefficient, fab.size_exponent_p,
-                array_fingerprint(n_k), array_fingerprint(lam))
-
-        def compute_yield() -> np.ndarray:
-            # scaled_poisson_yield's exact operation order: the d0 pow
-            # per unique λ through scalar libm, the area product
-            # vectorized (IEEE-exact), the exp per element.
-            uniq, inv = np.unique(lam.ravel(), return_inverse=True)
-            p = fab.size_exponent_p
-            coeff = fab.defect_coefficient
-            d0_u = np.fromiter((coeff / l ** p for l in uniq.tolist()),
-                               dtype=np.float64, count=uniq.size)
-            area_y = n_k * fab.design_density * (lam * lam) * 1.0e-8
-            exponent = area_y * d0_u[inv].reshape(lam.shape)
-            return _scalar_exp_neg_clamped(exponent)
-
-        y = _cached(cache, ykey, compute_yield)
-        pc = model.probe_coverage
-        pass_rate = _scalar_pow_elementwise(y, pc)
-        q = _scalar_pow_elementwise(y, 1.0 - pc)
-        y_asm = _scalar_pow_pairwise(q * pk.bond_yield, kk)
-        y_eff = pass_rate * y_asm
-        packaging_cost = pk.base_cost_dollars \
-            + pk.cost_per_die_dollars * kk \
-            + pk.cost_per_cm2_dollars * (kk * area_cm2)
-        rate = t.tester_rate_dollars_per_hour
-        probe_c = (t.probe_base_seconds
-                   + t.probe_seconds_per_kilotransistor * n_k / 1000.0) \
-            * rate / 3600.0
-        final_c = (t.final_base_seconds
-                   + t.final_seconds_per_kilotransistor * n / 1000.0) \
-            * rate / 3600.0
-        feasible = (n_ch >= 1) & (y_eff >= _YIELD_CUTOFF)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore",
-                         under="ignore"):
-            silicon = c_w / (n_ch * n_k * y_eff)
-            overhead_total = kk * (probe_c / pass_rate) \
-                + packaging_cost + final_c
-            overhead = overhead_total / (y_asm * n)
-            cost = silicon + overhead
-        silicon = np.where(feasible, silicon, np.inf)
-        overhead = np.where(feasible, overhead, np.inf)
-        cost = _deliver(np.where(feasible, cost, np.inf), out)
+        if n.size <= SCALAR_MAX_POINTS:
+            result = _chiplet_cost_points(model, n, lam, kk, out)
+        else:
+            result = _chiplet_cost_arrays(model, n, lam, kk, cache, out)
     if obs_on:
         _metrics.inc("batch.chiplet.calls")
         _metrics.inc("batch.chiplet.cells", int(n.size))
         _metrics.observe("batch.chiplet.seconds", time.perf_counter() - t0)
+    return result
+
+
+def _chiplet_cost_points(model: "ChipletCostModel", n: np.ndarray,
+                         lam: np.ndarray, kk: np.ndarray,
+                         out: np.ndarray | None) -> ChipletBatchResult:
+    # A small batch is priced by the scalar reference itself, point by
+    # point (see SCALAR_MAX_POINTS), and fanned into the result arrays.
+    system_cost = model.system_cost
+    cells = [system_cost(int(k), n_i, lam_i) for n_i, lam_i, k in zip(
+        n.ravel().tolist(), lam.ravel().tolist(), kk.ravel().tolist())]
+
+    def column(name: str, dtype=np.float64) -> np.ndarray:
+        return np.array([getattr(c, name) for c in cells],
+                        dtype=dtype).reshape(n.shape)
+
+    return ChipletBatchResult(
+        feature_size_um=lam,
+        chiplet_count=kk,
+        transistors_per_chiplet=column("transistors_per_chiplet"),
+        chiplet_area_cm2=column("chiplet_area_cm2"),
+        wafer_cost_dollars=column("wafer_cost_dollars"),
+        dies_per_wafer=column("dies_per_wafer", np.int64),
+        die_yield=column("die_yield"),
+        assembly_yield=column("assembly_yield"),
+        effective_yield=column("effective_yield"),
+        packaging_cost_dollars=column("packaging_cost_dollars"),
+        silicon_cost_per_transistor_dollars=column(
+            "silicon_cost_per_transistor_dollars"),
+        overhead_cost_per_transistor_dollars=column(
+            "overhead_cost_per_transistor_dollars"),
+        cost_per_transistor_dollars=_deliver(
+            column("cost_per_transistor_dollars"), out),
+        feasible=column("feasible", bool))
+
+
+def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
+                         lam: np.ndarray, kk: np.ndarray,
+                         cache: BatchCache | None,
+                         out: np.ndarray | None) -> ChipletBatchResult:
+    fab = model.fab
+    pk = model.packaging
+    t = model.test
+    wafer = Wafer(radius_cm=fab.wafer_radius_cm)
+    wafer_cost_model = WaferCostModel(
+        reference_cost_dollars=fab.reference_cost_dollars,
+        cost_growth_rate=fab.cost_growth_rate)
+    n_k = n / kk
+    width, height, area_cm2 = _die_geometry(n_k, fab.design_density,
+                                            lam, 1.0)
+    n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
+    c_w = _scalar_wafer_cost_batch(wafer_cost_model, lam, cache)
+    ykey = ("chiplet_die_yield", fab.design_density,
+            fab.defect_coefficient, fab.size_exponent_p,
+            array_fingerprint(n_k), array_fingerprint(lam))
+
+    def compute_yield() -> np.ndarray:
+        # scaled_poisson_yield's exact operation order: the d0 pow
+        # per unique λ through scalar libm, the area product
+        # vectorized (IEEE-exact), the exp per element.
+        uniq, inv = np.unique(lam.ravel(), return_inverse=True)
+        p = fab.size_exponent_p
+        coeff = fab.defect_coefficient
+        d0_u = np.fromiter((coeff / l ** p for l in uniq.tolist()),
+                           dtype=np.float64, count=uniq.size)
+        area_y = n_k * fab.design_density * (lam * lam) * 1.0e-8
+        exponent = area_y * d0_u[inv].reshape(lam.shape)
+        return _scalar_exp_neg_clamped(exponent)
+
+    y = _cached(cache, ykey, compute_yield)
+    pc = model.probe_coverage
+    pass_rate = _scalar_pow_elementwise(y, pc)
+    q = _scalar_pow_elementwise(y, 1.0 - pc)
+    y_asm = _scalar_pow_pairwise(q * pk.bond_yield, kk)
+    y_eff = pass_rate * y_asm
+    packaging_cost = pk.base_cost_dollars \
+        + pk.cost_per_die_dollars * kk \
+        + pk.cost_per_cm2_dollars * (kk * area_cm2)
+    rate = t.tester_rate_dollars_per_hour
+    probe_c = (t.probe_base_seconds
+               + t.probe_seconds_per_kilotransistor * n_k / 1000.0) \
+        * rate / 3600.0
+    final_c = (t.final_base_seconds
+               + t.final_seconds_per_kilotransistor * n / 1000.0) \
+        * rate / 3600.0
+    feasible = (n_ch >= 1) & (y_eff >= YIELD_CUTOFF)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore",
+                     under="ignore"):
+        silicon = c_w / (n_ch * n_k * y_eff)
+        overhead_total = kk * (probe_c / pass_rate) \
+            + packaging_cost + final_c
+        overhead = overhead_total / (y_asm * n)
+        cost = silicon + overhead
     return ChipletBatchResult(
         feature_size_um=lam,
         chiplet_count=kk,
@@ -958,7 +1006,10 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
         assembly_yield=y_asm,
         effective_yield=y_eff,
         packaging_cost_dollars=packaging_cost,
-        silicon_cost_per_transistor_dollars=silicon,
-        overhead_cost_per_transistor_dollars=overhead,
-        cost_per_transistor_dollars=cost,
+        silicon_cost_per_transistor_dollars=np.where(
+            feasible, silicon, np.inf),
+        overhead_cost_per_transistor_dollars=np.where(
+            feasible, overhead, np.inf),
+        cost_per_transistor_dollars=_deliver(
+            np.where(feasible, cost, np.inf), out),
         feasible=feasible)

@@ -34,7 +34,8 @@ from ..errors import ConvergenceError, ParameterError
 from ..geometry import Die, Wafer, dies_per_wafer_maly
 from ..obs import metrics as _metrics, span as _span
 from ..units import require_positive
-from ..yieldsim.models import scaled_poisson_yield
+from ..yieldsim.models import YIELD_CUTOFF, scaled_poisson_yield
+from .transistor_cost import MaskedCostBreakdown, masked_cost
 from .wafer_cost import WaferCostModel
 
 
@@ -62,13 +63,16 @@ class FabCharacterization:
 FIG8_FAB = FabCharacterization()
 
 
-def transistor_cost_full(n_transistors: float, feature_size_um: float,
-                         fab: FabCharacterization = FIG8_FAB) -> float:
-    """One evaluation of eqs. (1)+(3)+(4)+(7), in dollars per transistor.
+def transistor_cost_breakdown(n_transistors: float, feature_size_um: float,
+                              fab: FabCharacterization = FIG8_FAB
+                              ) -> MaskedCostBreakdown:
+    """One evaluation of eqs. (1)+(3)+(4)+(7), with every intermediate.
 
-    Returns ``math.inf`` when the implied die does not fit the wafer —
-    the landscape code treats that as an infeasible (masked) cell
-    rather than an error so grids can span aggressive N_tr ranges.
+    The point is infeasible — ``inf`` cost, intermediates kept — when
+    the implied die does not fit the wafer or its eq.-(7) yield falls
+    below :data:`~repro.yieldsim.models.YIELD_CUTOFF`; the landscape
+    code treats that as a masked cell rather than an error so grids
+    can span aggressive N_tr ranges.
     """
     require_positive("n_transistors", n_transistors)
     require_positive("feature_size_um", feature_size_um)
@@ -79,15 +83,32 @@ def transistor_cost_full(n_transistors: float, feature_size_um: float,
     die = Die.from_transistor_count(n_transistors, fab.design_density,
                                     feature_size_um)
     n_ch = dies_per_wafer_maly(wafer, die)
-    if n_ch < 1:
-        return math.inf
     y = scaled_poisson_yield(n_transistors, fab.design_density,
                              fab.defect_coefficient, feature_size_um,
                              fab.size_exponent_p)
     c_w = wafer_cost.pure_cost(feature_size_um)
-    if y < 1e-250:
-        return math.inf  # yield underflow: economically infeasible cell
-    return c_w / (n_ch * n_transistors * y)
+    feasible = n_ch >= 1 and y >= YIELD_CUTOFF
+    return MaskedCostBreakdown(
+        feature_size_um=feature_size_um,
+        wafer_cost_dollars=c_w,
+        die_area_cm2=die.area_cm2,
+        dies_per_wafer=n_ch,
+        transistors_per_die=n_transistors,
+        yield_value=y,
+        cost_per_transistor_dollars=masked_cost(
+            c_w, n_ch, n_transistors, y, feasible),
+        feasible=feasible)
+
+
+def transistor_cost_full(n_transistors: float, feature_size_um: float,
+                         fab: FabCharacterization = FIG8_FAB) -> float:
+    """One evaluation of eqs. (1)+(3)+(4)+(7), in dollars per transistor.
+
+    The cost of :func:`transistor_cost_breakdown`: ``math.inf`` where
+    the die does not fit the wafer or the yield underflows.
+    """
+    return transistor_cost_breakdown(
+        n_transistors, feature_size_um, fab).cost_per_transistor_dollars
 
 
 @dataclass

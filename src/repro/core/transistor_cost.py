@@ -85,6 +85,43 @@ class CostBreakdown:
                          self.cost_per_transistor_dollars)
 
 
+@dataclass(frozen=True)
+class MaskedCostBreakdown:
+    """One eq.-(1) evaluation that masks an infeasible point.
+
+    The scalar form of one :class:`~repro.batch.engine.BatchCostResult`
+    cell.  Where the die does not fit the wafer (or, in the Fig.-8
+    form, the yield falls below
+    :data:`~repro.yieldsim.models.YIELD_CUTOFF`) ``feasible`` is False
+    and the cost is ``inf``; the intermediates keep their computed
+    values for auditing.  A zero yield on a fitting die also gives an
+    ``inf`` cost, as the batch kernels do.
+    """
+
+    feature_size_um: float
+    wafer_cost_dollars: float
+    die_area_cm2: float
+    dies_per_wafer: int
+    transistors_per_die: float
+    yield_value: float
+    cost_per_transistor_dollars: float
+    feasible: bool
+
+
+def masked_cost(c_w: float, n_ch: int, n_transistors: float, y: float,
+                feasible: bool) -> float:
+    """Eq. (1), ``C_w / (N_ch · N_tr · Y)``, or ``inf`` where infeasible.
+
+    The operation order of the batch kernels' cost composition, so the
+    result is bitwise equal to theirs; a zero denominator gives ``inf``
+    as their ``np.errstate``-guarded division does.
+    """
+    if not feasible:
+        return math.inf
+    denominator = n_ch * n_transistors * y
+    return c_w / denominator if denominator else math.inf
+
+
 # `silicon_utilization` above would need the wafer context; expose it as a
 # free function instead so the breakdown stays a plain value object.
 def silicon_utilization(breakdown: CostBreakdown, wafer: Wafer) -> float:
@@ -138,6 +175,38 @@ class TransistorCostModel:
         * ``yield_model`` + ``defect_density_per_cm2`` — any other model
           evaluated at that density.
         """
+        masked = self.evaluate_masked(
+            n_transistors=n_transistors, feature_size_um=feature_size_um,
+            design_density=design_density, yield_model=yield_model,
+            defect_density_per_cm2=defect_density_per_cm2,
+            yield_value=yield_value, aspect_ratio=aspect_ratio)
+        if not masked.feasible:
+            raise ParameterError(
+                f"die of {masked.die_area_cm2:.2f} cm2 does not fit wafer "
+                f"of radius {self.wafer.radius_cm} cm")
+        return CostBreakdown(
+            feature_size_um=masked.feature_size_um,
+            wafer_cost_dollars=masked.wafer_cost_dollars,
+            die_area_cm2=masked.die_area_cm2,
+            dies_per_wafer=masked.dies_per_wafer,
+            transistors_per_die=masked.transistors_per_die,
+            yield_value=masked.yield_value,
+            cost_per_transistor_dollars=masked.cost_per_transistor_dollars)
+
+    def evaluate_masked(self, *, n_transistors: float,
+                        feature_size_um: float, design_density: float,
+                        yield_model: YieldModel | None = None,
+                        defect_density_per_cm2: float | None = None,
+                        yield_value: float | None = None,
+                        aspect_ratio: float = 1.0) -> MaskedCostBreakdown:
+        """:meth:`evaluate` without the raise for an unfittable die.
+
+        Same arguments and arithmetic; a die that does not fit the
+        wafer comes back ``feasible=False`` with an ``inf`` cost, the
+        :func:`repro.batch.evaluate_batch` convention.  This is the
+        scalar reference the service prices ``ModelCostQuery`` points
+        by.
+        """
         require_positive("n_transistors", n_transistors)
         require_positive("feature_size_um", feature_size_um)
         require_positive("design_density", design_density)
@@ -149,19 +218,17 @@ class TransistorCostModel:
         y = self._resolve_yield(die.area_cm2, yield_model,
                                 defect_density_per_cm2, yield_value)
         c_w = self.wafer_cost_dollars(feature_size_um)
-        if n_ch < 1:
-            raise ParameterError(
-                f"die of {die.area_cm2:.2f} cm2 does not fit wafer of radius "
-                f"{self.wafer.radius_cm} cm")
-        ctr = c_w / (n_ch * n_transistors * y)
-        return CostBreakdown(
+        feasible = n_ch >= 1
+        return MaskedCostBreakdown(
             feature_size_um=feature_size_um,
             wafer_cost_dollars=c_w,
             die_area_cm2=die.area_cm2,
             dies_per_wafer=n_ch,
             transistors_per_die=n_transistors,
             yield_value=y,
-            cost_per_transistor_dollars=ctr)
+            cost_per_transistor_dollars=masked_cost(
+                c_w, n_ch, n_transistors, y, feasible),
+            feasible=feasible)
 
     @staticmethod
     def _resolve_yield(die_area_cm2: float, yield_model: YieldModel | None,

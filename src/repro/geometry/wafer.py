@@ -124,16 +124,20 @@ def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
         return 0
 
     n_rows = math.floor(2.0 * radius / b)
-
-    def half_chord(j: int) -> float:
-        offset = j * b - radius
-        inside = radius * radius - offset * offset
-        return math.sqrt(inside) if inside > 0.0 else 0.0
-
+    sqrt, floor = math.sqrt, math.floor
+    r2 = radius * radius
+    # Half-chord R_j at offset j·b − R.  Row j's upper chord R_{j+1} is
+    # row j+1's lower one, so each is computed once and carried over.
+    offset = -radius
+    inside = r2 - offset * offset
+    lower = sqrt(inside) if inside > 0.0 else 0.0
     total = 0
-    for j in range(n_rows):
-        chord = min(half_chord(j), half_chord(j + 1))
-        total += math.floor(2.0 * chord / a)
+    for j in range(1, n_rows + 1):
+        offset = j * b - radius
+        inside = r2 - offset * offset
+        upper = sqrt(inside) if inside > 0.0 else 0.0
+        total += floor(2.0 * (upper if upper < lower else lower) / a)
+        lower = upper
     return total
 
 

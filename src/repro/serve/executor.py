@@ -1,20 +1,32 @@
-"""Vectorized, bitwise-scalar-exact execution of one coalesced group.
+"""Bitwise-scalar-exact execution of one coalesced group.
 
 The scheduler hands this module a *group*: queries sharing one model
 signature, already deduplicated to unique ``(N_tr, λ)`` points.  The
-executor prices all points at once and must satisfy the service's
-headline contract:
+executor prices the group and must satisfy the service's headline
+contract:
 
     **every served number is bitwise equal to the direct scalar
     evaluation of that query, no matter how the scheduler sliced the
     traffic into batches.**
 
-The batch engine alone cannot promise that: its pure-arithmetic
-kernels are bit-for-bit with the scalar path, but quantities routed
-through NumPy's SIMD transcendentals (``exp``, ``pow``, ``log``) can
-differ from libm in the last ulp (see the parity contract in
-:mod:`repro.batch.engine`).  So the executor splits the work by
-arithmetic class:
+A group of at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS`
+unique points is priced by its kind's scalar reference itself, point
+by point: :func:`~repro.core.optimization.transistor_cost_breakdown`
+(fab), :meth:`~repro.core.transistor_cost.TransistorCostModel.
+evaluate_masked` (model) and, inside
+:func:`~repro.batch.engine.chiplet_cost_batch`,
+:meth:`~repro.system.chiplet.ChipletCostModel.system_cost` (chiplet).
+On such groups the kernels' fixed NumPy overhead costs more than the
+scalar arithmetic, and parity holds by construction.  Larger groups —
+and every group of the shared-memory path,
+:func:`execute_group_rows` — are priced all at once as follows.
+
+The batch engine alone cannot promise bitwise parity: its
+pure-arithmetic kernels are bit-for-bit with the scalar path, but
+quantities routed through NumPy's SIMD transcendentals (``exp``,
+``pow``, ``log``) can differ from libm in the last ulp (see the parity
+contract in :mod:`repro.batch.engine`).  So the executor splits the
+work by arithmetic class:
 
 * die geometry (multiply/divide/sqrt — exactly rounded, bit-identical
   by IEEE-754) and the eq.-(4) die count (exact integer parity, and
@@ -43,17 +55,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..batch.cache import BatchCache
-from ..batch.engine import _die_geometry, chiplet_cost_batch, \
-    dies_per_wafer_batch
+from ..batch.engine import SCALAR_MAX_POINTS, _die_geometry, \
+    chiplet_cost_batch, dies_per_wafer_batch
+from ..core.optimization import transistor_cost_breakdown
 from ..core.wafer_cost import WaferCostModel
 from ..errors import ParameterError
 from ..geometry.wafer import Wafer
-from ..yieldsim.models import ReferenceAreaYield
+from ..yieldsim.models import YIELD_CUTOFF, ReferenceAreaYield
 from .query import CostQuery, ServedCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,10 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["GroupResult", "GroupRows", "execute_group",
            "execute_group_rows", "group_result_from_rows"]
-
-#: Matches the scalar reference's economic-feasibility cutoff in
-#: :func:`repro.core.optimization.transistor_cost_full`.
-_YIELD_CUTOFF = 1e-250
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,7 @@ def _fab_group(exemplar, n: np.ndarray, lam: np.ndarray,
         if cached is None:
             cached = c_w_by_lam[lam_i] = pure_cost(lam_i)
         c_w[i] = cached
-    feasible = (n_ch >= 1) & (y >= _YIELD_CUTOFF)
+    feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
     cost = _compose_cost(c_w, n_ch, n, y, feasible)
     if rows is not None:
         rows.die_area_cm2[...] = area_cm2
@@ -348,6 +358,37 @@ _EXECUTORS = {"fab": _fab_group, "model": _model_group,
               "chiplet": _chiplet_group}
 
 
+def _scalar_group(exemplar: CostQuery,
+                  points: list[tuple[float, float]]) -> GroupResult:
+    # A small fab or model group, priced point by point by the kind's
+    # scalar reference (chiplet groups route inside chiplet_cost_batch).
+    if exemplar.kind == "fab":
+        price = partial(transistor_cost_breakdown, fab=exemplar.fab)
+    else:
+        price = partial(
+            exemplar.model.evaluate_masked,
+            design_density=exemplar.design_density,
+            yield_model=exemplar.yield_model,
+            defect_density_per_cm2=exemplar.defect_density_per_cm2,
+            yield_value=exemplar.yield_value,
+            aspect_ratio=exemplar.aspect_ratio)
+    cells = [price(n_transistors=n, feature_size_um=lam)
+             for n, lam in points]
+
+    def column(name: str, dtype=np.float64) -> np.ndarray:
+        return np.array([getattr(c, name) for c in cells], dtype=dtype)
+
+    return GroupResult(
+        n_transistors=column("transistors_per_die"),
+        feature_sizes_um=column("feature_size_um"),
+        wafer_cost_dollars=column("wafer_cost_dollars"),
+        die_area_cm2=column("die_area_cm2"),
+        dies_per_wafer=column("dies_per_wafer", np.int64),
+        yield_value=column("yield_value"),
+        cost_per_transistor_dollars=column("cost_per_transistor_dollars"),
+        feasible=column("feasible", bool))
+
+
 def _concat(parts: list[GroupResult]) -> GroupResult:
     if len(parts) == 1:
         return parts[0]
@@ -362,18 +403,22 @@ def execute_group(exemplar: CostQuery, points: list[tuple[float, float]],
     """Price one coalesced group of unique ``(N_tr, λ)`` points.
 
     ``exemplar`` is any query of the group (they share a signature, so
-    any member carries the group's model parameters).  When a ``pool``
-    is given and the group exceeds ``chunk_size`` points, contiguous
-    chunks are priced concurrently and concatenated — bitwise
-    invisible, since every step is elementwise in the points.
+    any member carries the group's model parameters).  A fab or model
+    group of at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS`
+    points is priced by the kind's scalar reference, point by point.
+    When a ``pool`` is given and a larger group exceeds ``chunk_size``
+    points, contiguous chunks are priced concurrently and concatenated
+    — bitwise invisible, since every step is elementwise in the points.
     """
     run = _EXECUTORS.get(exemplar.kind)
     if run is None:
         raise ParameterError(f"unknown query kind {exemplar.kind!r}")
-    n = np.array([p[0] for p in points], dtype=np.float64)
-    lam = np.array([p[1] for p in points], dtype=np.float64)
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+    if len(points) <= SCALAR_MAX_POINTS and exemplar.kind != "chiplet":
+        return _scalar_group(exemplar, points)
+    n = np.array([p[0] for p in points], dtype=np.float64)
+    lam = np.array([p[1] for p in points], dtype=np.float64)
     if pool is None or n.size <= chunk_size:
         return run(exemplar, n, lam, cache)
     spans = range(0, n.size, chunk_size)

@@ -10,9 +10,10 @@ it.  Three families cover the library's eq.-(1) entry points:
 * :class:`ModelCostQuery` — the general
   :meth:`~repro.core.transistor_cost.TransistorCostModel.evaluate`
   form with an explicit yield specification; its scalar reference is
-  that method (except that an unfittable die comes back as an
-  infeasible result instead of a raise, exactly like
-  :func:`repro.batch.evaluate_batch`).
+  :meth:`~repro.core.transistor_cost.TransistorCostModel.
+  evaluate_masked`, which returns an unfittable die as an infeasible
+  result instead of raising, exactly like
+  :func:`repro.batch.evaluate_batch`.
 * :class:`ChipletCostQuery` — a k-chiplet assembly against a
   :class:`~repro.system.chiplet.ChipletCostModel`; its scalar
   reference is that model's ``cost_per_transistor``.  The chiplet
@@ -239,10 +240,9 @@ def scalar_reference_cost(query: CostQuery) -> float:
     :class:`FabCostQuery` references
     :func:`~repro.core.optimization.transistor_cost_full`, a
     :class:`ModelCostQuery` references
-    :meth:`~repro.core.transistor_cost.TransistorCostModel.evaluate`
-    with an unfittable die masked to ``inf`` (the batch-engine
-    convention the service follows instead of raising), a
-    :class:`ChipletCostQuery` references
+    :meth:`~repro.core.transistor_cost.TransistorCostModel.evaluate_masked`
+    (``evaluate`` with an unfittable die masked to ``inf`` instead of
+    raised), a :class:`ChipletCostQuery` references
     :meth:`~repro.system.chiplet.ChipletCostModel.cost_per_transistor`.
     """
     from ..core.optimization import transistor_cost_full
@@ -256,18 +256,14 @@ def scalar_reference_cost(query: CostQuery) -> float:
     if not isinstance(query, ModelCostQuery):
         raise ParameterError(
             f"no scalar reference for query {query!r}")
-    try:
-        breakdown = query.model.evaluate(
-            n_transistors=query.n_transistors,
-            feature_size_um=query.feature_size_um,
-            design_density=query.design_density,
-            yield_model=query.yield_model,
-            defect_density_per_cm2=query.defect_density_per_cm2,
-            yield_value=query.yield_value,
-            aspect_ratio=query.aspect_ratio)
-    except ParameterError:
-        return float("inf")  # the service masks unfittable dies to inf
-    return breakdown.cost_per_transistor_dollars
+    return query.model.evaluate_masked(
+        n_transistors=query.n_transistors,
+        feature_size_um=query.feature_size_um,
+        design_density=query.design_density,
+        yield_model=query.yield_model,
+        defect_density_per_cm2=query.defect_density_per_cm2,
+        yield_value=query.yield_value,
+        aspect_ratio=query.aspect_ratio).cost_per_transistor_dollars
 
 
 def _yield_signature(yield_model: YieldModel | None,

@@ -44,7 +44,7 @@ from ..errors import ParameterError
 from ..geometry import Die, Wafer, dies_per_wafer_maly
 from ..manufacturing.test_cost import TestCostModel
 from ..units import require_fraction, require_nonnegative, require_positive
-from ..yieldsim.models import scaled_poisson_yield
+from ..yieldsim.models import YIELD_CUTOFF, scaled_poisson_yield
 from .kgd import incoming_quality
 
 __all__ = [
@@ -58,10 +58,6 @@ __all__ = [
     "PACKAGING_TECHS",
     "FREE_TEST",
 ]
-
-#: Matches the economic-feasibility cutoff of
-#: :func:`repro.core.optimization.transistor_cost_full`.
-_YIELD_CUTOFF = 1e-250
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,7 @@ class ChipletCostModel:
         packaging_cost = self.packaging.base_cost_dollars \
             + self.packaging.cost_per_die_dollars * k \
             + self.packaging.cost_per_cm2_dollars * (k * area)
-        feasible = n_ch >= 1 and y_eff >= _YIELD_CUTOFF
+        feasible = n_ch >= 1 and y_eff >= YIELD_CUTOFF
         if feasible:
             silicon_tr = c_w / (n_ch * n_k * y_eff)
             overhead_total = k * (self.test.probe_cost(n_k) / pass_rate) \

@@ -45,6 +45,11 @@ from dataclasses import dataclass
 from ..errors import ParameterError
 from ..units import require_fraction, require_nonnegative, require_positive
 
+#: Yields below this make a design point economically infeasible: the
+#: Fig.-8 (``transistor_cost_full``) and chiplet cost forms mask its
+#: cost to ``inf``, in the scalar references and batch kernels alike.
+YIELD_CUTOFF = 1e-250
+
 
 class YieldModel(ABC):
     """A map from fault expectation ``m = A·D`` to functional yield.
@@ -464,7 +469,7 @@ def scaled_poisson_yield(n_transistors: float, design_density: float,
     exponent = area_cm2 * d0_per_cm2
     # Guard against underflow-to-zero surprising callers that divide by Y:
     # exp() underflows to 0.0 below ~-745; the caller-facing contract is a
-    # positive float, so clamp at the smallest positive normal instead.
+    # positive float, so clamp at the smallest positive subnormal instead.
     if exponent > 700.0:
         return 5e-324
     return math.exp(-exponent)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GeometryError, ParameterError
 from repro.geometry import (
@@ -103,6 +105,58 @@ class TestMalyFormula:
         count = dies_per_wafer_maly(paper_wafer, die)
         # Gross area ratio is 59; eq. (4) must land well below with edge loss.
         assert 35 <= count <= 59
+
+
+def _maly_reference(wafer, die):
+    # The row loop as first written: both half-chords of every row
+    # recomputed.  dies_per_wafer_maly carries each row's upper chord
+    # over as the next row's lower one and must count identically.
+    radius = wafer.usable_radius_cm
+    a = die.pitch_x_cm
+    b = die.pitch_y_cm
+    if die.width_cm > 2 * radius or die.height_cm > 2 * radius:
+        return 0
+
+    n_rows = math.floor(2.0 * radius / b)
+
+    def half_chord(j: int) -> float:
+        offset = j * b - radius
+        inside = radius * radius - offset * offset
+        return math.sqrt(inside) if inside > 0.0 else 0.0
+
+    total = 0
+    for j in range(n_rows):
+        chord = min(half_chord(j), half_chord(j + 1))
+        total += math.floor(2.0 * chord / a)
+    return total
+
+
+class TestMalyRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(radius=st.floats(min_value=2.0, max_value=16.0),
+           edge_frac=st.floats(min_value=0.0, max_value=0.5),
+           log_area=st.floats(min_value=-3.5, max_value=2.5),
+           aspect=st.floats(min_value=0.3, max_value=3.0),
+           scribe=st.sampled_from([0.0, 0.005, 0.05]))
+    def test_matches_the_recomputing_loop(self, radius, edge_frac,
+                                         log_area, aspect, scribe):
+        wafer = Wafer(radius_cm=radius, edge_exclusion_cm=edge_frac * radius)
+        die = Die.from_area(10.0 ** log_area, aspect_ratio=aspect,
+                            scribe_cm=scribe)
+        assert dies_per_wafer_maly(wafer, die) == _maly_reference(wafer, die)
+
+    def test_die_exactly_two_radii_tall(self, paper_wafer):
+        # One row, both of its chords zero.
+        die = Die(width_cm=1.0, height_cm=15.0)
+        assert dies_per_wafer_maly(paper_wafer, die) == 0
+        assert _maly_reference(paper_wafer, die) == 0
+
+    def test_zero_top_chord(self, paper_wafer):
+        # Ten rows of 1.5 cm: row 9's upper chord sits at offset R.
+        die = Die.square(1.5)
+        assert math.floor(2.0 * 7.5 / die.pitch_y_cm) == 10
+        assert dies_per_wafer_maly(paper_wafer, die) \
+            == _maly_reference(paper_wafer, die) > 0
 
 
 class TestExactGrid:
