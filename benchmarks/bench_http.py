@@ -8,8 +8,7 @@ the scalar reference, and their p50/p95/p99 end-to-end latency plus
 error budget (429s, timeouts, connection errors) land in
 ``benchmarks/BENCH_http.json``.  The traffic is recorded over HTTP and
 then replayed through ``python -m repro replay`` — parity exit 0 —
-closing the live-traffic → replay → tuning loop across the network
-boundary.
+closing the live-traffic → replay loop across the network boundary.
 
 Parity always asserts.  The throughput/latency SLO assert (achieved
 rate keeps up with the offered rate and the error budget stays empty)
@@ -77,8 +76,7 @@ def _replay_recorded_log(log: Path, run_dir: Path) -> int:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-m", "repro", "replay", "--log", str(log),
-         "--run-dir", str(run_dir), "--configs", "thread",
-         "--workers", "1"],
+         "--run-dir", str(run_dir)],
         env=env, capture_output=True, text=True, timeout=600)
     if result.returncode != 0:
         emit("HTTP replay FAILED", result.stdout + "\n" + result.stderr)

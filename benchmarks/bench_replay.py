@@ -1,18 +1,16 @@
 """Record → replay → report: the traffic-replay acceptance bench.
 
 The acceptance claim: a **1,000-query mixed workload** recorded from a
-live :class:`~repro.serve.CostService` replays against every scheduler
-config — ``thread``, ``process``, ``auto``, and the telemetry-learned
-``tuned`` backend — with **zero bitwise mismatches** against the
-recording, and the run dir carries the full artifact chain
-(``raw/*.json`` → ``results.csv`` → ``report.md`` + ``profile.json``).
+live :class:`~repro.serve.CostService` replays through the scheduler
+with **zero bitwise mismatches** against the recording, and the run
+dir carries the full artifact chain (``raw/replay.json`` →
+``results.csv`` → ``report.md``).
 
-Parity and artifact asserts always run.  The latency-sanity assert
-(replay percentiles are finite and ordered) also always runs; the
-cross-config comparison is *recorded* in ``BENCH_replay.json`` but only
-narrated — backend ranking on a loaded CI box is weather, not signal.
-``REPRO_BENCH_PARITY_ONLY=1`` shrinks the workload to a smoke size for
-CI legs that only need the parity signal.
+Parity, artifact and latency-sanity asserts (replay percentiles are
+finite and ordered) always run; the timings are *recorded* in
+``BENCH_replay.json`` but not gated.  ``REPRO_BENCH_PARITY_ONLY=1``
+shrinks the workload to a smoke size for CI legs that only need the
+parity signal.
 
 The record lands in ``benchmarks/BENCH_replay.json`` (one JSON object,
 one key per claim) and the shared ``BENCH_repro.json``.
@@ -36,8 +34,6 @@ from repro.yieldsim import ReferenceAreaYield
 
 PARITY_ONLY = bool(os.environ.get("REPRO_BENCH_PARITY_ONLY"))
 N_QUERIES = 200 if PARITY_ONLY else 1_000
-WORKERS = 2
-CONFIGS = ("thread", "process", "auto", "tuned")
 
 _BENCH_REPLAY_JSON = Path(__file__).resolve().parent / "BENCH_replay.json"
 
@@ -101,7 +97,7 @@ def _update_bench_json(key, record):
     _BENCH_REPLAY_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def test_recorded_workload_replays_bitwise_on_every_config():
+def test_recorded_workload_replays_bitwise():
     queries = _mixed_workload(N_QUERIES)
     with tempfile.TemporaryDirectory(prefix="bench_replay_") as tmp:
         tmp = Path(tmp)
@@ -115,71 +111,45 @@ def test_recorded_workload_replays_bitwise_on_every_config():
         assert len(log) == N_QUERIES
         assert log.unreplayable == 0
 
-        # Replay against every config; "tuned" learns its profile from
-        # the flush telemetry of the three plain configs.
         run_dir = tmp / "run"
-        summary = run_all(log, run_dir, names=CONFIGS,
-                          workers=WORKERS, mode="closed")
-
-        artifacts = [f"raw/{name}.json" for name in CONFIGS]
-        artifacts += ["profile.json", "results.csv", "report.md"]
+        summary = run_all(log, run_dir, mode="closed")
+        artifacts = ["raw/replay.json", "results.csv", "report.md"]
         missing = [a for a in artifacts if not (run_dir / a).exists()]
-        profile = summary["profile"]
-        results = {r.config.name: r for r in summary["results"]}
+        r = summary["result"]
 
-    mismatches = summary["mismatches"]
-    per_config = {
-        name: {
-            "wall_s": r.wall_s,
-            "qps": r.qps,
-            "p50_ms": r.p50_ms,
-            "p95_ms": r.p95_ms,
-            "p99_ms": r.p99_ms,
-            "mean_occupancy": r.mean_occupancy,
-            "dedup_rate": r.dedup_rate,
-            "mismatches": r.mismatches,
-        } for name, r in results.items()}
+    stats = {
+        "wall_s": r.wall_s,
+        "qps": r.qps,
+        "p50_ms": r.p50_ms,
+        "p95_ms": r.p95_ms,
+        "p99_ms": r.p99_ms,
+        "mean_occupancy": r.mean_occupancy,
+        "dedup_rate": r.dedup_rate,
+        "mismatches": r.mismatches,
+    }
     record = {
         "kind": "replay_parity",
         "queries": N_QUERIES,
-        "workers": WORKERS,
         "parity_only": PARITY_ONLY,
-        "configs": per_config,
-        "mismatches": mismatches,
+        "replay": stats,
+        "mismatches": r.mismatches,
         "missing_artifacts": missing,
-        "learned_signatures": len(profile.signatures),
     }
     _update_bench_json("replay_parity", record)
     emit_json(record)
-
-    rows = "\n".join(
-        f"{name:8s}: wall {stats['wall_s'] * 1e3:8.1f} ms  "
-        f"qps {stats['qps']:7.0f}  p50 {stats['p50_ms']:7.2f} ms  "
-        f"p99 {stats['p99_ms']:7.2f} ms  "
-        f"occ {stats['mean_occupancy']:.2f}  "
-        f"mismatches {stats['mismatches']}"
-        for name, stats in per_config.items())
-    emit("Traffic replay — recorded workload vs every scheduler config",
+    emit("Traffic replay — recorded workload through the scheduler",
          f"workload      : {N_QUERIES} recorded mixed queries "
          f"(3 signatures, duplicate explorer traffic)\n"
-         f"{rows}\n"
-         f"tuned profile : {len(profile.signatures)} learned "
-         f"signature(s), default threshold "
-         f"{profile.default_process_threshold}\n"
-         f"contract      : zero bitwise mismatches on every config, "
-         f"full artifact chain")
+         f"replay        : wall {stats['wall_s'] * 1e3:8.1f} ms  "
+         f"qps {stats['qps']:7.0f}  p50 {stats['p50_ms']:7.2f} ms  "
+         f"p99 {stats['p99_ms']:7.2f} ms  "
+         f"occ {stats['mean_occupancy']:.2f}\n"
+         f"contract      : zero bitwise mismatches, full artifact chain\n"
+         f"mismatches    : {r.mismatches}")
 
     assert not missing, f"run dir is missing artifacts: {missing}"
-    assert mismatches == 0, \
-        f"{mismatches} replayed costs differ bitwise from the recording"
-    assert set(per_config) == set(CONFIGS)
-    if not PARITY_ONLY:
-        # The smoke leg's single flush per config stays under the
-        # learner's min_samples evidence gate; the full workload must
-        # learn real per-signature thresholds.
-        assert len(profile.signatures) >= 1, \
-            "the tuned leg learned no per-signature thresholds"
-    for name, stats in per_config.items():
-        assert 0.0 <= stats["p50_ms"] <= stats["p95_ms"] \
-            <= stats["p99_ms"], f"{name}: latency percentiles unordered"
-        assert stats["qps"] > 0.0, f"{name}: no throughput measured"
+    assert r.mismatches == 0, \
+        f"{r.mismatches} replayed costs differ bitwise from the recording"
+    assert 0.0 <= stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"], \
+        "latency percentiles unordered"
+    assert stats["qps"] > 0.0, "no throughput measured"

@@ -1,26 +1,14 @@
-"""Serving throughput — micro-batching, and the process-backend win.
+"""Serving throughput — micro-batching vs the per-request scalar loop.
 
-Two acceptance claims live here:
+The acceptance claim: 1,000 mixed single-point cost queries answered
+through :class:`~repro.serve.CostService` run at least **5x** faster
+than the same 1,000 queries priced one at a time through the scalar
+reference path, bitwise identically.  The pass also records the
+service's operational shape: a per-flush batch-size histogram (from
+``flush_history``) and p50/p95/p99 queue latency from raw per-ticket
+timestamps.
 
-1. **Batching vs scalar** — 1,000 mixed single-point cost queries
-   answered through :class:`~repro.serve.CostService` run at least
-   **5x** faster than the same 1,000 queries priced one at a time
-   through the scalar reference path, bitwise identically.  This pass
-   also records the service's operational shape: a per-flush
-   batch-size histogram (from ``flush_history``) and p50/p95/p99
-   queue latency from raw per-ticket timestamps.
-2. **Process vs thread backend** — on a CPU-bound workload (a yield
-   law whose per-point cost is a numeric integral, so the executor's
-   Python loop dominates and the GIL serializes the thread backend),
-   ≥ 10,000 mostly-unique queries at 4 workers run at least **2x**
-   faster through the shared-memory process backend than through the
-   thread backend — again bitwise identical, to the scalar reference
-   and to each other.  The speedup assert self-skips below 4 CPUs
-   (the parity asserts always run); ``REPRO_BENCH_PARITY_ONLY=1``
-   additionally shrinks the workload to a smoke size for CI legs that
-   only need the parity signal.
-
-Both records land in ``benchmarks/BENCH_serve.json`` (one JSON object,
+The record lands in ``benchmarks/BENCH_serve.json`` (one JSON object,
 one key per claim) and the shared ``BENCH_repro.json``.
 """
 
@@ -28,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -42,19 +29,13 @@ from repro.core.optimization import (
 )
 from repro.errors import ParameterError
 from repro.geometry import Wafer
+from repro.obs.registry import nearest_rank
 from repro.serve import CostService, FabCostQuery, ModelCostQuery
 from repro.yieldsim import ReferenceAreaYield
-from repro.yieldsim.models import YieldModel
 
 N_QUERIES = 1_000
 MIN_SPEEDUP = 5.0
 REPS = 5
-
-PARITY_ONLY = bool(os.environ.get("REPRO_BENCH_PARITY_ONLY"))
-N_PROCESS_QUERIES = 1_200 if PARITY_ONLY else 10_000
-MIN_PROCESS_SPEEDUP = 2.0
-PROCESS_WORKERS = 4
-PROCESS_REPS = 2
 
 _BENCH_SERVE_JSON = Path(__file__).resolve().parent / "BENCH_serve.json"
 
@@ -72,40 +53,6 @@ _MODEL = TransistorCostModel(
     wafer=Wafer(radius_cm=7.5))
 _YIELD_LAW = ReferenceAreaYield(reference_yield=0.7,
                                 reference_area_cm2=1.0)
-
-
-class IntegratedMurphyYield(YieldModel):
-    """Murphy's yield integral, evaluated numerically per point.
-
-    ``Y(m) = ∫₀² e^{−m·u}·tri(u) du`` with the triangular defect
-    distribution ``tri(u) = u`` below 1, ``2 − u`` above — integrated
-    by composite Simpson instead of the closed form, so each point
-    costs ~``steps`` ``exp`` calls of *pure Python*.  That is the
-    workload shape the process backend exists for: the executor's
-    generic yield loop holds the GIL, so thread workers serialize
-    while process workers scale.  (Deliberately deterministic — the
-    parity asserts quantify over it like any other law.)
-
-    Defined at module top level so exemplar queries pickle to pool
-    workers.
-    """
-
-    def __init__(self, steps: int = 128) -> None:
-        if steps < 2 or steps % 2:
-            raise ParameterError(
-                f"steps must be an even integer >= 2, got {steps}")
-        self.steps = steps
-
-    def yield_from_expectation(self, m: float) -> float:
-        h = 2.0 / self.steps
-        exp = math.exp
-        total = 0.0
-        for i in range(self.steps + 1):
-            u = i * h
-            tri = u if u <= 1.0 else 2.0 - u
-            weight = 1.0 if i in (0, self.steps) else (4.0 if i % 2 else 2.0)
-            total += weight * exp(-m * u) * tri
-        return total * h / 3.0
 
 
 def _grid(n_lams, n_counts):
@@ -153,14 +100,6 @@ def _scalar_answer(query):
     return breakdown.cost_per_transistor_dollars
 
 
-def _percentile(sorted_values, q):
-    """Nearest-rank percentile of an already sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
 def _latency_percentiles(svc, queries):
     """One served pass with raw per-ticket queue latencies."""
     done = []
@@ -172,7 +111,8 @@ def _latency_percentiles(svc, queries):
     for ticket in tickets:
         ticket.cost(timeout=30.0)
     done.sort()
-    return {f"p{q}_ms": _percentile(done, q) * 1e3 for q in (50, 95, 99)}
+    return {f"p{q}_ms": nearest_rank(done, q / 100) * 1e3
+            for q in (50, 95, 99)}
 
 
 def _flush_size_histogram(records):
@@ -268,105 +208,3 @@ def test_serve_throughput_vs_scalar_loop():
         f"{MIN_SPEEDUP}x contract (scalar {t_scalar * 1e3:.2f} ms, " \
         f"serve {t_steady * 1e3:.2f} ms)"
 
-
-def _cpu_bound_workload(n_queries):
-    """Mostly-unique queries dominated by per-point Python compute.
-
-    Three Murphy-integral model signatures (one per defect density)
-    carry the CPU weight; a fab stream keeps the flush mix realistic.
-    Points are unique within each signature, so caching cannot erase
-    the compute being measured.
-    """
-    per_stream = n_queries // 4
-    laws = [(IntegratedMurphyYield(steps=128), dd)
-            for dd in (0.5, 1.0, 1.5)]
-    streams = []
-    for s, (law, density) in enumerate(laws):
-        points = [(1e5 + 97.0 * (s * per_stream + i),
-                   0.45 + 0.9 * i / per_stream)
-                  for i in range(per_stream)]
-        streams.append([
-            ModelCostQuery(n, lam, model=_MODEL, design_density=150.0,
-                           yield_model=law, defect_density_per_cm2=density)
-            for n, lam in points])
-    fab_points = [(2e5 + 131.0 * i, 0.5 + 0.8 * i / per_stream)
-                  for i in range(n_queries - 3 * per_stream)]
-    streams.append([FabCostQuery(n, lam) for n, lam in fab_points])
-    return [q for group in zip(*streams) for q in group] \
-        + streams[-1][per_stream:]
-
-
-def _timed_pass(queries, backend):
-    times = []
-    with CostService(backend=backend, workers=PROCESS_WORKERS,
-                     max_batch_size=1024, max_wait_s=0.002,
-                     max_queue_depth=2 * len(queries),
-                     cache=None) as svc:
-        got = svc.costs(queries)  # warm-up (pool fork, imports)
-        for _ in range(PROCESS_REPS):
-            t0 = time.perf_counter()
-            got = svc.costs(queries)
-            times.append(time.perf_counter() - t0)
-    return min(times), got
-
-
-def test_process_backend_beats_threads_on_cpu_bound_flushes():
-    queries = _cpu_bound_workload(N_PROCESS_QUERIES)
-    assert len(queries) == N_PROCESS_QUERIES
-
-    t_thread, got_thread = _timed_pass(queries, "thread")
-    t_process, got_process = _timed_pass(queries, "process")
-    speedup = t_thread / t_process
-
-    want = [_scalar_answer(q) for q in queries]
-    thread_mismatches = sum(a != b for a, b in zip(got_thread, want))
-    process_mismatches = sum(a != b for a, b in zip(got_process, want))
-
-    cpus = os.cpu_count() or 1
-    assert_speedup = cpus >= PROCESS_WORKERS and not PARITY_ONLY
-    record = {
-        "kind": "serve_process_backend",
-        "queries": N_PROCESS_QUERIES,
-        "workers": PROCESS_WORKERS,
-        "cpus": cpus,
-        "reps": PROCESS_REPS,
-        "parity_only": PARITY_ONLY,
-        "thread_best_s": t_thread,
-        "process_best_s": t_process,
-        "speedup_process_over_thread": speedup,
-        "min_speedup_required": MIN_PROCESS_SPEEDUP,
-        "speedup_asserted": assert_speedup,
-        "thread_mismatches": thread_mismatches,
-        "process_mismatches": process_mismatches,
-    }
-    _update_bench_json("process_backend", record)
-    emit_json(record)
-    if assert_speedup:
-        gate = "asserted"
-    elif PARITY_ONLY:
-        gate = "recorded only: parity-only leg"
-    else:
-        gate = f"recorded only: {cpus} CPU(s)"
-    emit("Serve backends — shared-memory process pool vs thread pool",
-         f"workload      : {N_PROCESS_QUERIES} queries, "
-         f"3 Murphy-integral signatures + 1 fab stream, "
-         f"{PROCESS_WORKERS} workers\n"
-         f"thread backend: {t_thread * 1e3:8.1f} ms (best of "
-         f"{PROCESS_REPS})\n"
-         f"process       : {t_process * 1e3:8.1f} ms  "
-         f"-> {speedup:5.2f}x\n"
-         f"contract      : >= {MIN_PROCESS_SPEEDUP}x at "
-         f">= {PROCESS_WORKERS} CPUs ({gate})\n"
-         f"mismatches    : thread {thread_mismatches}, "
-         f"process {process_mismatches}")
-
-    assert thread_mismatches == 0, \
-        f"{thread_mismatches} thread-backend answers differ from scalar"
-    assert process_mismatches == 0, \
-        f"{process_mismatches} process-backend answers differ from scalar"
-    if assert_speedup:
-        assert speedup >= MIN_PROCESS_SPEEDUP, \
-            f"process backend is only {speedup:.2f}x over threads " \
-            f"(thread {t_thread * 1e3:.1f} ms, " \
-            f"process {t_process * 1e3:.1f} ms); the CPU-bound " \
-            f"contract requires {MIN_PROCESS_SPEEDUP}x"

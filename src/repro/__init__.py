@@ -97,10 +97,9 @@ from .serve import (
     MicroBatchScheduler,
     ModelCostQuery,
     ServedCost,
-    TuningProfile,
 )
 from . import replay
-from .replay import learn_profile, replay_log
+from .replay import replay_log
 
 __version__ = "1.0.0"
 
@@ -171,9 +170,7 @@ __all__ = [
     "MicroBatchScheduler",
     "ModelCostQuery",
     "ServedCost",
-    "TuningProfile",
     "replay",
-    "learn_profile",
     "replay_log",
     "__version__",
 ]

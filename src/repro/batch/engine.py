@@ -59,7 +59,7 @@ from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
 from ..obs.state import enabled as _obs_enabled, \
     tracing_enabled as _tracing_enabled
-from ..geometry.wafer import Wafer
+from ..geometry.wafer import ROW_FIT_SLACK, Wafer
 from ..core.wafer_cost import GenerationModel, WaferCostModel
 from ..core.transistor_cost import TransistorCostModel
 from ..units import UM2_PER_CM2, require_nonnegative
@@ -285,7 +285,8 @@ def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
                          scribe: float) -> np.ndarray:
     # Same operations, same order, as the scalar row loop: pitch
     # a = w + scribe, b = h + scribe; floor(2R/b) rows; each row holds
-    # floor(2·min(R_j, R_{j+1})/a) dies with R_j = sqrt(R² − (jb − R)²).
+    # floor(2·min(R_j, R_{j+1})/a + ROW_FIT_SLACK) dies with
+    # R_j = sqrt(R² − (jb − R)²).
     a = w + scribe
     b = h + scribe
     n = w.size
@@ -329,7 +330,8 @@ def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
             inside = r2 - offset * offset
             chord = np.sqrt(np.maximum(inside, 0.0))
             row_chord = np.minimum(chord[:, :-1], chord[:, 1:])
-            per_row = np.floor(2.0 * row_chord / a[sel, None])
+            per_row = np.floor(2.0 * row_chord / a[sel, None]
+                               + ROW_FIT_SLACK)
             counts[sel] = per_row.sum(axis=1).astype(np.int64)
     return counts
 

@@ -5,9 +5,7 @@ landscape over (λ, N_tr), the per-die-area optimal-λ curves, the
 Fig.-6/7 scenario curves.  :class:`TiledSweepRunner` evaluates any
 such two-axis grid by cutting it into tiles (:class:`SweepPlan`) and
 executing the tiles sequentially, on a thread pool, or on a process
-pool that communicates through one :class:`~repro.shm.ShmBlock` —
-the PR-5 serve transport pushed down into :mod:`repro.batch`, as
-ROADMAP's "shared-memory mega-sweeps" item calls for.
+pool that communicates through one :class:`~repro.shm.ShmBlock`.
 
 Process-backend data flow (zero per-point pickling)
 ---------------------------------------------------
@@ -92,8 +90,7 @@ __all__ = [
     "TiledSweepRunner",
 ]
 
-#: Accepted values of the runner's ``backend=`` knob (same vocabulary
-#: as the serve scheduler).
+#: Accepted values of the runner's ``backend=`` knob.
 BACKEND_CHOICES = ("auto", "thread", "process")
 
 #: Default points per tile: big enough that NumPy ufunc dispatch is
@@ -101,8 +98,7 @@ BACKEND_CHOICES = ("auto", "thread", "process")
 DEFAULT_TILE_SIZE = 65536
 
 #: Fault-injection hook for the resilience tests
-#: (``tests/batch/test_sweep.py``), mirroring the serve backend's
-#: ``REPRO_SERVE_WORKER_FAULT``: ``"raise"`` raises in every process;
+#: (``tests/batch/test_sweep.py``): ``"raise"`` raises in every process;
 #: ``"exit:<pid>"`` hard-kills any process *except* ``<pid>`` so the
 #: parent's sequential fallback still completes.
 FAULT_ENV = "REPRO_SWEEP_WORKER_FAULT"

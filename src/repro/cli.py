@@ -45,10 +45,9 @@ optionally checkpointed and resumable (``--checkpoint DIR``,
 ``--resume``); see ``docs/performance.md`` ("Mega-sweeps").
 
 ``cost --record FILE`` appends every query the batch service prices
-to a JSONL traffic log; ``replay`` re-drives such a log against any
-subset of the ``thread``/``process``/``auto``/``tuned`` scheduler
-configs, asserts bitwise result parity, and writes a run dir
-(``raw/*.json`` → ``results.csv`` → ``report.md``) — the full
+to a JSONL traffic log; ``replay`` re-drives such a log through the
+serve scheduler, asserts bitwise result parity, and writes a run dir
+(``raw/replay.json`` → ``results.csv`` → ``report.md``) — the full
 record → replay → report loop is ``docs/replay.md``.
 
 Every command also accepts the observability flags from
@@ -170,9 +169,7 @@ def _cost_batch(args: argparse.Namespace) -> None:
     import sys as _sys
 
     from .serve import CostService, format_served_csv, format_served_json
-    service = CostService(backend=args.serve_backend,
-                          workers=args.serve_workers,
-                          record=args.record)
+    service = CostService(record=args.record)
     with service:
         if args.prewarm is not None:
             from .obs.recording import (
@@ -565,29 +562,22 @@ def _cmd_fit_yield(args: argparse.Namespace) -> None:
 
 def _cmd_replay(args: argparse.Namespace) -> None:
     from .replay import run_all
-    names = [v.strip() for v in args.configs.split(",") if v.strip()]
-    if not names:
-        raise ParameterError("--configs must name at least one config")
-    summary = run_all(args.log, args.run_dir, names=names,
-                      workers=args.workers, mode=args.mode,
-                      speed=args.speed, profile=args.profile,
-                      timeout=args.timeout)
-    rows = []
-    for r in summary["results"]:
-        rows.append((r.config.name, f"{r.wall_s:.3f}", f"{r.qps:.0f}",
-                     f"{r.p50_ms:.2f}", f"{r.p95_ms:.2f}",
-                     f"{r.p99_ms:.2f}", f"{r.mean_occupancy:.2f}",
-                     str(r.mismatches)))
+    summary = run_all(args.log, args.run_dir, mode=args.mode,
+                      speed=args.speed, timeout=args.timeout)
+    r = summary["result"]
     print(ascii_table(
-        ("config", "wall s", "qps", "p50 ms", "p95 ms", "p99 ms",
-         "occupancy", "mismatches"), rows))
+        ("wall s", "qps", "p50 ms", "p95 ms", "p99 ms", "occupancy",
+         "mismatches"),
+        [(f"{r.wall_s:.3f}", f"{r.qps:.0f}", f"{r.p50_ms:.2f}",
+          f"{r.p95_ms:.2f}", f"{r.p99_ms:.2f}", f"{r.mean_occupancy:.2f}",
+          str(r.mismatches))]))
     print(f"run dir: {summary['run_dir']}")
     print(f"  results: {summary['csv']}")
     print(f"  report:  {summary['report']}")
     if summary["mismatches"]:
         raise ReproError(
             f"{summary['mismatches']} replayed cost(s) were not bitwise "
-            f"equal to the recording (see raw/*.json)")
+            f"equal to the recording (see {summary['raw']})")
     print("parity: all replayed costs bitwise equal to the recording")
 
 
@@ -598,9 +588,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> None:
     from .serve.http import run_server
-    run_server(host=args.host, port=args.port,
-               backend=args.serve_backend, workers=args.serve_workers,
-               record=args.record,
+    run_server(host=args.host, port=args.port, record=args.record,
                max_batch_size=args.max_batch_size,
                max_queue_depth=args.max_queue_depth,
                density=args.density, yield0=args.yield0, c0=args.c0,
@@ -687,12 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--record", metavar="FILE", default=None,
                       help="append every served query to FILE as a JSONL "
                            "traffic log (replayable via 'repro replay')")
-    cost.add_argument("--serve-backend", default="auto",
-                      choices=("auto", "thread", "process"),
-                      help="execution backend for batch serving")
-    cost.add_argument("--serve-workers", type=int, default=1,
-                      help="worker count for the serving backend "
-                           "(threads or processes)")
 
     opt = add_parser("optimize",
                          help="cost-optimal feature size for a die area")
@@ -876,19 +858,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = add_parser(
         "replay",
-        help="replay a recorded traffic log against scheduler configs "
+        help="replay a recorded traffic log through the scheduler "
              "and write a run-dir report")
     replay.add_argument("--log", metavar="FILE", required=True,
                         help="recorder JSONL traffic log (from "
                              "'cost --record' or CostService(record=...))")
     replay.add_argument("--run-dir", metavar="DIR", required=True,
-                        help="output directory: raw/*.json, profile.json, "
+                        help="output directory: raw/replay.json, "
                              "results.csv, report.md")
-    replay.add_argument("--configs", default="thread,process,auto,tuned",
-                        help="comma-separated subset of "
-                             "thread,process,auto,tuned")
-    replay.add_argument("--workers", type=int, default=2,
-                        help="worker count for every replayed config")
     replay.add_argument("--mode", choices=("open", "closed"),
                         default="closed",
                         help="closed: submit as fast as accepted; open: "
@@ -896,12 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--speed", type=float, default=1.0,
                         help="time-scale for open-loop arrivals "
                              "(2.0 = replay twice as fast)")
-    replay.add_argument("--profile", metavar="FILE", default=None,
-                        help="tuning profile JSON for the 'tuned' config "
-                             "(default: learn one from the other configs' "
-                             "telemetry)")
     replay.add_argument("--timeout", type=float, default=300.0,
-                        help="drain deadline per config [s]")
+                        help="drain deadline [s]")
 
     serve = add_parser(
         "serve",
@@ -910,11 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address")
     serve.add_argument("--port", type=int, default=8787,
                        help="bind port (0 picks an ephemeral port)")
-    serve.add_argument("--backend", dest="serve_backend", default="auto",
-                       choices=("auto", "thread", "process", "tuned"),
-                       help="scheduler execution backend")
-    serve.add_argument("--workers", dest="serve_workers", type=int,
-                       default=1, help="worker count for the backend")
     serve.add_argument("--record", metavar="FILE", default=None,
                        help="append every served query to FILE as a JSONL "
                             "traffic log (replayable via 'repro replay')")

@@ -39,6 +39,14 @@ from .die import Die
 
 ApproxKind = Literal["gross", "ferris-prabhu", "industry"]
 
+#: Added to each eq.-(4) row's die count ``2·min(R_j, R_{j+1})/a``
+#: before flooring.  Decimal inputs are not exact in binary, so a row
+#: whose chord holds exactly k dies can evaluate a few ulps short of k
+#: (a 0.8 cm die on a 4 cm-radius wafer gives 5.999999999999998 in the
+#: second row, and 61 dies instead of the 64 of the 1 cm die on a 5 cm
+#: radius).  1e-9 of a die pitch is far below any physical tolerance.
+ROW_FIT_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Wafer:
@@ -111,7 +119,9 @@ def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
     ``b`` starting at the bottom of the circle; row ``j`` spans
     vertical offsets ``[j·b, (j+1)·b]`` measured from the bottom.  The
     half-chord at offset ``y`` is ``R_j = sqrt(R² − (y − R)²)``, and a
-    row holds ``floor(2·min(R_j, R_{j+1}) / a)`` complete dies.
+    row holds ``floor(2·min(R_j, R_{j+1}) / a)`` complete dies, counted
+    with :data:`ROW_FIT_SLACK` so binary rounding cannot drop a die that
+    fits exactly.
 
     Scribe lanes, if present on the die, are folded into the stepping
     pitch (a die's *pitch* must fit, its active area is irrelevant to
@@ -136,7 +146,8 @@ def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
         offset = j * b - radius
         inside = r2 - offset * offset
         upper = sqrt(inside) if inside > 0.0 else 0.0
-        total += floor(2.0 * (upper if upper < lower else lower) / a)
+        total += floor(2.0 * (upper if upper < lower else lower) / a
+                       + ROW_FIT_SLACK)
         lower = upper
     return total
 

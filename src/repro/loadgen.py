@@ -40,6 +40,7 @@ from typing import Any, Sequence
 
 from .errors import ParameterError
 from .obs.recording import query_to_record
+from .obs.registry import nearest_rank
 from .serve.http import chiplet_point_to_query, point_to_query
 from .serve.query import ChipletCostQuery, FabCostQuery, scalar_reference_cost
 
@@ -218,15 +219,6 @@ class LoadResult:
         }
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile (same convention as the benches)."""
-    if not sorted_values:
-        return float("nan")
-    k = max(0, min(len(sorted_values) - 1,
-                   int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[k]
-
-
 class _Connection:
     """One pooled keep-alive client connection (lazily established)."""
 
@@ -398,9 +390,9 @@ def run_load(host: str, port: int, specs: Sequence[RequestSpec], *,
         offered_rps=rps,
         achieved_rps=completed / duration if duration > 0 else 0.0,
         latency_ms={
-            "p50": _percentile(latencies, 0.50),
-            "p95": _percentile(latencies, 0.95),
-            "p99": _percentile(latencies, 0.99),
+            "p50": nearest_rank(latencies, 0.50),
+            "p95": nearest_rank(latencies, 0.95),
+            "p99": nearest_rank(latencies, 0.99),
             "mean": (sum(latencies) / completed) if completed else
                     float("nan"),
             "max": latencies[-1] if latencies else float("nan"),

@@ -20,8 +20,9 @@ Record schema (version 1), one JSON object per line::
 
 ``t`` is seconds since the recorder was attached (monotonic clock, so
 replay can reproduce inter-arrival gaps); ``sig`` is the
-:func:`repro.serve.tuning.signature_key` digest that joins the log
-against flush spans and tuning profiles; ``cost`` is the *served*
+:func:`signature_key` digest of the query's coalescing signature;
+``backend`` is always ``"thread"`` (older logs may say ``"process"``;
+replay does not read it); ``cost`` is the *served*
 C_tr in dollars — the bitwise parity target replay asserts against.
 ``q`` holds enough model parameters to rebuild the query
 (:func:`record_to_query`); custom yield models that cannot be
@@ -44,6 +45,7 @@ module level (the scheduler imports :mod:`repro.obs` first); the query
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -71,6 +73,7 @@ __all__ = [
     "query_to_record",
     "record_to_query",
     "shared_model",
+    "signature_key",
 ]
 
 #: Schema version stamped on every line; readers reject other versions.
@@ -80,6 +83,19 @@ RECORD_VERSION = 1
 SHARED_MODELS = 256
 
 _T = TypeVar("_T")
+
+
+def signature_key(sig: Any) -> str:
+    """Stable 16-hex-digit key for one coalescing signature.
+
+    The scheduler's signatures are tuples of floats/strings/hashables
+    whose ``repr`` is deterministic across runs (float ``repr`` is the
+    shortest exact round-trip), so a digest of it identifies the same
+    model parameters in every recorded log.  Custom yield models that
+    fall back to identity-based signatures (``id(model)``) get a key
+    that is only stable within one process.
+    """
+    return hashlib.sha1(repr(sig).encode("utf-8")).hexdigest()[:16]
 
 
 @functools.lru_cache(maxsize=SHARED_MODELS)

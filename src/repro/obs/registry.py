@@ -26,9 +26,21 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from .state import STATE
+
+
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile (``0 <= q <= 1``) of sorted values.
+
+    The smallest value with at least ``q`` of the sample at or below
+    it: ``sorted_values[ceil(q * n) - 1]``, so p50 of ``[1, 2, 3, 4]``
+    is 2.  Returns ``nan`` for an empty sample.
+    """
+    if not sorted_values:
+        return math.nan
+    return sorted_values[max(0, math.ceil(q * len(sorted_values)) - 1)]
 
 
 class Counter:

@@ -214,11 +214,11 @@ class span:
     def annotate(self, **attrs: Any) -> "span":
         """Attach attributes to an *open* span (key → scalar).
 
-        Lets code stamp facts that are only known mid-region — a flush
-        span learns which backends executed its groups only after they
-        ran.  Merged into the attributes given at construction (same
-        keys overwrite) and exported with the span in the JSONL /
-        tree forms.  A no-op while tracing is disabled, so callers can
+        Lets code stamp facts that are only known mid-region — a span
+        learns how much work it did only after the work ran.  Merged
+        into the attributes given at construction (same keys
+        overwrite) and exported with the span in the JSONL / tree
+        forms.  A no-op while tracing is disabled, so callers can
         annotate unconditionally; returns ``self`` for chaining.
         """
         if self._active:

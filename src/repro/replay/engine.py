@@ -1,19 +1,19 @@
-"""Re-drive a recorded traffic log against one scheduler config.
+"""Re-drive a recorded traffic log through the serve scheduler.
 
 :func:`replay_log` is the measurement core of the replay harness: it
 builds a fresh :class:`~repro.serve.scheduler.MicroBatchScheduler`
-from a :class:`ReplayConfig`, pushes a recorded log's queries through
-it, and returns a :class:`ReplayResult` with two kinds of truth:
+with the shipped defaults, pushes a recorded log's queries through it,
+and returns a :class:`ReplayResult` with two kinds of truth:
 
 * **Parity** — every replayed cost is compared *bitwise* against the
   cost the original run recorded.  The serve contract says results
-  are independent of batching, backend, worker count, and chunking,
-  so any mismatch is a real bug (or a corrupted log), not noise.
-  Replay is therefore also a regression harness: a log recorded
-  yesterday re-checks today's scheduler end to end.
+  are independent of batching, so any mismatch is a real bug (or a
+  corrupted log), not noise.  Replay is therefore also a regression
+  harness: a log recorded yesterday re-checks today's scheduler end
+  to end.
 * **Performance** — wall time, throughput, p50/p95/p99 request
   latency, flush-size histogram, queue-depth high-water mark, and
-  dedup/coalescing rates, per config, from the same run.
+  dedup/coalescing rates, from the same run.
 
 Two drive modes:
 
@@ -26,106 +26,28 @@ Two drive modes:
   coalescing with arrival timing factored out.
 
 Obs integration (off by default): the run is wrapped in a
-``replay.run`` span carrying the config name, and
-``replay.queries`` / ``replay.mismatches`` counters accumulate across
-runs.
+``replay.run`` span, and ``replay.queries`` / ``replay.mismatches``
+counters accumulate across runs.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
 from ..obs.recording import RecordedLog, RecordedQuery, load_recorded_log
+from ..obs.registry import nearest_rank
 from ..obs.state import enabled as _obs_enabled
-from ..serve.scheduler import (
-    SCHEDULER_BACKEND_CHOICES,
-    FlushRecord,
-    MicroBatchScheduler,
-)
-from ..serve.tuning import TuningProfile
+from ..serve.scheduler import FlushRecord, MicroBatchScheduler
 
-__all__ = ["ReplayConfig", "ReplayResult", "replay_log"]
+__all__ = ["ReplayResult", "replay_log"]
 
 #: Replay drive modes (see the module docstring).
 REPLAY_MODES = ("open", "closed")
-
-
-@dataclass(frozen=True)
-class ReplayConfig:
-    """One scheduler configuration to replay a log against.
-
-    A named bundle of the :class:`~repro.serve.scheduler.
-    MicroBatchScheduler` knobs the harness sweeps — backend, workers,
-    batch/tick shape — plus the loaded
-    :class:`~repro.serve.tuning.TuningProfile` when ``backend`` is
-    ``"tuned"``.  ``name`` labels the config in run dirs, CSV rows,
-    and reports.
-    """
-
-    name: str
-    backend: str = "auto"
-    workers: int = 1
-    max_batch_size: int = 256
-    max_wait_s: float = 0.002
-    chunk_size: int = 4096
-    process_threshold: int = 2048
-    adaptive: bool = False
-    profile: TuningProfile | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ParameterError("config name must be non-empty")
-        if self.backend not in SCHEDULER_BACKEND_CHOICES:
-            raise ParameterError(
-                f"backend must be one of {SCHEDULER_BACKEND_CHOICES}, "
-                f"got {self.backend!r}")
-        if self.backend == "tuned" and self.profile is None:
-            raise ParameterError(
-                "a 'tuned' replay config needs its TuningProfile")
-
-    def scheduler_kwargs(self) -> dict[str, Any]:
-        """The keyword arguments this config hands the scheduler."""
-        kwargs: dict[str, Any] = {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_s": self.max_wait_s,
-            "chunk_size": self.chunk_size,
-            "workers": self.workers,
-            "backend": self.backend,
-            "process_threshold": self.process_threshold,
-            "adaptive": self.adaptive,
-        }
-        if self.profile is not None:
-            kwargs["profile"] = self.profile
-        return kwargs
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (the profile reduces to a flag + size)."""
-        return {
-            "name": self.name,
-            "backend": self.backend,
-            "workers": self.workers,
-            "max_batch_size": self.max_batch_size,
-            "max_wait_s": self.max_wait_s,
-            "chunk_size": self.chunk_size,
-            "process_threshold": self.process_threshold,
-            "adaptive": self.adaptive,
-            "tuned_signatures": len(self.profile.signatures)
-            if self.profile is not None else None,
-        }
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of pre-sorted values (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 @dataclass
@@ -135,12 +57,11 @@ class ReplayResult:
     ``mismatches`` counts replayed costs that were not bitwise equal
     to the recorded ones (the parity contract says it must be 0).
     Latency fields are milliseconds from submit to ticket completion.
-    ``flush_records`` keeps the raw scheduler telemetry for the
-    tuning analyzer; :meth:`to_dict` summarizes it (histogram +
-    means) instead of serializing every record.
+    ``flush_records`` keeps the raw scheduler telemetry;
+    :meth:`to_dict` summarizes it (histogram + means) instead of
+    serializing every record.
     """
 
-    config: ReplayConfig
     mode: str
     speed: float
     n_queries: int
@@ -151,6 +72,7 @@ class ReplayResult:
     p95_ms: float
     p99_ms: float
     max_queue_depth: int
+    max_batch_size: int
     flush_records: list[FlushRecord] = field(default_factory=list)
 
     @property
@@ -174,10 +96,7 @@ class ReplayResult:
     @property
     def mean_occupancy(self) -> float:
         """Mean flush fill fraction of ``max_batch_size``."""
-        if not self.flush_records:
-            return 0.0
-        return sum(f.requests for f in self.flush_records) \
-            / (len(self.flush_records) * self.config.max_batch_size)
+        return self.mean_flush_requests / self.max_batch_size
 
     @property
     def dedup_rate(self) -> float:
@@ -189,15 +108,6 @@ class ReplayResult:
         return 1.0 - unique / total
 
     @property
-    def backend_groups(self) -> dict[str, int]:
-        """Signature groups executed per backend name."""
-        counts: dict[str, int] = {}
-        for flush in self.flush_records:
-            for g in flush.group_records:
-                counts[g.backend] = counts.get(g.backend, 0) + 1
-        return counts
-
-    @property
     def flush_size_hist(self) -> dict[str, int]:
         """Histogram of flush sizes (requests per flush → count)."""
         hist: dict[int, int] = {}
@@ -206,9 +116,8 @@ class ReplayResult:
         return {str(size): hist[size] for size in sorted(hist)}
 
     def to_dict(self) -> dict[str, Any]:
-        """The ``raw/<config>.json`` document for one replay run."""
+        """The ``raw/replay.json`` document for one replay run."""
         return {
-            "config": self.config.to_dict(),
             "mode": self.mode,
             "speed": self.speed,
             "n_queries": self.n_queries,
@@ -220,11 +129,11 @@ class ReplayResult:
             "p95_ms": self.p95_ms,
             "p99_ms": self.p99_ms,
             "max_queue_depth": self.max_queue_depth,
+            "max_batch_size": self.max_batch_size,
             "flushes": self.flushes,
             "mean_flush_requests": self.mean_flush_requests,
             "mean_occupancy": self.mean_occupancy,
             "dedup_rate": self.dedup_rate,
-            "backend_groups": self.backend_groups,
             "flush_size_hist": self.flush_size_hist,
         }
 
@@ -239,12 +148,11 @@ def _coerce_log(log: RecordedLog | str | os.PathLike
 
 
 def replay_log(log: RecordedLog | str | os.PathLike
-               | Iterable[RecordedQuery],
-               config: ReplayConfig, *,
+               | Iterable[RecordedQuery], *,
                mode: str = "open",
                speed: float = 1.0,
                timeout: float = 300.0) -> ReplayResult:
-    """Replay a recorded log against one config; measure and verify.
+    """Replay a recorded log through the scheduler; measure and verify.
 
     ``log`` is a :class:`~repro.obs.recording.RecordedLog`, a path to
     one, or an iterable of records.  Records without a rebuilt query
@@ -267,10 +175,6 @@ def replay_log(log: RecordedLog | str | os.PathLike
     replayable = [r for r in records if r.query is not None]
     n_skipped = len(records) - len(replayable)
 
-    kwargs = config.scheduler_kwargs()
-    kwargs["flush_history"] = max(1, len(replayable) + 16)
-    kwargs["max_queue_depth"] = max(10_000, len(replayable))
-
     latencies: list[float] = []
 
     def _make_callback(t_submit: float):
@@ -279,9 +183,10 @@ def replay_log(log: RecordedLog | str | os.PathLike
         return _cb
 
     obs_on = _obs_enabled()
-    with _span("replay.run", config=config.name, mode=mode,
-               queries=len(replayable)):
-        scheduler = MicroBatchScheduler(**kwargs)
+    with _span("replay.run", mode=mode, queries=len(replayable)):
+        scheduler = MicroBatchScheduler(
+            flush_history=max(1, len(replayable) + 16),
+            max_queue_depth=max(10_000, len(replayable)))
         max_depth = 0
         tickets = []
         try:
@@ -341,11 +246,12 @@ def replay_log(log: RecordedLog | str | os.PathLike
         _metrics.inc("replay.queries", len(replayable))
         _metrics.inc("replay.mismatches", mismatches)
     return ReplayResult(
-        config=config, mode=mode, speed=speed,
+        mode=mode, speed=speed,
         n_queries=len(replayable), n_skipped=n_skipped,
         wall_s=wall_s, mismatches=mismatches,
-        p50_ms=_percentile(lat_ms, 50.0),
-        p95_ms=_percentile(lat_ms, 95.0),
-        p99_ms=_percentile(lat_ms, 99.0),
+        p50_ms=nearest_rank(lat_ms, 0.50),
+        p95_ms=nearest_rank(lat_ms, 0.95),
+        p99_ms=nearest_rank(lat_ms, 0.99),
         max_queue_depth=max_depth,
+        max_batch_size=scheduler.max_batch_size,
         flush_records=flush_records)

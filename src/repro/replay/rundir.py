@@ -1,29 +1,21 @@
-"""The run-dir reporter: raw per-config JSON → results.csv → report.md.
+"""The run-dir reporter: raw JSON → results.csv → report.md.
 
 :func:`run_all` is the ``python -m repro replay --run-dir DIR`` engine
-and follows the run-dir idiom end to end: every replayed config writes
-its full measurement as ``raw/<name>.json``; :func:`to_results_csv`
-aggregates the raw files into one ``results.csv`` row per config; and
-:func:`write_report` renders ``report.md`` — a markdown comparison
-table ranked by wall time, with p50/p95/p99 latency, flush occupancy,
-dedup, and parity columns.  Because each stage only reads the previous
-stage's files, the CSV and report can be regenerated from ``raw/``
-alone, and partial runs leave usable artifacts.
-
-The ``"tuned"`` config is special: it is replayed *last*, against a
-:class:`~repro.serve.tuning.TuningProfile` either supplied by the
-caller or learned on the spot (:func:`~repro.replay.tuning.
-learn_profile`) from the flush telemetry the other configs just
-produced — the run dir then also contains the ``profile.json`` it
-used, so a tuned result is always reproducible from its artifacts.
+and follows the run-dir idiom end to end: the replay writes its full
+measurement as ``raw/replay.json``; :func:`to_results_csv` turns the
+raw file into a one-row ``results.csv``; and :func:`write_report`
+renders ``report.md`` — a markdown table with throughput, p50/p95/p99
+latency, flush occupancy, dedup, and the parity verdict.  Because each
+stage only reads the previous stage's file, the CSV and report can be
+regenerated from ``raw/`` alone, and partial runs leave usable
+artifacts.
 
 Layout of a finished run dir::
 
     DIR/
-      raw/<config>.json     one ReplayResult.to_dict() per config
-      profile.json          the tuning profile (when "tuned" ran)
-      results.csv           one aggregated row per config
-      report.md             ranked markdown comparison
+      raw/replay.json       ReplayResult.to_dict()
+      results.csv           one aggregated row
+      report.md             markdown summary
 """
 
 from __future__ import annotations
@@ -32,172 +24,90 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from ..errors import ParameterError
 from ..obs import span as _span
 from ..obs.recording import RecordedLog, load_recorded_log
-from ..serve.scheduler import FlushRecord
-from ..serve.tuning import TuningProfile
-from .engine import ReplayConfig, ReplayResult, replay_log
-from .tuning import learn_profile
+from .engine import ReplayResult, replay_log
 
-__all__ = ["CSV_COLUMNS", "configs_from_names", "default_configs",
-           "run_all", "to_results_csv", "write_report"]
-
-#: The backend names ``--configs`` accepts, in default run order.
-CONFIG_NAMES = ("thread", "process", "auto", "tuned")
+__all__ = ["CSV_COLUMNS", "run_all", "to_results_csv", "write_report"]
 
 #: Columns of ``results.csv``, in order.
 CSV_COLUMNS = (
-    "config", "backend", "workers", "mode", "n_queries", "mismatches",
-    "wall_s", "qps", "p50_ms", "p95_ms", "p99_ms", "flushes",
-    "mean_flush_requests", "mean_occupancy", "dedup_rate",
-    "max_queue_depth",
+    "mode", "n_queries", "mismatches", "wall_s", "qps", "p50_ms",
+    "p95_ms", "p99_ms", "flushes", "mean_flush_requests",
+    "mean_occupancy", "dedup_rate", "max_queue_depth",
 )
 
-
-def default_configs(workers: int = 2) -> list[ReplayConfig]:
-    """The standard non-tuned comparison set: thread, process, auto."""
-    return configs_from_names(("thread", "process", "auto"),
-                              workers=workers)
-
-
-def configs_from_names(names: Iterable[str], *,
-                       workers: int = 2,
-                       profile: TuningProfile | None = None,
-                       max_batch_size: int = 256,
-                       max_wait_s: float = 0.002,
-                       process_threshold: int = 2048
-                       ) -> list[ReplayConfig]:
-    """Build :class:`~repro.replay.engine.ReplayConfig`s by name.
-
-    ``names`` draws from :data:`CONFIG_NAMES`; ``"tuned"`` requires a
-    ``profile`` (in :func:`run_all` it may instead be learned from the
-    other configs' telemetry).  The remaining keywords apply to every
-    config, so the comparison isolates the backend choice.
-    """
-    configs = []
-    for name in names:
-        if name not in CONFIG_NAMES:
-            raise ParameterError(
-                f"config must be one of {CONFIG_NAMES}, got {name!r}")
-        if name == "tuned" and profile is None:
-            raise ParameterError(
-                "a 'tuned' config needs a TuningProfile "
-                "(run_all learns one when not supplied)")
-        configs.append(ReplayConfig(
-            name=name, backend=name, workers=workers,
-            max_batch_size=max_batch_size, max_wait_s=max_wait_s,
-            process_threshold=process_threshold,
-            profile=profile if name == "tuned" else None))
-    return configs
+#: The raw result file, relative to the run dir.
+RAW_FILE = Path("raw") / "replay.json"
 
 
 def _write_raw(run_dir: Path, result: ReplayResult) -> Path:
-    raw_dir = run_dir / "raw"
-    raw_dir.mkdir(parents=True, exist_ok=True)
-    path = raw_dir / f"{result.config.name}.json"
+    path = run_dir / RAW_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result.to_dict(), indent=2) + "\n",
                     encoding="utf-8")
     return path
 
 
-def _load_raw(run_dir: Path) -> list[dict[str, Any]]:
-    raw_dir = Path(run_dir) / "raw"
-    if not raw_dir.is_dir():
-        raise ParameterError(f"no raw/ directory under {run_dir}")
-    docs = []
-    for path in sorted(raw_dir.glob("*.json")):
-        docs.append(json.loads(path.read_text(encoding="utf-8")))
-    if not docs:
-        raise ParameterError(f"no raw/*.json results under {run_dir}")
-    docs.sort(key=lambda d: d["wall_s"])
-    return docs
+def _load_raw(run_dir: Path) -> dict[str, Any]:
+    path = run_dir / RAW_FILE
+    if not path.is_file():
+        raise ParameterError(f"no {RAW_FILE.as_posix()} under {run_dir}")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def to_results_csv(run_dir: str | os.PathLike) -> Path:
-    """Aggregate ``raw/*.json`` into ``results.csv`` (one row/config).
+    """Write ``results.csv`` (header + one row) from ``raw/replay.json``.
 
-    Rows are ordered fastest-first by wall time.  Returns the CSV
-    path; raises :class:`~repro.errors.ParameterError` when the run
-    dir has no raw results.
+    Returns the CSV path; raises :class:`~repro.errors.ParameterError`
+    when the run dir has no raw result.
     """
     run_dir = Path(run_dir)
-    docs = _load_raw(run_dir)
+    doc = _load_raw(run_dir)
     path = run_dir / "results.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for doc in docs:
-            cfg = doc["config"]
-            writer.writerow([
-                cfg["name"], cfg["backend"], cfg["workers"], doc["mode"],
-                doc["n_queries"], doc["mismatches"], doc["wall_s"],
-                doc["qps"], doc["p50_ms"], doc["p95_ms"], doc["p99_ms"],
-                doc["flushes"], doc["mean_flush_requests"],
-                doc["mean_occupancy"], doc["dedup_rate"],
-                doc["max_queue_depth"]])
+        writer.writerow([doc[column] for column in CSV_COLUMNS])
     return path
 
 
 def write_report(run_dir: str | os.PathLike) -> Path:
-    """Render ``report.md`` from the run dir's raw results.
+    """Render ``report.md`` from the run dir's raw result.
 
-    A ranked comparison table (fastest config first) with throughput,
-    p50/p95/p99 latency, flush occupancy, dedup rate, and the parity
-    verdict; when the run learned or used a ``profile.json`` its
-    per-signature thresholds are summarized below the table.  Returns
+    One table row with throughput, p50/p95/p99 latency, flush
+    occupancy and dedup rate, followed by the parity verdict.  Returns
     the report path.
     """
     run_dir = Path(run_dir)
-    docs = _load_raw(run_dir)
-    lines = ["# Replay comparison report", ""]
-    head = docs[0]
-    lines.append(
-        f"{head['n_queries']} replayed queries per config, "
-        f"mode `{head['mode']}` (speed ×{head['speed']:g}).")
-    lines.append("")
-    lines.append(
-        "| rank | config | backend | workers | wall s | qps "
-        "| p50 ms | p95 ms | p99 ms | occupancy | dedup | mismatches |")
-    lines.append(
-        "|---:|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
-    for rank, doc in enumerate(docs, start=1):
-        cfg = doc["config"]
-        lines.append(
-            f"| {rank} | {cfg['name']} | {cfg['backend']} "
-            f"| {cfg['workers']} | {doc['wall_s']:.3f} "
-            f"| {doc['qps']:.0f} | {doc['p50_ms']:.2f} "
-            f"| {doc['p95_ms']:.2f} | {doc['p99_ms']:.2f} "
-            f"| {doc['mean_occupancy']:.2f} | {doc['dedup_rate']:.2f} "
-            f"| {doc['mismatches']} |")
-    lines.append("")
-    total_mismatches = sum(d["mismatches"] for d in docs)
-    if total_mismatches == 0:
+    doc = _load_raw(run_dir)
+    lines = [
+        "# Replay report",
+        "",
+        f"{doc['n_queries']} replayed queries, mode `{doc['mode']}` "
+        f"(speed ×{doc['speed']:g}).",
+        "",
+        "| wall s | qps | p50 ms | p95 ms | p99 ms | occupancy | dedup "
+        "| mismatches |",
+        "|---:|---:|---:|---:|---:|---:|---:|---:|",
+        f"| {doc['wall_s']:.3f} | {doc['qps']:.0f} "
+        f"| {doc['p50_ms']:.2f} | {doc['p95_ms']:.2f} "
+        f"| {doc['p99_ms']:.2f} | {doc['mean_occupancy']:.2f} "
+        f"| {doc['dedup_rate']:.2f} | {doc['mismatches']} |",
+        "",
+    ]
+    if doc["mismatches"] == 0:
         lines.append(
             "**Parity:** every replayed cost was bitwise equal to the "
-            "recording, across all configs.")
+            "recording.")
     else:
         lines.append(
-            f"**Parity: FAILED** — {total_mismatches} bitwise "
+            f"**Parity: FAILED** — {doc['mismatches']} bitwise "
             f"mismatches against the recording (serve contract "
-            f"violation; see raw/*.json).")
-    profile_path = run_dir / "profile.json"
-    if profile_path.exists():
-        profile = TuningProfile.load(profile_path)
-        lines.append("")
-        lines.append(
-            f"**Tuning profile:** {len(profile.signatures)} learned "
-            f"signature(s), default process_threshold "
-            f"{profile.default_process_threshold} (`profile.json`).")
-        for key, tuning in sorted(profile.signatures.items()):
-            rate = tuning.thread_s_per_point
-            rate_txt = f"{rate * 1e6:.2f} µs/pt" if rate else "n/a"
-            lines.append(
-                f"- `{key}`: process_threshold={tuning.process_threshold}, "
-                f"chunk_size={tuning.chunk_size}, thread rate {rate_txt}, "
-                f"{tuning.samples} samples")
+            f"violation; see {RAW_FILE.as_posix()}).")
     lines.append("")
     path = run_dir / "report.md"
     path.write_text("\n".join(lines), encoding="utf-8")
@@ -206,76 +116,29 @@ def write_report(run_dir: str | os.PathLike) -> Path:
 
 def run_all(log: RecordedLog | str | os.PathLike,
             run_dir: str | os.PathLike, *,
-            names: Sequence[str] = CONFIG_NAMES,
-            configs: Sequence[ReplayConfig] | None = None,
-            workers: int = 2,
             mode: str = "closed",
             speed: float = 1.0,
-            profile: TuningProfile | str | os.PathLike | None = None,
             timeout: float = 300.0) -> dict[str, Any]:
-    """Replay a log against every config and emit the full run dir.
+    """Replay a log once and emit the full run dir.
 
-    Configs come from ``configs`` (explicit
-    :class:`~repro.replay.engine.ReplayConfig` objects) or from
-    ``names`` (see :data:`CONFIG_NAMES`).  A ``"tuned"`` entry runs
-    last: its profile is ``profile`` (object or saved JSON path) when
-    given, otherwise learned from the flush telemetry of the configs
-    that just ran; either way the profile used is saved as
-    ``profile.json`` in the run dir.  Returns a summary dict with the
-    :class:`~repro.replay.engine.ReplayResult` list (``"results"``),
-    the profile used (``"profile"``), and the artifact paths.
+    Returns a summary dict with the
+    :class:`~repro.replay.engine.ReplayResult` (``"result"``), its
+    ``"mismatches"``, and the artifact paths.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(log, (str, os.PathLike)):
         log = load_recorded_log(log)
-    if isinstance(profile, (str, os.PathLike)):
-        profile = TuningProfile.load(profile)
-
-    if configs is None:
-        plain = configs_from_names(
-            [n for n in names if n != "tuned"], workers=workers)
-        want_tuned = "tuned" in names
-    else:
-        plain = [c for c in configs if c.backend != "tuned"]
-        want_tuned = any(c.backend == "tuned" for c in configs)
-        for c in configs:
-            if c.backend == "tuned" and c.profile is not None \
-                    and profile is None:
-                profile = c.profile
-
-    results: list[ReplayResult] = []
-    with _span("replay.rundir", configs=len(plain) + int(want_tuned)):
-        for config in plain:
-            result = replay_log(log, config, mode=mode, speed=speed,
-                                timeout=timeout)
-            _write_raw(run_dir, result)
-            results.append(result)
-        if want_tuned:
-            if profile is None:
-                telemetry: list[FlushRecord] = []
-                for result in results:
-                    telemetry.extend(result.flush_records)
-                profile = learn_profile(
-                    telemetry,
-                    meta={"learned_from": str(log.path)
-                          if isinstance(log, RecordedLog) else "replay",
-                          "configs": [c.name for c in plain]})
-            profile.save(run_dir / "profile.json")
-            tuned_config = ReplayConfig(
-                name="tuned", backend="tuned", workers=workers,
-                profile=profile)
-            result = replay_log(log, tuned_config, mode=mode, speed=speed,
-                                timeout=timeout)
-            _write_raw(run_dir, result)
-            results.append(result)
+    with _span("replay.rundir"):
+        result = replay_log(log, mode=mode, speed=speed, timeout=timeout)
+        raw_path = _write_raw(run_dir, result)
         csv_path = to_results_csv(run_dir)
         report_path = write_report(run_dir)
     return {
         "run_dir": run_dir,
-        "results": results,
-        "profile": profile if want_tuned else None,
+        "result": result,
+        "raw": raw_path,
         "csv": csv_path,
         "report": report_path,
-        "mismatches": sum(r.mismatches for r in results),
+        "mismatches": result.mismatches,
     }

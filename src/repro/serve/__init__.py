@@ -20,36 +20,26 @@ Pieces:
   contract, enforced by ``tests/property_based/test_serve_parity.py``).
 * :class:`~repro.serve.scheduler.MicroBatchScheduler` — bounded queue
   with explicit backpressure, flush on max-batch-size or max-wait
-  (whichever first, with an optional adaptive tick sized from the
-  observed arrival rate), signature coalescing + point dedup, and
-  :mod:`repro.obs` spans/metrics per flush.
-* :mod:`repro.serve.backend` — the execution backends behind the
-  scheduler: :class:`~repro.serve.backend.ThreadBackend` (chunked
-  in-process execution) and
-  :class:`~repro.serve.backend.ProcessBackend` (flush payloads in
-  :class:`~repro.serve.shm.ShmBlock` shared memory, priced by a
-  persistent process pool — the GIL-free path for CPU-bound
-  flushes).  Both share the :class:`~repro.batch.cache.BatchCache`
-  exact-key memoization and are bitwise interchangeable.
+  (whichever first), signature coalescing + point dedup, inline
+  pricing of each group on the flusher thread
+  (:class:`~repro.serve.backend.ThreadBackend`, sharing the
+  :class:`~repro.batch.cache.BatchCache`), and :mod:`repro.obs`
+  spans/metrics per flush.
 * :class:`~repro.serve.service.CostService` — the thread-safe
   synchronous client; :class:`~repro.serve.aio.AsyncCostService` —
   the asyncio front-end over the same scheduler.
 * :mod:`repro.serve.io` — point-file loading and served-array
   serialization behind ``python -m repro cost --input``.
-* :mod:`repro.serve.tuning` —
-  :class:`~repro.serve.tuning.TuningProfile`, the learned
-  per-signature routing thresholds behind ``backend="tuned"``
-  (produced offline by :mod:`repro.replay` from recorded traffic;
-  recording itself lives in :mod:`repro.obs.recording` and is enabled
-  with ``record=PATH``).
 
-See ``docs/serving.md`` for scheduler semantics and tuning,
-``docs/replay.md`` for the record → replay → tune loop, and
+Traffic recording lives in :mod:`repro.obs.recording` (enabled with
+``record=PATH``) and is re-driven by :mod:`repro.replay`.  See
+``docs/serving.md`` for scheduler semantics, ``docs/replay.md`` for
+the record → replay loop, and
 ``benchmarks/bench_serve.py`` for the measured throughput win.
 """
 
 from .aio import AsyncCostService
-from .backend import BACKEND_CHOICES, ProcessBackend, ThreadBackend
+from .backend import ThreadBackend
 from .codec import error_body, retry_after_s, status_for
 from .executor import GroupResult, execute_group
 from .http import (
@@ -76,21 +66,11 @@ from .query import (
     ServedCost,
     scalar_reference_cost,
 )
-from .scheduler import (
-    SCHEDULER_BACKEND_CHOICES,
-    CostTicket,
-    FlushRecord,
-    GroupRecord,
-    MicroBatchScheduler,
-)
+from .scheduler import CostTicket, FlushRecord, MicroBatchScheduler
 from .service import CostService
-from .shm import ShmBlock
-from .tuning import SignatureTuning, TuningProfile, signature_key
 
 __all__ = [
     "AsyncCostService",
-    "BACKEND_CHOICES",
-    "SCHEDULER_BACKEND_CHOICES",
     "ChipletCostQuery",
     "CostHttpServer",
     "CostQuery",
@@ -98,20 +78,15 @@ __all__ = [
     "CostTicket",
     "FabCostQuery",
     "FlushRecord",
-    "GroupRecord",
     "GroupResult",
     "HttpParseError",
     "HttpRequest",
     "MicroBatchScheduler",
     "ModelCostQuery",
-    "ProcessBackend",
     "RequestParser",
     "ServedCost",
     "ServerThread",
-    "ShmBlock",
-    "SignatureTuning",
     "ThreadBackend",
-    "TuningProfile",
     "RESULT_FIELDS",
     "error_body",
     "execute_group",
@@ -123,6 +98,5 @@ __all__ = [
     "run_server",
     "scalar_reference_cost",
     "served_row",
-    "signature_key",
     "status_for",
 ]

@@ -1,297 +1,33 @@
-"""Flush execution backends: in-thread chunking vs shared-memory pool.
+"""The flush execution seam: price one coalesced group inline.
 
 The scheduler (:mod:`repro.serve.scheduler`) coalesces traffic into
-signature groups; a *backend* prices one group.  Two implementations
-share that interface:
+signature groups and prices each one with a single positional call,
+:meth:`ThreadBackend.run_group`, on its flusher thread.  The call runs
+:func:`~repro.serve.executor.execute_group` inline and shares the
+scheduler's :class:`~repro.batch.cache.BatchCache`; results are
+bitwise equal to the scalar reference (see
+:mod:`repro.serve.executor`).
 
-* :class:`ThreadBackend` — the original path: chunked
-  :func:`~repro.serve.executor.execute_group` over an optional
-  ``ThreadPoolExecutor``.  The NumPy stages scale across threads (they
-  release the GIL), but the executor's scalar-parity Python loops —
-  eq.-(7) yield, per-λ wafer cost, custom yield laws — serialize on
-  it, so CPU-bound flushes plateau.
-* :class:`ProcessBackend` — one
-  :class:`~repro.shm.ShmBlock` per group: the parent writes the
-  ``(N_tr, λ)`` input rows into shared memory, pool workers map the
-  block by *name*, run the same executor arithmetic on their slice via
-  :func:`~repro.serve.executor.execute_group_rows`, and write the six
-  result rows in place.  Nothing per-point crosses the pickle
-  boundary in either direction — a task is a block name, two slice
-  bounds, and the exemplar query.
-
-Both backends produce bitwise-identical results: chunking is
-elementwise-invisible (the PR-4 contract) and the shared float64
-matrix holds die counts and feasibility exactly (see
-:mod:`repro.shm`).  The hypothesis suite in
-``tests/property_based/test_serve_parity.py`` quantifies over the
-backend choice.
-
-Worker lifecycle reuses :func:`repro.yieldsim.parallel._run_pool` with
-a persistent pool, so infrastructure failures (fork unavailable,
-worker crash, unpicklable model) degrade to an in-process run of the
-same chunks with one :class:`~repro.yieldsim.parallel.
-ParallelExecutionWarning` — and the block is unlinked either way.
-Worker spans/metrics ship back through the same
-``capture_flags``/``absorb`` protocol as the sharded Monte Carlo, so
-``serve.chunk`` spans re-parent into the parent's ``serve.flush``.
+The class is kept as a named boundary so that external tracing can
+time every group the scheduler prices.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-import numpy as np
-
-from ..batch.cache import BatchCache, default_cache
-from ..errors import ParameterError
-from ..obs import metrics as _metrics, span as _span
-from ..obs.capture import absorb, begin_capture, capture_flags, end_capture
-from ..obs.state import enabled as _obs_enabled
-from ..yieldsim.parallel import _run_pool
-from .executor import (
-    GroupResult,
-    GroupRows,
-    N_RESULT_ROWS,
-    execute_group,
-    execute_group_rows,
-    group_result_from_rows,
-    n_chunks,
-)
-from ..shm import ShmBlock
+from ..batch.cache import BatchCache
+from .executor import GroupResult, execute_group
 from .query import CostQuery
 
-__all__ = ["BACKEND_CHOICES", "ProcessBackend", "ThreadBackend",
-           "validate_backend"]
-
-#: Accepted values of the scheduler/service ``backend=`` knob.
-BACKEND_CHOICES = ("auto", "thread", "process")
-
-#: Shared flush matrix: two input rows (N_tr, λ) + the six result rows.
-_N_ROWS = 2 + N_RESULT_ROWS
-
-#: Fault-injection hook for the shared-memory leak tests
-#: (``tests/serve/test_backend.py``): ``"raise"`` raises in every
-#: process; ``"exit:<pid>"`` hard-kills any process *except* ``<pid>``
-#: (the test process), so the parent's sequential fallback still
-#: completes after the pool breaks.
-FAULT_ENV = "REPRO_SERVE_WORKER_FAULT"
-
-
-def validate_backend(backend: str,
-                     choices: tuple[str, ...] = BACKEND_CHOICES) -> str:
-    """Check a ``backend=`` knob value, returning it unchanged.
-
-    ``choices`` lets the scheduler accept its superset (the execution
-    backends plus ``"tuned"``) through the same error message shape.
-    """
-    if backend not in choices:
-        raise ParameterError(
-            f"backend must be one of {choices}, got {backend!r}")
-    return backend
-
-
-def _apply_fault() -> None:
-    fault = os.environ.get(FAULT_ENV)
-    if not fault:
-        return
-    if fault == "raise":
-        raise RuntimeError("injected serve worker fault")
-    if fault.startswith("exit:") and os.getpid() != int(fault[5:]):
-        os._exit(17)
-
-
-def _warm_noop() -> None:
-    return None
-
-
-def _chunk_worker(name: str, cols: int, exemplar: CostQuery,
-                  lo: int, hi: int,
-                  flags: tuple[bool, bool] | None,
-                  use_cache: bool) -> dict | None:
-    """One worker's share of a shared-memory flush.
-
-    Maps the named block, prices rows ``lo:hi`` in place, and returns
-    only the observability payload (or ``None``).  Runs identically in
-    a pool worker and in the parent during the sequential fallback.
-    Workers memoize in their own process-wide cache when the parent
-    serves from one (``use_cache``) — cache state cannot change
-    results, only skip recomputation (the exact-key contract of
-    :class:`~repro.batch.cache.BatchCache`).
-    """
-    frame = begin_capture(flags) if flags else None
-    try:
-        _apply_fault()
-        cache: BatchCache | None = default_cache() if use_cache else None
-        block = ShmBlock.attach(name, _N_ROWS, cols)
-        try:
-            with _span("serve.chunk", lo=lo, hi=hi):
-                matrix = block.array
-                execute_group_rows(
-                    exemplar, matrix[0, lo:hi], matrix[1, lo:hi],
-                    GroupRows.from_matrix(matrix[2:, lo:hi]),
-                    cache=cache)
-            del matrix
-        finally:
-            block.close()
-    finally:
-        payload = end_capture(frame) if frame else None
-    return payload
+__all__ = ["ThreadBackend"]
 
 
 class ThreadBackend:
-    """Chunked in-process execution, optionally over a thread pool."""
+    """Prices a coalesced group on the calling thread."""
 
     name = "thread"
 
-    def __init__(self, workers: int = 1, chunk_size: int = 4096) -> None:
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self._pool: ThreadPoolExecutor | None = None
-
-    def start(self) -> None:
-        """Create the thread pool when more than one worker is asked."""
-        if self.workers > 1 and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-serve-worker")
-
     def run_group(self, exemplar: CostQuery,
                   points: list[tuple[float, float]],
-                  cache: BatchCache | None,
-                  chunk_size: int | None = None) -> GroupResult:
-        """Price one coalesced group (see :func:`execute_group`).
-
-        ``chunk_size`` overrides the backend default for this group —
-        the tuned scheduler's per-signature knob.  Chunking is bitwise
-        invisible (the elementwise contract), so the override can only
-        change speed, never results.
-        """
-        return execute_group(exemplar, points, cache=cache,
-                             pool=self._pool,
-                             chunk_size=chunk_size or self.chunk_size)
-
-    def n_chunks_for(self, n_points: int) -> int:
-        """How many chunks :meth:`run_group` splits a group into."""
-        if self._pool is None:
-            return 1
-        return n_chunks(n_points, self.chunk_size)
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessBackend:
-    """Shared-memory execution on a persistent process pool.
-
-    Every flushed group gets one :class:`~repro.shm.ShmBlock`
-    tracked in a live set until its ``finally`` unlinks it, so blocks
-    never outlive their flush — not on success, not on a worker error,
-    and any straggler (an interrupted flush) is swept by
-    :meth:`close`.  A broken pool (crashed worker) is replaced on the
-    next flush; the flush that observed the break completes in-process
-    via the ``_run_pool`` fallback.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 2, chunk_size: int = 4096) -> None:
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._live: dict[str, ShmBlock] = {}
-
-    def start(self) -> None:
-        """Spin up the pool and fork its workers now.
-
-        Forking from the caller's (main) thread at start keeps worker
-        creation away from the flusher thread and out of the first
-        flush's latency.  Errors are deferred: a pool that cannot
-        start here is retried per-flush, where ``_run_pool`` degrades
-        to the sequential fallback.
-        """
-        try:
-            pool = self._ensure_pool()
-            for f in [pool.submit(_warm_noop) for _ in range(self.workers)]:
-                f.result()
-        except Exception:
-            pass
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        pool = self._pool
-        if pool is not None and getattr(pool, "_broken", False):
-            pool.shutdown(wait=False)
-            pool = self._pool = None
-        if pool is None:
-            pool = self._pool = ProcessPoolExecutor(
-                max_workers=self.workers)
-        return pool
-
-    def _chunk_for(self, n_points: int,
-                   chunk_size: int | None = None) -> int:
-        # Spread the group over every worker, but never exceed the
-        # configured chunk_size (small chunks bound worker latency and
-        # are bitwise invisible by the elementwise contract).
-        spread = math.ceil(n_points / self.workers)
-        return max(1, min(chunk_size or self.chunk_size, spread))
-
-    def n_chunks_for(self, n_points: int) -> int:
-        """How many slices :meth:`run_group` cuts a group into."""
-        return n_chunks(n_points, self._chunk_for(n_points))
-
-    def run_group(self, exemplar: CostQuery,
-                  points: list[tuple[float, float]],
-                  cache: BatchCache | None,
-                  chunk_size: int | None = None) -> GroupResult:
-        """Price one group through shared memory, unlinking always.
-
-        ``chunk_size`` overrides the backend default for this group
-        (the tuned scheduler's per-signature knob); results are
-        bitwise identical under any chunking.
-        """
-        k = len(points)
-        n = np.array([p[0] for p in points], dtype=np.float64)
-        lam = np.array([p[1] for p in points], dtype=np.float64)
-        flags = capture_flags()
-        pool = self._ensure_pool()
-        block = ShmBlock.create(_N_ROWS, k)
-        with self._lock:
-            self._live[block.name] = block
-        if _obs_enabled():
-            _metrics.inc("serve.shm.blocks")
-            _metrics.inc("serve.shm.bytes", block.shm.size)
-        try:
-            matrix = block.array
-            matrix[0, :] = n
-            matrix[1, :] = lam
-            chunk = self._chunk_for(k, chunk_size)
-            argsets = [
-                (block.name, k, exemplar, lo, min(lo + chunk, k), flags,
-                 cache is not None)
-                for lo in range(0, k, chunk)]
-            for payload in _run_pool(_chunk_worker, argsets, pool=pool):
-                absorb(payload)
-            result = group_result_from_rows(n, lam, matrix[2:, :])
-            del matrix
-            return result
-        finally:
-            with self._lock:
-                self._live.pop(block.name, None)
-            block.release()
-
-    def close(self) -> None:
-        """Shut the pool down and sweep any straggler blocks."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        with self._lock:
-            stragglers = list(self._live.values())
-            self._live.clear()
-        for block in stragglers:
-            block.release()
+                  cache: BatchCache | None) -> GroupResult:
+        """Price one coalesced group (see :func:`execute_group`)."""
+        return execute_group(exemplar, points, cache=cache)

@@ -17,9 +17,8 @@ evaluate_masked` (model) and, inside
 :func:`~repro.batch.engine.chiplet_cost_batch`,
 :meth:`~repro.system.chiplet.ChipletCostModel.system_cost` (chiplet).
 On such groups the kernels' fixed NumPy overhead costs more than the
-scalar arithmetic, and parity holds by construction.  Larger groups —
-and every group of the shared-memory path,
-:func:`execute_group_rows` — are priced all at once as follows.
+scalar arithmetic, and parity holds by construction.  Larger groups
+are priced all at once as follows.
 
 The batch engine alone cannot promise bitwise parity: its
 pure-arithmetic kernels are bit-for-bit with the scalar path, but
@@ -46,9 +45,7 @@ work by arithmetic class:
 Because every step is elementwise in the unique points, results are
 independent of batch composition and order — the batch-boundary
 invariance the hypothesis suite (``tests/property_based/
-test_serve_parity.py``) enforces.  That same independence makes
-chunked execution safe: :func:`execute_group` may split a very large
-group across a thread pool and concatenate, without changing a bit.
+test_serve_parity.py``) enforces.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -70,11 +66,7 @@ from ..geometry.wafer import Wafer
 from ..yieldsim.models import YIELD_CUTOFF, ReferenceAreaYield
 from .query import CostQuery, ServedCost
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import Executor
-
-__all__ = ["GroupResult", "GroupRows", "execute_group",
-           "execute_group_rows", "group_result_from_rows"]
+__all__ = ["GroupResult", "execute_group"]
 
 
 @dataclass(frozen=True)
@@ -137,73 +129,6 @@ class GroupResult:
             feasible=bool(feasible[slot]))
 
 
-#: Row order of the result half of a shared flush matrix — rows 2..7 of
-#: a :class:`~repro.serve.shm.ShmBlock` (rows 0/1 are the N_tr/λ
-#: inputs).  Everything is stored as float64; die counts and the
-#: feasibility mask round-trip exactly (counts < 2^53, mask is 0/1).
-RESULT_ROW_FIELDS = ("wafer_cost_dollars", "die_area_cm2",
-                     "dies_per_wafer", "yield_value",
-                     "cost_per_transistor_dollars", "feasible")
-N_RESULT_ROWS = len(RESULT_ROW_FIELDS)
-
-
-class GroupRows:
-    """Caller-provided output buffers for one group evaluation.
-
-    Six float64 rows in :data:`RESULT_ROW_FIELDS` order, typically
-    views into a shared-memory matrix: the group executors write every
-    result in place, so a worker process returns nothing but its
-    observability payload.
-    """
-
-    __slots__ = RESULT_ROW_FIELDS
-
-    def __init__(self, wafer_cost_dollars: np.ndarray,
-                 die_area_cm2: np.ndarray, dies_per_wafer: np.ndarray,
-                 yield_value: np.ndarray,
-                 cost_per_transistor_dollars: np.ndarray,
-                 feasible: np.ndarray) -> None:
-        self.wafer_cost_dollars = wafer_cost_dollars
-        self.die_area_cm2 = die_area_cm2
-        self.dies_per_wafer = dies_per_wafer
-        self.yield_value = yield_value
-        self.cost_per_transistor_dollars = cost_per_transistor_dollars
-        self.feasible = feasible
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "GroupRows":
-        """Wrap the six rows of a ``(6, k)`` result matrix (no copies)."""
-        if matrix.shape[0] != N_RESULT_ROWS:
-            raise ParameterError(
-                f"result matrix needs {N_RESULT_ROWS} rows, "
-                f"got {matrix.shape[0]}")
-        return cls(*(matrix[i] for i in range(N_RESULT_ROWS)))
-
-
-def group_result_from_rows(n: np.ndarray, lam: np.ndarray,
-                           matrix: np.ndarray) -> GroupResult:
-    """Rebuild a :class:`GroupResult` from a filled ``(6, k)`` matrix.
-
-    Copies every row out of the (shared) buffer so the caller can
-    unlink the segment immediately, and restores the native dtypes:
-    die counts back to int64 (exact — see :mod:`repro.serve.shm`),
-    the feasibility row back to bool.
-    """
-    if matrix.shape[0] != N_RESULT_ROWS:
-        raise ParameterError(
-            f"result matrix needs {N_RESULT_ROWS} rows, "
-            f"got {matrix.shape[0]}")
-    return GroupResult(
-        n_transistors=np.array(n, dtype=np.float64),
-        feature_sizes_um=np.array(lam, dtype=np.float64),
-        wafer_cost_dollars=matrix[0].copy(),
-        die_area_cm2=matrix[1].copy(),
-        dies_per_wafer=matrix[2].astype(np.int64),
-        yield_value=matrix[3].copy(),
-        cost_per_transistor_dollars=matrix[4].copy(),
-        feasible=matrix[5] != 0.0)
-
-
 def _compose_cost(c_w: np.ndarray, n_ch: np.ndarray, n: np.ndarray,
                   y: np.ndarray, feasible: np.ndarray) -> np.ndarray:
     # Exactly the scalar order: c_w / (n_ch * n_transistors * y), each
@@ -215,29 +140,18 @@ def _compose_cost(c_w: np.ndarray, n_ch: np.ndarray, n: np.ndarray,
 
 
 def _fab_group(exemplar, n: np.ndarray, lam: np.ndarray,
-               cache: BatchCache | None,
-               rows: GroupRows | None = None) -> GroupResult:
-    # Mirrors transistor_cost_full step for step.  With ``rows``, every
-    # result lands in the caller's buffers (the shared-memory path);
-    # the arithmetic — and therefore the bits — is identical either
-    # way, because float64 buffers hold the int64 die counts and the
-    # boolean mask exactly.
+               cache: BatchCache | None) -> GroupResult:
+    # Mirrors transistor_cost_full step for step.
     fab = exemplar.fab
     wafer = Wafer(radius_cm=fab.wafer_radius_cm)
     width, height, area_cm2 = _die_geometry(n, fab.design_density, lam, 1.0)
-    n_ch = dies_per_wafer_batch(
-        wafer, width, height, cache=cache,
-        out=None if rows is None else rows.dies_per_wafer)
+    n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
     wafer_cost = WaferCostModel(
         reference_cost_dollars=fab.reference_cost_dollars,
         cost_growth_rate=fab.cost_growth_rate)
     c_w_by_lam: dict[float, float] = {}
-    if rows is None:
-        c_w = np.empty(n.size, dtype=np.float64)
-        y = np.empty(n.size, dtype=np.float64)
-    else:
-        c_w = rows.wafer_cost_dollars
-        y = rows.yield_value
+    c_w = np.empty(n.size, dtype=np.float64)
+    y = np.empty(n.size, dtype=np.float64)
     d, coeff, p = fab.design_density, fab.defect_coefficient, \
         fab.size_exponent_p
     pure_cost = wafer_cost.pure_cost
@@ -259,11 +173,6 @@ def _fab_group(exemplar, n: np.ndarray, lam: np.ndarray,
         c_w[i] = cached
     feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
     cost = _compose_cost(c_w, n_ch, n, y, feasible)
-    if rows is not None:
-        rows.die_area_cm2[...] = area_cm2
-        rows.cost_per_transistor_dollars[...] = cost
-        rows.feasible[...] = feasible
-        area_cm2, cost = rows.die_area_cm2, rows.cost_per_transistor_dollars
     return GroupResult(
         n_transistors=n, feature_sizes_um=lam, wafer_cost_dollars=c_w,
         die_area_cm2=area_cm2, dies_per_wafer=n_ch, yield_value=y,
@@ -272,18 +181,14 @@ def _fab_group(exemplar, n: np.ndarray, lam: np.ndarray,
 
 
 def _model_group(exemplar, n: np.ndarray, lam: np.ndarray,
-                 cache: BatchCache | None,
-                 rows: GroupRows | None = None) -> GroupResult:
+                 cache: BatchCache | None) -> GroupResult:
     # Mirrors TransistorCostModel.evaluate step for step, except that an
     # unfittable die masks to an infeasible cell instead of raising.
     model = exemplar.model
     width, height, area_cm2 = _die_geometry(
         n, exemplar.design_density, lam, exemplar.aspect_ratio)
-    n_ch = dies_per_wafer_batch(
-        model.wafer, width, height, cache=cache,
-        out=None if rows is None else rows.dies_per_wafer)
-    y = np.empty(n.size, dtype=np.float64) if rows is None \
-        else rows.yield_value
+    n_ch = dies_per_wafer_batch(model.wafer, width, height, cache=cache)
+    y = np.empty(n.size, dtype=np.float64)
     if exemplar.yield_value is not None:
         y.fill(exemplar.yield_value)
     elif isinstance(exemplar.yield_model, ReferenceAreaYield):
@@ -296,8 +201,7 @@ def _model_group(exemplar, n: np.ndarray, lam: np.ndarray,
         for i, a in enumerate(area_cm2.tolist()):
             y[i] = law.yield_for_area(a, density)
     c_w_by_lam: dict[float, float] = {}
-    c_w = np.empty(n.size, dtype=np.float64) if rows is None \
-        else rows.wafer_cost_dollars
+    c_w = np.empty(n.size, dtype=np.float64)
     cw_get = c_w_by_lam.get
     wafer_cost_dollars = model.wafer_cost_dollars
     for i, lam_i in enumerate(lam.tolist()):
@@ -307,11 +211,6 @@ def _model_group(exemplar, n: np.ndarray, lam: np.ndarray,
         c_w[i] = cached
     feasible = n_ch >= 1
     cost = _compose_cost(c_w, n_ch, n, y, feasible)
-    if rows is not None:
-        rows.die_area_cm2[...] = area_cm2
-        rows.cost_per_transistor_dollars[...] = cost
-        rows.feasible[...] = feasible
-        area_cm2, cost = rows.die_area_cm2, rows.cost_per_transistor_dollars
     return GroupResult(
         n_transistors=n, feature_sizes_um=lam, wafer_cost_dollars=c_w,
         die_area_cm2=area_cm2, dies_per_wafer=n_ch, yield_value=y,
@@ -320,8 +219,7 @@ def _model_group(exemplar, n: np.ndarray, lam: np.ndarray,
 
 
 def _chiplet_group(exemplar, n: np.ndarray, lam: np.ndarray,
-                   cache: BatchCache | None,
-                   rows: GroupRows | None = None) -> GroupResult:
+                   cache: BatchCache | None) -> GroupResult:
     # Chiplet queries need no inlining here: chiplet_cost_batch is
     # already *bitwise* equal to the scalar ChipletCostModel (its
     # transcendentals run through scalar libm — see its docstring), so
@@ -331,27 +229,14 @@ def _chiplet_group(exemplar, n: np.ndarray, lam: np.ndarray,
     # system yield — the quantities the eq.-(1)-shaped cost composes.
     result = chiplet_cost_batch(n, lam, float(exemplar.chiplets),
                                 exemplar.model, cache=cache)
-    area_cm2 = result.chiplet_area_cm2
-    n_ch = result.dies_per_wafer
-    c_w = result.wafer_cost_dollars
-    y = result.effective_yield
-    cost = result.cost_per_transistor_dollars
-    feasible = result.feasible
-    if rows is not None:
-        rows.wafer_cost_dollars[...] = c_w
-        rows.die_area_cm2[...] = area_cm2
-        rows.dies_per_wafer[...] = n_ch
-        rows.yield_value[...] = y
-        rows.cost_per_transistor_dollars[...] = cost
-        rows.feasible[...] = feasible
-        c_w, area_cm2, y = rows.wafer_cost_dollars, rows.die_area_cm2, \
-            rows.yield_value
-        cost = rows.cost_per_transistor_dollars
     return GroupResult(
-        n_transistors=n, feature_sizes_um=lam, wafer_cost_dollars=c_w,
-        die_area_cm2=area_cm2, dies_per_wafer=n_ch, yield_value=y,
-        cost_per_transistor_dollars=cost,
-        feasible=feasible)
+        n_transistors=n, feature_sizes_um=lam,
+        wafer_cost_dollars=result.wafer_cost_dollars,
+        die_area_cm2=result.chiplet_area_cm2,
+        dies_per_wafer=result.dies_per_wafer,
+        yield_value=result.effective_yield,
+        cost_per_transistor_dollars=result.cost_per_transistor_dollars,
+        feasible=result.feasible)
 
 
 _EXECUTORS = {"fab": _fab_group, "model": _model_group,
@@ -389,61 +274,21 @@ def _scalar_group(exemplar: CostQuery,
         feasible=column("feasible", bool))
 
 
-def _concat(parts: list[GroupResult]) -> GroupResult:
-    if len(parts) == 1:
-        return parts[0]
-    return GroupResult(*(np.concatenate([getattr(p, f) for p in parts])
-                         for f in GroupResult.__dataclass_fields__))
-
-
 def execute_group(exemplar: CostQuery, points: list[tuple[float, float]],
-                  *, cache: BatchCache | None = None,
-                  pool: "Executor | None" = None,
-                  chunk_size: int = 4096) -> GroupResult:
+                  *, cache: BatchCache | None = None) -> GroupResult:
     """Price one coalesced group of unique ``(N_tr, λ)`` points.
 
     ``exemplar`` is any query of the group (they share a signature, so
     any member carries the group's model parameters).  A fab or model
     group of at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS`
-    points is priced by the kind's scalar reference, point by point.
-    When a ``pool`` is given and a larger group exceeds ``chunk_size``
-    points, contiguous chunks are priced concurrently and concatenated
-    — bitwise invisible, since every step is elementwise in the points.
+    points is priced by the kind's scalar reference, point by point;
+    larger groups run the vectorized arithmetic described above.
     """
     run = _EXECUTORS.get(exemplar.kind)
     if run is None:
         raise ParameterError(f"unknown query kind {exemplar.kind!r}")
-    if chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     if len(points) <= SCALAR_MAX_POINTS and exemplar.kind != "chiplet":
         return _scalar_group(exemplar, points)
     n = np.array([p[0] for p in points], dtype=np.float64)
     lam = np.array([p[1] for p in points], dtype=np.float64)
-    if pool is None or n.size <= chunk_size:
-        return run(exemplar, n, lam, cache)
-    spans = range(0, n.size, chunk_size)
-    futures = [pool.submit(run, exemplar, n[lo:lo + chunk_size],
-                           lam[lo:lo + chunk_size], cache)
-               for lo in spans]
-    return _concat([f.result() for f in futures])
-
-
-def execute_group_rows(exemplar: CostQuery, n: np.ndarray,
-                       lam: np.ndarray, rows: GroupRows, *,
-                       cache: BatchCache | None = None) -> None:
-    """Price unique points in place, writing into ``rows``.
-
-    The write-in-place form of :func:`execute_group` used by the
-    shared-memory process backend: ``n``/``lam`` are (views of) the
-    input rows, ``rows`` the six result rows of the same segment.
-    Same arithmetic, same bits — only the destination differs.
-    """
-    run = _EXECUTORS.get(exemplar.kind)
-    if run is None:
-        raise ParameterError(f"unknown query kind {exemplar.kind!r}")
-    run(exemplar, n, lam, cache, rows)
-
-
-def n_chunks(n_points: int, chunk_size: int) -> int:
-    """How many chunks :func:`execute_group` will split a group into."""
-    return max(1, math.ceil(n_points / max(1, chunk_size)))
+    return run(exemplar, n, lam, cache)

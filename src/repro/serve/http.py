@@ -65,8 +65,7 @@ the server marks itself draining — new requests and connections get
 complete (their costs land in the ``record=`` log), then closes the
 listener and the owned service (flushing the recorder) and lets
 :meth:`~CostHttpServer.wait_closed` return.  A log recorded here
-replays byte-for-byte through ``python -m repro replay`` and feeds
-``backend="tuned"``.
+replays byte-for-byte through ``python -m repro replay``.
 """
 
 from __future__ import annotations
@@ -346,8 +345,8 @@ class CostHttpServer:
     """The asyncio HTTP server over one (possibly shared) cost service.
 
     Standalone construction owns an :class:`AsyncCostService` (keyword
-    arguments beyond the ones below go to its scheduler — ``backend``,
-    ``workers``, ``record``, ...); pass ``service=`` to share an
+    arguments beyond the ones below go to its scheduler —
+    ``max_batch_size``, ``record``, ...); pass ``service=`` to share an
     existing one, which drain then leaves open.  ``port=0`` binds an
     ephemeral port, readable from :attr:`port` after :meth:`start`.
 

@@ -41,9 +41,7 @@ class CostService:
     Keyword arguments are forwarded verbatim to
     :class:`~repro.serve.scheduler.MicroBatchScheduler` — see it for
     the tuning surface (``max_batch_size``, ``max_wait_s``,
-    ``max_queue_depth``, ``chunk_size``, ``workers``, ``backend``,
-    ``process_threshold``, ``adaptive``, ``wait_bounds``,
-    ``flush_history``, ``record``, ``profile``, ``cache``).  The
+    ``max_queue_depth``, ``flush_history``, ``record``, ``cache``).  The
     flusher thread starts lazily on first submit (or explicitly via
     :meth:`start` / ``with``).
     """
@@ -51,23 +49,13 @@ class CostService:
     def __init__(self, *, max_batch_size: int = 256,
                  max_wait_s: float = 0.002,
                  max_queue_depth: int = 10_000,
-                 chunk_size: int = 4096,
-                 workers: int = 1,
-                 backend: str = "auto",
-                 process_threshold: int = 2048,
-                 adaptive: bool = False,
-                 wait_bounds: tuple[float, float] | None = None,
                  flush_history: int = 0,
                  record: Any = None,
-                 profile: Any = None,
                  cache: Any = USE_DEFAULT_CACHE) -> None:
         self.scheduler = MicroBatchScheduler(
             max_batch_size=max_batch_size, max_wait_s=max_wait_s,
-            max_queue_depth=max_queue_depth, chunk_size=chunk_size,
-            workers=workers, backend=backend,
-            process_threshold=process_threshold, adaptive=adaptive,
-            wait_bounds=wait_bounds, flush_history=flush_history,
-            record=record, profile=profile, cache=cache)
+            max_queue_depth=max_queue_depth,
+            flush_history=flush_history, record=record, cache=cache)
 
     # -- lifecycle -------------------------------------------------------
 

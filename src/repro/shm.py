@@ -1,18 +1,12 @@
 """Named shared-memory float64 matrices for cross-process work.
 
-Two subsystems move bulk float64 payloads between a parent and pool
-workers through a single :class:`multiprocessing.shared_memory.
-SharedMemory` segment viewed as a ``(rows, cols)`` matrix:
-
-* the serve process backend (:mod:`repro.serve.backend`) packs one
-  coalesced flush group per block — the parent writes the input rows
-  (``N_tr``, λ), workers map the *same* segment by name and write
-  their result rows in place;
-* the tiled sweep engine (:mod:`repro.batch.sweep`) packs a whole
-  (rows-axis, cols-axis, result-grid) landscape into one block and
-  lets workers write their tile slabs in place.
-
-Either way, zero per-point data is pickled in either direction.
+The tiled sweep engine (:mod:`repro.batch.sweep`) moves bulk float64
+payloads between a parent and pool workers through a single
+:class:`multiprocessing.shared_memory.SharedMemory` segment viewed as
+a ``(rows, cols)`` matrix: it packs a whole (rows-axis, cols-axis,
+result-grid) landscape into one block, workers map the *same* segment
+by name and write their tile slabs in place.  Zero per-point data is
+pickled in either direction.
 
 Everything in the matrix is float64 on purpose: the eq.-(4) die counts
 are integers far below 2⁵³ (a wafer physically bounds them), so the
@@ -20,9 +14,8 @@ int64→float64→int64 round trip is exact, and feasibility masks
 round-trip as 0.0/1.0.  That keeps the segment a single homogeneous
 block with trivial slicing arithmetic.
 
-Lifecycle contract (enforced by ``tests/test_shm.py``,
-``tests/serve/test_shm.py`` and the leak tests in
-``tests/serve/test_backend.py``):
+Lifecycle contract (enforced by ``tests/test_shm.py`` and
+``tests/serve/test_shm.py``):
 
 * the **parent** :meth:`ShmBlock.create`\\ s a block and must
   :meth:`unlink` it when the work completes, fails, or the owner

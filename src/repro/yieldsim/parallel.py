@@ -286,9 +286,9 @@ def _run_pool(fn: Callable, argsets: list[tuple],
     # model errors raised inside a worker propagate unchanged because
     # they are not in the caught set.  Shared by the sharded MC paths
     # here and in :mod:`repro.yieldsim.spatial`, and — with a
-    # long-lived ``pool`` — by the serve process backend
-    # (:mod:`repro.serve.backend`), which amortizes worker startup
-    # across flushes instead of paying it per call.  A caller-owned
+    # long-lived ``pool`` — by the tiled sweep runner
+    # (:mod:`repro.batch.sweep`), which amortizes worker startup
+    # across runs instead of paying it per call.  A caller-owned
     # pool is never shut down here, even when it turns out broken.
     import warnings
 

@@ -101,6 +101,16 @@ class TestDiesPerWaferBatch:
         assert counts.tolist() == [dies_per_wafer_maly(wafer, d)
                                    for d in dies]
 
+    def test_exactly_fitting_rows_match_maly(self):
+        # Decimal pitches on R = 5 pitches: rows of exactly 6 and 8 dies
+        # that binary rounding puts a few ulps short (see ROW_FIT_SLACK).
+        for radius, side in ((5.0, 1.0), (4.0, 0.8), (9.0, 1.8),
+                             (11.0, 2.2)):
+            wafer = Wafer(radius_cm=radius)
+            counts = dies_per_wafer_batch(wafer, [side], [side], cache=None)
+            assert int(counts[0]) == 64 \
+                == dies_per_wafer_maly(wafer, Die.square(side))
+
     def test_scribe_and_edge_exclusion(self):
         wafer = Wafer(radius_cm=10.0, edge_exclusion_cm=0.4)
         die = Die(width_cm=0.9, height_cm=1.2, scribe_cm=0.02)

@@ -354,7 +354,7 @@ class TestCheckpoint:
         assert ckpt.load(plan.tile(2)) is None
 
 
-class TestProcessBackendObservability:
+class TestProcessPoolObservability:
     def test_worker_metrics_reparent(self):
         from repro import obs
 

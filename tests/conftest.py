@@ -1,49 +1,20 @@
-"""Shared fixtures: environment-selected serve/sweep backend matrix.
+"""Shared fixtures: environment-selected sweep backend matrix.
 
-CI runs the serve suites twice — once as-is, once with
-``REPRO_SERVE_BACKEND=process REPRO_SERVE_WORKERS=2`` — so every
-scheduler/service/parity test doubles as a process-backend test
-without duplicating the files (the same idiom as
-``REPRO_TEST_WORKERS`` for the Monte Carlo shards).
-``REPRO_SWEEP_BACKEND``/``REPRO_SWEEP_WORKERS`` do the same for every
-test that goes through :class:`repro.batch.sweep.TiledSweepRunner` —
-the sweep CI job reruns the whole sweep surface on the shm process
-pool, and the bitwise-parity assertions must keep holding.  Both
-injections use ``setdefault``: tests that pin ``backend=``/
-``workers=`` explicitly keep their pinned values.
+``REPRO_SWEEP_BACKEND``/``REPRO_SWEEP_WORKERS`` rerun every test that
+goes through :class:`repro.batch.sweep.TiledSweepRunner` on the chosen
+backend — the sweep CI job reruns the whole sweep surface on the shm
+process pool, and the bitwise-parity assertions must keep holding
+(the same idiom as ``REPRO_TEST_WORKERS`` for the Monte Carlo
+shards).  The injection uses ``setdefault``: tests that pin
+``backend=``/``workers=`` explicitly keep their pinned values.
 """
 
 import os
 
 import pytest
 
-_BACKEND = os.environ.get("REPRO_SERVE_BACKEND")
-_WORKERS = os.environ.get("REPRO_SERVE_WORKERS")
 _SWEEP_BACKEND = os.environ.get("REPRO_SWEEP_BACKEND")
 _SWEEP_WORKERS = os.environ.get("REPRO_SWEEP_WORKERS")
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _serve_backend_from_env():
-    if not (_BACKEND or _WORKERS):
-        yield
-        return
-    from repro.serve.scheduler import MicroBatchScheduler
-
-    original = MicroBatchScheduler.__init__
-
-    def injected(self, **kwargs):
-        if _BACKEND:
-            kwargs.setdefault("backend", _BACKEND)
-        if _WORKERS:
-            kwargs.setdefault("workers", int(_WORKERS))
-        original(self, **kwargs)
-
-    MicroBatchScheduler.__init__ = injected
-    try:
-        yield
-    finally:
-        MicroBatchScheduler.__init__ = original
 
 
 @pytest.fixture(autouse=True, scope="session")

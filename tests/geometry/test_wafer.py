@@ -15,6 +15,7 @@ from repro.geometry import (
     dies_per_wafer_exact,
     dies_per_wafer_maly,
 )
+from repro.geometry.wafer import ROW_FIT_SLACK
 
 
 @pytest.fixture
@@ -110,7 +111,8 @@ class TestMalyFormula:
 def _maly_reference(wafer, die):
     # The row loop as first written: both half-chords of every row
     # recomputed.  dies_per_wafer_maly carries each row's upper chord
-    # over as the next row's lower one and must count identically.
+    # over as the next row's lower one and must count identically
+    # (with the same per-row slack).
     radius = wafer.usable_radius_cm
     a = die.pitch_x_cm
     b = die.pitch_y_cm
@@ -127,7 +129,7 @@ def _maly_reference(wafer, die):
     total = 0
     for j in range(n_rows):
         chord = min(half_chord(j), half_chord(j + 1))
-        total += math.floor(2.0 * chord / a)
+        total += math.floor(2.0 * chord / a + ROW_FIT_SLACK)
     return total
 
 
@@ -157,6 +159,18 @@ class TestMalyRowLoop:
         assert math.floor(2.0 * 7.5 / die.pitch_y_cm) == 10
         assert dies_per_wafer_maly(paper_wafer, die) \
             == _maly_reference(paper_wafer, die) > 0
+
+    @pytest.mark.parametrize("radius,side", [
+        (5.0, 1.0), (4.0, 0.8), (0.5, 0.1), (9.0, 1.8), (11.0, 2.2),
+        (2.0, 0.4)])
+    def test_exactly_fitting_rows_survive_decimal_rounding(self, radius,
+                                                            side):
+        # R = 5 pitches: the chords one and two rows in from either pole
+        # are exactly 3 and 4 pitches (a 3-4-5 triangle), so by hand the
+        # rows hold 0, 6, 8, 9, 9, 9, 9, 8, 6, 0 dies.  Without the
+        # slack, 0.8 cm on 4 cm counted 61 and 1.8 cm on 9 cm 63.
+        assert dies_per_wafer_maly(Wafer(radius_cm=radius),
+                                   Die.square(side)) == 64
 
 
 class TestExactGrid:

@@ -158,3 +158,25 @@ class TestStateHelpers:
         from repro.obs.state import _env_flag
         monkeypatch.setenv("REPRO_OBS_TEST_FLAG", value)
         assert _env_flag("REPRO_OBS_TEST_FLAG") is expected
+
+
+class TestNearestRank:
+    def test_pinned_percentiles(self):
+        from repro.obs.registry import nearest_rank
+        assert nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        values = [float(v) for v in range(1, 101)]
+        assert nearest_rank(values, 0.99) == 99.0
+        assert nearest_rank(values, 1.0) == 100.0
+        assert nearest_rank(values, 0.0) == 1.0
+        assert math.isnan(nearest_rank([], 0.5))
+
+    def test_loadgen_and_replay_share_it(self):
+        # One convention everywhere: the load generator's report and
+        # the replay run dir both use this helper.
+        from repro import loadgen
+        from repro.obs.registry import nearest_rank
+        from repro.replay import engine
+        assert loadgen.nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert loadgen.nearest_rank(list(range(1, 9)), 0.5) == 4
+        assert loadgen.nearest_rank is nearest_rank
+        assert engine.nearest_rank is nearest_rank

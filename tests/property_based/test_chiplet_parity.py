@@ -7,8 +7,8 @@ way the toolchain slices the work.  Hypothesis drives the quantifiers:
 
 * *batch slicing* — any subset/ordering of points, and delivery into
   a caller-owned ``out=`` buffer, must reproduce the same bits;
-* *the serve matrix* — backend (thread/process), worker count, shm
-  chunk size, and scheduler batch size are bitwise invisible for
+* *the serve matrix* — scheduler batch size, arrival order and dedup
+  are bitwise invisible for
   :class:`~repro.serve.query.ChipletCostQuery` traffic;
 * *the sweep* — :class:`~repro.batch.sweep.ChipletCrossoverSweep`
   through :class:`~repro.batch.sweep.TiledSweepRunner` is invariant
@@ -162,25 +162,6 @@ class TestServeMatrixParity:
             got = result.cost_per_transistor_dollars
             assert got == want or (math.isinf(got) and math.isinf(want))
             assert result.feasible == math.isfinite(want)
-
-    @settings(max_examples=6, deadline=None)
-    @given(points=st.lists(point_strategy, min_size=4, max_size=20),
-           workers=st.integers(min_value=1, max_value=3),
-           chunk_size=st.integers(min_value=1, max_value=7),
-           max_batch_size=st.integers(min_value=2, max_value=16))
-    def test_process_backend_matches_thread_backend(
-            self, points, workers, chunk_size, max_batch_size):
-        queries = [ChipletCostQuery(n, lam, chiplets=k)
-                   for n, lam, k in points]
-        reference = _serve(queries, backend="thread", workers=1)
-        process = _serve(queries, backend="process", workers=workers,
-                         chunk_size=chunk_size,
-                         max_batch_size=max_batch_size)
-        assert process == reference
-        for query, result in zip(queries, reference):
-            want = scalar_reference_cost(query)
-            got = result.cost_per_transistor_dollars
-            assert got == want or (math.isinf(got) and math.isinf(want))
 
     @settings(max_examples=10, deadline=None)
     @given(points=st.lists(point_strategy, min_size=2, max_size=20),

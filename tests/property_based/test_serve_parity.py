@@ -7,8 +7,8 @@ evaluation of its query — not 1e-12-close — no matter how the
 scheduler sliced the traffic.  Hypothesis drives the two degrees of
 freedom the contract quantifies over:
 
-* *batch slicing* — ``max_batch_size``, chunked execution across a
-  worker pool, and duplicated points exercising dedup fan-out;
+* *batch slicing* — ``max_batch_size`` and duplicated points
+  exercising dedup fan-out;
 * *arrival order* — a permutation of the same multiset of queries
   must produce the same result for each query.
 """
@@ -101,20 +101,6 @@ class TestFabParity:
             want = transistor_cost_full(n, lam)
             assert got == want or (math.isinf(got) and math.isinf(want))
 
-    @settings(max_examples=10, deadline=None)
-    @given(points=st.lists(point_strategy, min_size=8, max_size=40),
-           chunk_size=st.integers(min_value=1, max_value=5))
-    def test_chunked_worker_pool_is_bitwise_invisible(self, points,
-                                                      chunk_size):
-        queries = [FabCostQuery(n, lam) for n, lam in points]
-        inline = _serve(queries, workers=1)
-        chunked = _serve(queries, workers=3, chunk_size=chunk_size,
-                         max_batch_size=len(points))
-        for a, b in zip(inline, chunked):
-            assert a == b
-        for (n, lam), result in zip(points, inline):
-            _assert_bitwise(result, transistor_cost_full(n, lam))
-
 
 class TestModelParity:
     @settings(max_examples=30, deadline=None)
@@ -160,6 +146,28 @@ class TestModelParity:
             assert result.die_area_cm2 == want.die_area_cm2
             assert result.dies_per_wafer == want.dies_per_wafer
 
+    def test_vectorized_group_bitwise_against_evaluate(self):
+        # One 25-point group: above the scalar-reference threshold, so
+        # the executor's vectorized model path prices it.
+        model = TransistorCostModel(
+            wafer_cost=WaferCostModel(reference_cost_dollars=640.0,
+                                      cost_growth_rate=1.7),
+            wafer=Wafer(radius_cm=7.5))
+        law = ReferenceAreaYield(reference_yield=0.8,
+                                 reference_area_cm2=1.0)
+        points = [(1e5 * (i + 1), 0.35 + 0.04 * i) for i in range(25)]
+        queries = [ModelCostQuery(n, lam, model=model,
+                                  design_density=120.0, yield_model=law)
+                   for n, lam in points]
+        served = _serve(queries, max_batch_size=32)
+        for (n, lam), result in zip(points, served):
+            want = model.evaluate(n_transistors=n, feature_size_um=lam,
+                                  design_density=120.0, yield_model=law)
+            assert result.cost_per_transistor_dollars \
+                == want.cost_per_transistor_dollars
+            assert result.yield_value == want.yield_value
+            assert result.dies_per_wafer == want.dies_per_wafer
+
 
 class TestAsyncParity:
     def test_async_path_bitwise_equals_sync_path(self):
@@ -181,57 +189,3 @@ class TestAsyncParity:
         for (n, lam), result in zip(points, sync_served):
             _assert_bitwise(result, transistor_cost_full(n, lam))
 
-
-class TestExecutionMatrixParity:
-    """PR-5 quantifiers: backend choice, worker count, shm chunk size,
-    and the adaptive tick must all be bitwise invisible."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(points=st.lists(point_strategy, min_size=4, max_size=24),
-           workers=st.integers(min_value=1, max_value=3),
-           chunk_size=st.integers(min_value=1, max_value=7),
-           max_batch_size=st.integers(min_value=2, max_value=16))
-    def test_process_backend_matches_thread_backend(
-            self, points, workers, chunk_size, max_batch_size):
-        queries = [FabCostQuery(n, lam) for n, lam in points]
-        reference = _serve(queries, backend="thread", workers=1)
-        process = _serve(queries, backend="process", workers=workers,
-                         chunk_size=chunk_size,
-                         max_batch_size=max_batch_size)
-        assert process == reference
-        for (n, lam), result in zip(points, reference):
-            _assert_bitwise(result, transistor_cost_full(n, lam))
-
-    @settings(max_examples=8, deadline=None)
-    @given(points=st.lists(point_strategy, min_size=2, max_size=20),
-           lo=st.floats(min_value=1e-5, max_value=1e-3),
-           span=st.floats(min_value=1.0, max_value=50.0))
-    def test_adaptive_tick_matches_fixed_tick(self, points, lo, span):
-        queries = [FabCostQuery(n, lam) for n, lam in points]
-        fixed = _serve(queries, max_batch_size=4)
-        adaptive = _serve(queries, max_batch_size=4, adaptive=True,
-                          wait_bounds=(lo, lo * span))
-        assert adaptive == fixed
-
-    def test_model_queries_cross_the_process_boundary_bitwise(self):
-        # ModelCostQuery exemplars (model + yield law) are pickled to
-        # the pool; the answers must still match the scalar evaluate().
-        model = TransistorCostModel(
-            wafer_cost=WaferCostModel(reference_cost_dollars=640.0,
-                                      cost_growth_rate=1.7),
-            wafer=Wafer(radius_cm=7.5))
-        law = ReferenceAreaYield(reference_yield=0.8,
-                                 reference_area_cm2=1.0)
-        points = [(1e5 * (i + 1), 0.35 + 0.04 * i) for i in range(25)]
-        queries = [ModelCostQuery(n, lam, model=model,
-                                  design_density=120.0, yield_model=law)
-                   for n, lam in points]
-        served = _serve(queries, backend="process", workers=2,
-                        chunk_size=4, max_batch_size=32)
-        for (n, lam), result in zip(points, served):
-            want = model.evaluate(n_transistors=n, feature_size_um=lam,
-                                  design_density=120.0, yield_model=law)
-            assert result.cost_per_transistor_dollars \
-                == want.cost_per_transistor_dollars
-            assert result.yield_value == want.yield_value
-            assert result.dies_per_wafer == want.dies_per_wafer

@@ -11,10 +11,9 @@ Hypothesis drives the quantifiers:
   arrays, including zeros and non-contiguous slices;
 * the ``out=`` write path, which must land the same bits in a caller
   buffer;
-* the serve execution matrix (backend, workers, chunking, batch
-  slicing), mirroring ``test_serve_parity.py`` — a hierarchical model
-  priced through the service must be bitwise equal to the scalar
-  ``evaluate()``.
+* the serve execution matrix (batch slicing), mirroring
+  ``test_serve_parity.py`` — a hierarchical model priced through the
+  service must be bitwise equal to the scalar ``evaluate()``.
 """
 
 import math
@@ -168,9 +167,9 @@ def _cost_model():
 
 class TestServeExecutionMatrix:
     """The new laws priced through :mod:`repro.serve` must be bitwise
-    equal to the scalar ``evaluate()`` under any scheduler slicing,
-    worker count, chunk size and backend — the same matrix
-    ``test_serve_parity.py`` pins for the classical laws."""
+    equal to the scalar ``evaluate()`` under any scheduler slicing —
+    the same matrix ``test_serve_parity.py`` pins for the classical
+    laws."""
 
     @settings(max_examples=10, deadline=None)
     @given(points=st.lists(
@@ -178,14 +177,12 @@ class TestServeExecutionMatrix:
                          st.floats(min_value=0.3, max_value=2.0)),
                min_size=1, max_size=12),
            max_batch_size=st.integers(min_value=1, max_value=8),
-           workers=st.integers(min_value=1, max_value=3),
-           chunk_size=st.integers(min_value=1, max_value=5),
            wafer_alpha=st.floats(min_value=0.5, max_value=5.0),
            lot_alpha=st.floats(min_value=0.5, max_value=5.0),
            defect_density=st.floats(min_value=0.01, max_value=2.0))
     def test_hierarchical_query_bitwise_under_any_slicing(
-            self, points, max_batch_size, workers, chunk_size,
-            wafer_alpha, lot_alpha, defect_density):
+            self, points, max_batch_size, wafer_alpha, lot_alpha,
+            defect_density):
         model = _cost_model()
         law = HierarchicalYieldModel(lot_alpha=lot_alpha,
                                      wafer_alpha=wafer_alpha)
@@ -193,8 +190,7 @@ class TestServeExecutionMatrix:
                                   design_density=120.0, yield_model=law,
                                   defect_density_per_cm2=defect_density)
                    for n, lam in points]
-        served = _serve(queries, max_batch_size=max_batch_size,
-                        workers=workers, chunk_size=chunk_size)
+        served = _serve(queries, max_batch_size=max_batch_size)
         for (n, lam), result in zip(points, served):
             try:
                 want = model.evaluate(
@@ -209,9 +205,9 @@ class TestServeExecutionMatrix:
                 == want.cost_per_transistor_dollars
             assert result.yield_value == want.yield_value
 
-    def test_compound_family_crosses_process_boundary_bitwise(self):
-        # CPG and mixture exemplars are pickled to the process pool;
-        # answers must match the in-process scalar path bitwise.
+    def test_compound_family_served_bitwise(self):
+        # One 10-point group per law, above the scalar-reference
+        # threshold: the vectorized path must match evaluate() bitwise.
         model = _cost_model()
         laws = [
             CompoundPoissonGamma(alpha=1.5),
@@ -225,8 +221,7 @@ class TestServeExecutionMatrix:
                                       yield_model=law,
                                       defect_density_per_cm2=0.8)
                        for n, lam in points]
-            served = _serve(queries, backend="process", workers=2,
-                            chunk_size=3, max_batch_size=16)
+            served = _serve(queries, max_batch_size=16)
             for (n, lam), result in zip(points, served):
                 want = model.evaluate(n_transistors=n,
                                       feature_size_um=lam,

@@ -1,4 +1,4 @@
-"""Run-dir reporter: raw/ → results.csv → report.md, profile wiring."""
+"""Run-dir reporter: raw/replay.json → results.csv → report.md."""
 
 import csv
 import json
@@ -8,14 +8,11 @@ import pytest
 from repro.errors import ParameterError
 from repro.replay.rundir import (
     CSV_COLUMNS,
-    configs_from_names,
-    default_configs,
     run_all,
     to_results_csv,
     write_report,
 )
 from repro.serve import FabCostQuery, MicroBatchScheduler
-from repro.serve.tuning import SignatureTuning, TuningProfile
 
 
 @pytest.fixture(scope="module")
@@ -30,85 +27,34 @@ def recorded_log(tmp_path_factory):
     return log_path
 
 
-class TestConfigBuilders:
-    def test_default_configs_are_the_non_tuned_set(self):
-        names = [c.name for c in default_configs()]
-        assert names == ["thread", "process", "auto"]
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ParameterError, match="config"):
-            configs_from_names(["thread", "fiber"])
-
-    def test_tuned_requires_profile(self):
-        with pytest.raises(ParameterError, match="tuned"):
-            configs_from_names(["tuned"])
-        profile = TuningProfile(signatures={
-            "aa": SignatureTuning(process_threshold=4)})
-        (config,) = configs_from_names(["tuned"], profile=profile)
-        assert config.profile is profile
-
-
 class TestRunAll:
-    def test_full_run_dir_with_learned_profile(self, recorded_log,
-                                               tmp_path):
+    def test_writes_raw_csv_and_report(self, recorded_log, tmp_path):
         run_dir = tmp_path / "run"
-        summary = run_all(recorded_log, run_dir, workers=2, mode="closed")
+        summary = run_all(recorded_log, run_dir, mode="closed")
         assert summary["mismatches"] == 0
-        assert [r.config.name for r in summary["results"]] \
-            == ["thread", "process", "auto", "tuned"]
-        for name in ("thread", "process", "auto", "tuned"):
-            doc = json.loads((run_dir / "raw" / f"{name}.json").read_text())
-            assert doc["mismatches"] == 0
-            assert doc["n_queries"] == 60
-        # The tuned leg learned its profile from the other legs and
-        # persisted it for reproducibility.
-        profile = TuningProfile.load(run_dir / "profile.json")
-        assert profile == summary["profile"]
-        assert profile.meta["configs"] == ["thread", "process", "auto"]
+        assert summary["result"].n_queries == 60
+        assert [p.name for p in (run_dir / "raw").iterdir()] \
+            == ["replay.json"]
+        doc = json.loads((run_dir / "raw" / "replay.json").read_text())
+        assert doc["mismatches"] == 0
+        assert doc["n_queries"] == 60
 
         with open(run_dir / "results.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == CSV_COLUMNS
-        assert len(rows) == 5                       # header + 4 configs
-        # Fastest-first ordering by wall time.
-        walls = [float(r[rows[0].index("wall_s")]) for r in rows[1:]]
-        assert walls == sorted(walls)
+        assert len(rows) == 2                       # header + the run
+        assert rows[1][rows[0].index("n_queries")] == "60"
 
         report = (run_dir / "report.md").read_text()
-        assert "| rank | config | backend" in report
         assert "p50 ms | p95 ms | p99 ms | occupancy" in report
         assert "bitwise equal" in report
-        assert "Tuning profile" in report
-
-    def test_subset_without_tuned_skips_profile(self, recorded_log,
-                                                tmp_path):
-        run_dir = tmp_path / "run"
-        summary = run_all(recorded_log, run_dir, names=("thread", "auto"),
-                          workers=1, mode="closed")
-        assert summary["profile"] is None
-        assert not (run_dir / "profile.json").exists()
-        assert sorted(p.name for p in (run_dir / "raw").glob("*.json")) \
-            == ["auto.json", "thread.json"]
-
-    def test_supplied_profile_is_used_verbatim(self, recorded_log,
-                                               tmp_path):
-        profile = TuningProfile(default_process_threshold=123,
-                                meta={"origin": "hand-set"})
-        run_dir = tmp_path / "run"
-        summary = run_all(recorded_log, run_dir, names=("tuned",),
-                          workers=1, profile=profile, mode="closed")
-        assert summary["mismatches"] == 0
-        loaded = TuningProfile.load(run_dir / "profile.json")
-        assert loaded.meta["origin"] == "hand-set"
-        assert loaded.default_process_threshold == 123
 
 
 class TestRegeneration:
     def test_csv_and_report_regenerate_from_raw(self, recorded_log,
                                                 tmp_path):
         run_dir = tmp_path / "run"
-        run_all(recorded_log, run_dir, names=("thread",), workers=1,
-                mode="closed")
+        run_all(recorded_log, run_dir, mode="closed")
         (run_dir / "results.csv").unlink()
         (run_dir / "report.md").unlink()
         assert to_results_csv(run_dir).exists()

@@ -219,7 +219,7 @@ class TestSubmitBulk:
         queries = [FabCostQuery(1e5 * (i + 1), 0.6) for i in range(12)]
 
         async def run():
-            async with AsyncCostService(max_batch_size=4, backend="thread",
+            async with AsyncCostService(max_batch_size=4,
                                         cache=None) as svc:
                 with pytest.raises(RuntimeError, match="executor exploded"):
                     await asyncio.wait_for(svc.map_bulk(queries), 10)

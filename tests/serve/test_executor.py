@@ -30,6 +30,7 @@ from repro.errors import ParameterError
 from repro.geometry import Die, Wafer, dies_per_wafer_maly
 from repro.serve import ChipletCostQuery, FabCostQuery, ModelCostQuery
 from repro.serve import executor
+from repro.serve.backend import ThreadBackend
 from repro.serve.executor import execute_group
 from repro.system.chiplet import (
     ORGANIC_SUBSTRATE,
@@ -294,3 +295,16 @@ class TestScalarReferences:
         assert masked.feasible
         for f in fields(full):
             assert getattr(full, f.name) == getattr(masked, f.name)
+
+
+class TestThreadBackend:
+    @pytest.mark.parametrize("k", [K, K + 2])
+    def test_run_group_matches_scalar_reference(self, k):
+        # The scheduler's one execution call, on both sides of the
+        # small-group threshold: inline, no cache, scalar-exact.
+        points = [(1e5 * (i + 1), 0.8) for i in range(k)]
+        result = ThreadBackend().run_group(FabCostQuery(*points[0]),
+                                           points, None)
+        for slot, (n, lam) in enumerate(points):
+            assert result.cost(slot) == transistor_cost_full(n, lam,
+                                                             FIG8_FAB)

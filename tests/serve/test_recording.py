@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GenerationModel, TransistorCostModel, WaferCostModel
 from repro.errors import ParameterError
@@ -17,6 +19,7 @@ from repro.obs.recording import (
     query_to_record,
     record_to_query,
     shared_model,
+    signature_key,
 )
 from repro.serve import (
     ChipletCostQuery,
@@ -25,7 +28,6 @@ from repro.serve import (
     ModelCostQuery,
 )
 from repro.serve.http import point_to_query
-from repro.serve.tuning import signature_key
 from repro.system.chiplet import ChipletCostModel
 from repro.yieldsim import (
     MixtureYieldModel,
@@ -187,7 +189,7 @@ class TestRecorderThroughScheduler:
             assert line["cost"] == cost        # bitwise through JSON repr
             assert line["t"] >= 0.0
             assert line["flush"] >= 1
-            assert line["backend"] in ("thread", "process")
+            assert line["backend"] == "thread"
 
     def test_loaded_log_replays_to_equal_queries(self, tmp_path):
         log_path = tmp_path / "traffic.jsonl"
@@ -209,11 +211,8 @@ class TestRecorderThroughScheduler:
             """A custom law the recorder must refuse to serialize."""
 
         log_path = tmp_path / "traffic.jsonl"
-        # backend pinned: a locally defined yield law cannot pickle to
-        # an (env-injected) process pool, and this test is about the
-        # recorder's degradation path, not routing.
         with MicroBatchScheduler(max_batch_size=4, record=log_path,
-                                 backend="thread", cache=None) as sched:
+                                 cache=None) as sched:
             sched.submit(_model_query(yield_model=Weird())).result(
                 timeout=10.0)
             assert sched.recorder is not None
@@ -296,3 +295,28 @@ class TestFormatDetection:
         jsn.write_text('[{"transistors": 1e6, "feature_size": 0.8}]\n')
         assert not is_recorded_log(jsn)
         assert not is_recorded_log(tmp_path / "missing.jsonl")
+
+
+class TestSignatureKey:
+    def test_signature_key_is_stable_and_short(self):
+        sig = ("fab", 1.8, 500.0, 7.5, 150.0, 0.3, 2.0)
+        key = signature_key(sig)
+        assert key == signature_key(("fab", 1.8, 500.0, 7.5, 150.0,
+                                     0.3, 2.0))
+        assert len(key) == 16
+        assert key != signature_key(sig + ("x",))
+
+
+class TestRecordedQueryRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(point=st.tuples(st.floats(min_value=1e4, max_value=1e9),
+                           st.floats(min_value=0.25, max_value=3.0)))
+    def test_fab_query_codec_preserves_identity(self, point):
+        # Replayed traffic must coalesce exactly like the original.
+        n, lam = point
+        query = FabCostQuery(n, lam)
+        rebuilt = record_to_query(query_to_record(query))
+        assert rebuilt.signature() == query.signature()
+        assert rebuilt.point() == query.point()
+        assert signature_key(rebuilt.signature()) \
+            == signature_key(query.signature())

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.batch.cache import BatchCache
 from repro.core.optimization import FIG8_FAB, transistor_cost_full
 from repro.errors import (
     BackpressureError,
@@ -25,8 +24,18 @@ class TestValidation:
         dict(max_batch_size=0),
         dict(max_wait_s=-0.1),
         dict(max_queue_depth=4, max_batch_size=8),
-        dict(chunk_size=0),
-        dict(workers=0),
+    ])
+    def test_bad_parameters(self, kwargs):
+        with pytest.raises(ParameterError):
+            MicroBatchScheduler(**kwargs)
+
+
+class TestNewValidation:
+    # The cache and flush-telemetry knobs.
+    @pytest.mark.parametrize("kwargs", [
+        dict(cache={}),             # a dict is not a BatchCache
+        dict(cache="default"),      # nor is a name for the default one
+        dict(flush_history=-1),
     ])
     def test_bad_parameters(self, kwargs):
         with pytest.raises(ParameterError):
@@ -99,18 +108,6 @@ class TestCoalescing:
         assert cost_a != cost_b
 
 
-class TestChunkedExecution:
-    def test_worker_pool_chunking_is_invisible(self):
-        queries = _queries(50, lam=0.6)
-        with MicroBatchScheduler(max_batch_size=64, workers=3,
-                                 chunk_size=7, cache=BatchCache()) as sched:
-            got = [t.cost(timeout=10.0)
-                   for t in sched.submit_many(queries)]
-        want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
-                                     FIG8_FAB) for q in queries]
-        assert got == want
-
-
 class TestBackpressure:
     def test_nonblocking_submit_raises_when_full(self):
         sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4,
@@ -152,12 +149,35 @@ class TestFailureFanOut:
             raise boom
 
         monkeypatch.setattr("repro.serve.backend.execute_group", explode)
-        with MicroBatchScheduler(max_batch_size=4, cache=None,
-                                 backend="thread") as sched:
+        with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
             tickets = sched.submit_many(_queries(4))
             for ticket in tickets:
                 with pytest.raises(RuntimeError, match="executor exploded"):
                     ticket.result(timeout=5.0)
+
+
+class TestExecutionSeam:
+    def test_each_group_is_one_positional_run_group_call(self,
+                                                         monkeypatch):
+        # External tracing wraps ThreadBackend.run_group and sizes the
+        # work from its positional arguments; every coalesced group must
+        # pass through it exactly once, as (exemplar, points, cache).
+        from repro.core.optimization import FabCharacterization
+        from repro.serve.backend import ThreadBackend
+        calls = []
+        original = ThreadBackend.run_group
+
+        def spy(self, *args, **kwargs):
+            calls.append((len(args), kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", spy)
+        other = FabCharacterization(reference_cost_dollars=900.0)
+        queries = _queries(3) + [FabCostQuery(1e6, 0.8, fab=other)]
+        with MicroBatchScheduler(max_batch_size=64, cache=None) as sched:
+            for ticket in sched.submit_many(queries):
+                ticket.result(timeout=5.0)
+        assert calls == [(3, {}), (3, {})]
 
 
 class TestTickets:
@@ -239,99 +259,6 @@ class TestObservability:
              obs_state.STATE.metrics) = prev
 
 
-class TestNewValidation:
-    @pytest.mark.parametrize("kwargs", [
-        dict(backend="fiber"),
-        dict(process_threshold=0),
-        dict(flush_history=-1),
-        dict(wait_bounds=(0.001, 0.01)),            # requires adaptive
-        dict(adaptive=True, wait_bounds=(0.01, 0.001)),  # lo > hi
-        dict(adaptive=True, wait_bounds=(-0.001, 0.01)),
-    ])
-    def test_bad_parameters(self, kwargs):
-        with pytest.raises(ParameterError):
-            MicroBatchScheduler(**kwargs)
-
-    def test_backend_choices_accepted(self):
-        for backend in ("auto", "thread", "process"):
-            sched = MicroBatchScheduler(backend=backend)  # never started
-            assert sched.backend == backend
-
-
-class TestAdaptiveTick:
-    def test_fixed_tick_by_default(self):
-        sched = MicroBatchScheduler(max_wait_s=0.004)
-        assert sched.current_wait_s == 0.004
-        assert sched.wait_bounds is None
-
-    def test_default_bounds_bracket_max_wait(self):
-        sched = MicroBatchScheduler(max_wait_s=0.008, adaptive=True)
-        lo, hi = sched.wait_bounds
-        assert lo == 0.001 and hi == 0.064
-        assert lo <= sched.current_wait_s <= hi
-
-    def test_update_has_no_opinion_on_first_flush(self):
-        from repro.serve.scheduler import _AdaptiveTick
-        tick = _AdaptiveTick(lo=0.001, hi=0.1, batch=100)
-        assert tick.update(50, now=10.0) is None
-
-    def test_fast_arrivals_shrink_the_window(self):
-        from repro.serve.scheduler import _AdaptiveTick
-        tick = _AdaptiveTick(lo=0.001, hi=0.1, batch=100)
-        now = 0.0
-        tick.update(10, now)
-        # 10 requests every 1 ms -> rate ~1e4/s -> want 100/1e4 = 10 ms.
-        for _ in range(30):
-            now += 0.001
-            want = tick.update(10, now)
-        assert want == pytest.approx(0.01, rel=0.05)
-
-    def test_trickle_grows_to_the_upper_bound(self):
-        from repro.serve.scheduler import _AdaptiveTick
-        tick = _AdaptiveTick(lo=0.001, hi=0.05, batch=100)
-        now = 0.0
-        tick.update(1, now)
-        # 1 request per second: filling a batch would take 100 s —
-        # clamped to hi.
-        for _ in range(10):
-            now += 1.0
-            want = tick.update(1, now)
-        assert want == 0.05
-
-    def test_full_flushes_pin_to_the_lower_bound(self):
-        from repro.serve.scheduler import _AdaptiveTick
-        tick = _AdaptiveTick(lo=0.001, hi=0.1, batch=100)
-        now = 0.0
-        tick.update(100, now)
-        # Saturated: every flush drains a full batch, whatever the
-        # instantaneous rate estimate says.
-        for _ in range(20):
-            now += 0.5
-            want = tick.update(100, now)
-        assert tick.occupancy > tick.FULL_OCCUPANCY
-        assert want == 0.001
-
-    def test_zero_interval_is_skipped(self):
-        from repro.serve.scheduler import _AdaptiveTick
-        tick = _AdaptiveTick(lo=0.001, hi=0.1, batch=100)
-        tick.update(10, now=5.0)
-        assert tick.update(10, now=5.0) is None
-
-    def test_adaptive_scheduler_serves_bitwise_results(self):
-        queries = _queries(40)
-        want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
-                                     FIG8_FAB) for q in queries]
-        with MicroBatchScheduler(max_batch_size=8, max_wait_s=0.001,
-                                 adaptive=True,
-                                 wait_bounds=(0.0001, 0.004),
-                                 cache=None) as sched:
-            tickets = [sched.submit(q) for q in queries]
-            got = [t.cost(timeout=5.0) for t in tickets]
-            lo, hi = sched.wait_bounds
-            assert lo <= sched.current_wait_s <= hi
-        assert got == want
-
-
 class TestFlushHistory:
     def test_disabled_by_default(self):
         with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
@@ -353,7 +280,6 @@ class TestFlushHistory:
         assert rec.requests == 4
         assert rec.unique == 3           # the duplicated point coalesced
         assert rec.groups == 1
-        assert rec.wait_s == 0.001
         assert rec.duration_s > 0.0
 
     def test_history_is_bounded(self):
@@ -377,36 +303,6 @@ class TestBackpressureDiagnostics:
         assert excinfo.value.tickets == []
 
 
-class TestBackendRouting:
-    def test_explicit_process_backend_routes_everything(self):
-        with MicroBatchScheduler(backend="process", workers=2,
-                                 max_batch_size=4, max_wait_s=0.001,
-                                 cache=None) as sched:
-            assert sched._thread_backend is None
-            assert sched._process_backend is not None
-            assert sched._backend_for(1).name == "process"
-            queries = _queries(4)
-            tickets = sched.submit_many(queries)
-            got = [t.cost(timeout=10.0) for t in tickets]
-        want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
-                                     FIG8_FAB) for q in queries]
-        assert got == want
-
-    def test_auto_routes_by_group_size(self):
-        with MicroBatchScheduler(backend="auto", workers=2,
-                                 process_threshold=10,
-                                 cache=None) as sched:
-            assert sched._backend_for(9).name == "thread"
-            assert sched._backend_for(10).name == "process"
-
-    def test_auto_single_worker_never_uses_processes(self):
-        with MicroBatchScheduler(backend="auto", workers=1,
-                                 process_threshold=2,
-                                 cache=None) as sched:
-            assert sched._process_backend is None
-            assert sched._backend_for(10_000).name == "thread"
-
-
 class TestFlushHistoryDetail:
     def test_ring_evicts_oldest_flush_ids(self):
         with MicroBatchScheduler(max_batch_size=2, max_wait_s=0.001,
@@ -419,23 +315,6 @@ class TestFlushHistoryDetail:
         # 16 queries / batch 2 = 8 flushes; the ring keeps the last 3,
         # in order.
         assert ids == [6, 7, 8]
-
-    def test_group_records_carry_signature_detail(self):
-        from repro.serve.tuning import signature_key
-        query = FabCostQuery(1e6, 0.8)
-        with MicroBatchScheduler(max_batch_size=8, flush_history=4,
-                                 backend="thread",
-                                 cache=None) as sched:
-            tickets = sched.submit_many([query, query] + _queries(2))
-            for t in tickets:
-                t.result(timeout=5.0)
-        (rec,) = sched.recent_flushes
-        (group,) = rec.group_records
-        assert group.sig_key == signature_key(query.signature())
-        assert group.points == 3        # the duplicate coalesced
-        assert group.requests == 4
-        assert group.backend == "thread"
-        assert group.duration_s > 0.0
 
     def test_no_detail_without_history_or_recorder(self):
         with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
@@ -471,59 +350,3 @@ class TestFlushHistoryDetail:
                 for r in readers:
                     r.join(timeout=5.0)
         assert errors == []
-
-
-class TestTunedBackend:
-    def _profile(self, key, threshold):
-        from repro.serve.tuning import SignatureTuning, TuningProfile
-        return TuningProfile(
-            default_process_threshold=1_000_000,
-            signatures={key: SignatureTuning(process_threshold=threshold)})
-
-    def test_tuned_requires_profile(self):
-        with pytest.raises(ParameterError, match="profile"):
-            MicroBatchScheduler(backend="tuned")
-
-    def test_profile_rejected_on_other_backends(self):
-        profile = self._profile("abc", 10)
-        for backend in ("auto", "thread", "process"):
-            with pytest.raises(ParameterError, match="tuned"):
-                MicroBatchScheduler(backend=backend, profile=profile)
-
-    def test_tuned_routes_per_signature(self):
-        from repro.serve.tuning import signature_key
-        query = FabCostQuery(1e6, 0.8)
-        key = signature_key(query.signature())
-        profile = self._profile(key, threshold=5)
-        with MicroBatchScheduler(backend="tuned", workers=2,
-                                 profile=profile, cache=None) as sched:
-            # The tuned pool is lazy, like auto: force-start it so
-            # _backend_for has a process backend to route to.
-            assert sched._process_backend is not None
-            assert sched._backend_for(4, key).name == "thread"
-            assert sched._backend_for(5, key).name == "process"
-            # Unknown signatures fall back to the profile default.
-            assert sched._backend_for(5, "unknown").name == "thread"
-            assert sched._backend_for(1_000_000, "unknown").name == "process"
-
-    def test_tuned_loads_profile_from_path(self, tmp_path):
-        profile = self._profile("abc", 10)
-        path = profile.save(tmp_path / "profile.json")
-        with MicroBatchScheduler(backend="tuned", profile=path,
-                                 cache=None) as sched:
-            assert sched.profile.signatures["abc"].process_threshold == 10
-
-    def test_tuned_serves_bitwise_results(self):
-        queries = _queries(24, lam=0.7)
-        query = queries[0]
-        from repro.serve.tuning import signature_key
-        profile = self._profile(signature_key(query.signature()),
-                                threshold=4)
-        with MicroBatchScheduler(backend="tuned", workers=2,
-                                 max_batch_size=8, profile=profile,
-                                 cache=None) as sched:
-            got = [t.cost(timeout=10.0)
-                   for t in sched.submit_many(queries)]
-        want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
-                                     FIG8_FAB) for q in queries]
-        assert got == want

@@ -112,49 +112,57 @@ class TestConcurrentSubmitters:
 
 
 class TestConstructorForwarding:
-    def test_backend_knobs_reach_the_scheduler(self):
-        svc = CostService(backend="process", workers=3,
-                          process_threshold=512, adaptive=True,
-                          wait_bounds=(0.0005, 0.05), flush_history=16)
+    def test_knobs_reach_the_scheduler(self):
+        svc = CostService(max_batch_size=32, max_wait_s=0.004,
+                          max_queue_depth=64, flush_history=16, cache=None)
         sched = svc.scheduler
-        assert sched.backend == "process"
-        assert sched.workers == 3
-        assert sched.process_threshold == 512
-        assert sched.adaptive
-        assert sched.wait_bounds == (0.0005, 0.05)
+        assert sched.max_batch_size == 32
+        assert sched.max_wait_s == 0.004
+        assert sched.max_queue_depth == 64
+        assert sched.cache is None
         assert sched.recent_flushes == []  # history armed but empty
 
     def test_async_facade_forwards_the_same_knobs(self):
         from repro.serve import AsyncCostService
-        svc = AsyncCostService(backend="thread", adaptive=True,
+        svc = AsyncCostService(max_batch_size=16, max_wait_s=0.003,
                                flush_history=4)
-        assert svc.scheduler.backend == "thread"
-        assert svc.scheduler.adaptive
+        assert svc.scheduler.max_batch_size == 16
+        assert svc.scheduler.max_wait_s == 0.003
+
+    def test_constructors_accept_exactly_the_shipped_knobs(self):
+        import inspect
+
+        from repro.serve import AsyncCostService, MicroBatchScheduler
+        knobs = ["max_batch_size", "max_wait_s", "max_queue_depth",
+                 "flush_history", "record", "cache"]
+        for cls, extra in ((MicroBatchScheduler, []), (CostService, []),
+                           (AsyncCostService, ["service"])):
+            params = list(inspect.signature(cls).parameters)
+            assert params == extra + knobs, cls.__name__
 
 
-class TestProcessBackpressure:
-    def test_queue_fills_while_shm_flush_in_flight(self, monkeypatch):
+class TestInFlightBackpressure:
+    def test_queue_fills_while_a_flush_is_in_flight(self, monkeypatch):
         import threading as _threading
 
         from repro.errors import BackpressureError
-        from repro.serve import ProcessBackend
+        from repro.serve.backend import ThreadBackend
 
         started = _threading.Event()
         release = _threading.Event()
-        original = ProcessBackend.run_group
+        original = ThreadBackend.run_group
 
         def gated(self, exemplar, points, cache):
             started.set()
             assert release.wait(timeout=10.0)
             return original(self, exemplar, points, cache)
 
-        monkeypatch.setattr(ProcessBackend, "run_group", gated)
+        monkeypatch.setattr(ThreadBackend, "run_group", gated)
         queries = [FabCostQuery(1e5 * (i + 1), 0.8) for i in range(4)]
-        with CostService(backend="process", workers=2, max_batch_size=2,
-                         max_queue_depth=2, max_wait_s=0.001,
-                         cache=None) as svc:
+        with CostService(max_batch_size=2, max_queue_depth=2,
+                         max_wait_s=0.001, cache=None) as svc:
             # First pair drains into a flush that parks inside the
-            # (gated) shared-memory backend...
+            # (gated) executor...
             in_flight = svc.submit_many(queries[:2])
             assert started.wait(timeout=5.0)
             # ...so the next pair refills the bounded queue, and one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.serve import ShmBlock
+from repro.shm import ShmBlock
 
 
 class TestCreation:

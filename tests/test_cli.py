@@ -258,7 +258,7 @@ class TestBatchIO:
 
 
 class TestServeFlags:
-    """cost --serve-backend/--serve-workers/--prewarm."""
+    """cost --prewarm/--record, and the flags that are gone."""
 
     def _points_csv(self, tmp_path):
         path = tmp_path / "points.csv"
@@ -267,22 +267,19 @@ class TestServeFlags:
                         "1e6,0.5,,0.8\n")
         return path
 
-    def test_process_backend_output_matches_default(self, tmp_path,
-                                                    capsys):
-        path = str(self._points_csv(tmp_path))
-        assert main(["cost", "--input", path, "--density", "150"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["cost", "--input", path, "--density", "150",
-                     "--serve-backend", "process",
-                     "--serve-workers", "2"]) == 0
-        process_out = capsys.readouterr().out
-        assert process_out == default_out
-
-    def test_unknown_backend_rejected_by_parser(self, capsys):
+    @pytest.mark.parametrize("command,flags", [
+        ("cost", ("--serve-backend", "--serve-workers")),
+        ("serve", ("--backend", "--workers")),
+        ("replay", ("--configs", "--workers", "--profile")),
+    ])
+    def test_help_lists_no_backend_or_tuning_flags(self, command, flags,
+                                                   capsys):
         with pytest.raises(SystemExit):
-            main(["cost", "--serve-backend", "fiber",
-                  "--transistors", "1e6", "--feature-size", "0.8",
-                  "--density", "150"])
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "--record" in text or "--log" in text
+        for flag in flags:
+            assert flag not in text
 
     def test_prewarm_only_reports_unique_points(self, tmp_path, capsys):
         rc = main(["cost", "--prewarm", str(self._points_csv(tmp_path)),
@@ -351,33 +348,28 @@ class TestReplayCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(
             ["replay", "--log", "t.jsonl", "--run-dir", "out"])
-        assert args.configs == "thread,process,auto,tuned"
         assert args.mode == "closed"
-        assert args.workers == 2
         assert args.speed == 1.0
+        assert args.timeout == 300.0
 
     def test_replay_writes_run_dir_and_passes_parity(self, tmp_path,
                                                      capsys):
         log_path = self._record(tmp_path, capsys)
         run_dir = tmp_path / "run"
         rc = main(["replay", "--log", str(log_path),
-                   "--run-dir", str(run_dir),
-                   "--configs", "thread,auto,tuned", "--workers", "2"])
+                   "--run-dir", str(run_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "parity: all replayed costs bitwise equal" in out
         assert "mismatches" in out
-        for artifact in ("raw/thread.json", "raw/auto.json",
-                         "raw/tuned.json", "profile.json",
-                         "results.csv", "report.md"):
+        for artifact in ("raw/replay.json", "results.csv", "report.md"):
             assert (run_dir / artifact).exists(), artifact
 
     def test_replay_open_mode_with_speedup(self, tmp_path, capsys):
         log_path = self._record(tmp_path, capsys)
         run_dir = tmp_path / "run"
         rc = main(["replay", "--log", str(log_path),
-                   "--run-dir", str(run_dir), "--configs", "thread",
-                   "--workers", "1", "--mode", "open",
+                   "--run-dir", str(run_dir), "--mode", "open",
                    "--speed", "1000"])
         assert rc == 0
         assert "parity: all replayed costs bitwise equal" \
@@ -388,14 +380,6 @@ class TestReplayCommand:
                    "--run-dir", str(tmp_path / "run")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
-
-    def test_replay_unknown_config_exit_2(self, tmp_path, capsys):
-        log_path = self._record(tmp_path, capsys)
-        rc = main(["replay", "--log", str(log_path),
-                   "--run-dir", str(tmp_path / "run"),
-                   "--configs", "fiber"])
-        assert rc == 2
-        assert "config" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -546,8 +530,6 @@ class TestServeAndLoadgenCommands:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8787
-        assert args.serve_backend == "auto"
-        assert args.serve_workers == 1
         assert args.record is None
         assert args.density == 150.0
 

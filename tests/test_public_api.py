@@ -69,9 +69,8 @@ MODULES = [
     "repro.serve.service",
     "repro.serve.aio",
     "repro.serve.io",
-    "repro.serve.tuning",
+    "repro.serve.backend",
     "repro.replay.engine",
-    "repro.replay.tuning",
     "repro.replay.rundir",
     "repro.technology.roadmap",
     "repro.technology.fabline",
@@ -156,8 +155,7 @@ def test_top_level_reexports():
                  "obs", "span", "metrics", "get_trace",
                  "serve", "CostService", "AsyncCostService",
                  "FabCostQuery", "ModelCostQuery", "ServedCost",
-                 "TuningProfile", "replay", "replay_log",
-                 "learn_profile"):
+                 "replay", "replay_log"):
         assert hasattr(repro, name)
 
 

@@ -1,12 +1,9 @@
-"""repro.shm promotion: import surface + the vanished-name unlink contract.
+"""repro.shm: import surface + the vanished-name unlink contract.
 
 The creation/visibility/lifecycle basics live in
-``tests/serve/test_shm.py`` (written against the original serve-local
-home and kept there to pin the ``repro.serve`` re-export).  This module
-covers what the promotion added:
+``tests/serve/test_shm.py``.  This module covers:
 
-* ``repro.shm`` is the canonical home; ``repro.serve.shm`` and
-  ``repro.serve`` re-export the *same* class object;
+* a round trip through the ``repro.shm`` home;
 * an owner whose segment name vanished out from under it (external
   ``/dev/shm`` sweep, racing second release) swallows the missing name
   exactly once **and** drops the stale resource-tracker registration,
@@ -23,12 +20,6 @@ from repro.shm import ShmBlock
 
 
 class TestPromotion:
-    def test_canonical_and_compat_homes_are_the_same_class(self):
-        from repro.serve import ShmBlock as serve_block
-        from repro.serve.shm import ShmBlock as serve_shm_block
-        assert serve_block is ShmBlock
-        assert serve_shm_block is ShmBlock
-
     def test_canonical_home_round_trip(self):
         block = ShmBlock.create(2, 3)
         try:
