@@ -14,8 +14,8 @@ batched call is
    smoke size; the record then carries ``speedup_asserted: false``).
 
 A second leg drives the same grid through
-:class:`~repro.batch.sweep.ChipletCrossoverSweep` on the
-shared-memory process pool: bitwise parity with the direct kernel is
+:class:`~repro.batch.sweep.ChipletCrossoverSweep` on the process
+pool: bitwise parity with the direct kernel is
 asserted always, the pool speedup only at ≥ 4 CPUs (the PR-5
 self-skip convention).
 
@@ -186,8 +186,8 @@ def test_chiplet_crossover_sweep_on_the_pool():
         t_single = min(t_single, time.perf_counter() - t0)
 
     t_pool = math.inf
-    with TiledSweepRunner(backend="process", workers=POOL_WORKERS,
-                          tile_size=TILE_SIZE, cache=None) as runner:
+    with TiledSweepRunner(workers=POOL_WORKERS, tile_size=TILE_SIZE,
+                          cache=None) as runner:
         runner.run(spec, ks, counts)  # warm-up (pool fork, imports)
         for _ in range(REPS):
             t0 = time.perf_counter()
@@ -217,7 +217,7 @@ def test_chiplet_crossover_sweep_on_the_pool():
         "reps": REPS,
         "parity_only": PARITY_ONLY,
         "single_process_s": t_single,
-        "shm_pool_s": t_pool,
+        "pool_s": t_pool,
         "speedup_pool_over_single": speedup,
         "min_speedup_required": POOL_MIN_SPEEDUP,
         "speedup_asserted": assert_speedup,
@@ -233,11 +233,11 @@ def test_chiplet_crossover_sweep_on_the_pool():
         gate = "recorded only: parity-only leg"
     else:
         gate = f"recorded only: {cpus} CPU(s)"
-    emit("Chiplet crossover — shm pool sweep vs single process",
+    emit("Chiplet crossover — process pool sweep vs single process",
          f"grid          : {ks.size} x {counts.size:,} cells, tile size "
          f"{TILE_SIZE:,}\n"
          f"single process: {t_single * 1e3:9.1f} ms (best of {REPS})\n"
-         f"shm pool      : {t_pool * 1e3:9.1f} ms  "
+         f"process pool  : {t_pool * 1e3:9.1f} ms  "
          f"-> {speedup:5.2f}x at {POOL_WORKERS} workers\n"
          f"contract      : >= {POOL_MIN_SPEEDUP}x at >= {POOL_WORKERS} "
          f"CPUs ({gate})\n"
@@ -248,6 +248,6 @@ def test_chiplet_crossover_sweep_on_the_pool():
         f"{mismatches} pool-swept cells differ from the direct kernel"
     if assert_speedup:
         assert speedup >= POOL_MIN_SPEEDUP, \
-            f"shm pool is only {speedup:.2f}x over single-process; the " \
+            f"process pool is only {speedup:.2f}x over single-process; the " \
             f"chiplet sweep contract requires {POOL_MIN_SPEEDUP}x at " \
             f"{POOL_WORKERS} workers"

@@ -45,10 +45,10 @@ def test_fig8_cost_landscape(benchmark):
     # Multiple-local-optima structure on the discretized landscape.
     assert len(landscape.local_minima()) >= 1
 
-    # The tiled shm-pool sweep path must land bitwise on the same
+    # The tiled process-pool sweep path must land bitwise on the same
     # landscape — the repro.batch.sweep parity contract, exercised on
     # the exact grid this figure ships.
-    tiled = landscape.grid(workers=2, backend="process", tile_size=600)
+    tiled = landscape.grid(workers=2, tile_size=600)
     mismatches = int(np.count_nonzero(tiled != landscape.grid()))
     emit("Fig. 8 — tiled process-pool sweep parity",
          f"grid        : {tiled.shape[0]} x {tiled.shape[1]} cells\n"

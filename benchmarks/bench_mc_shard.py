@@ -39,10 +39,12 @@ _BENCH_MC_JSON = Path(__file__).resolve().parent / "BENCH_mc.json"
 def _simulator() -> SpotDefectSimulator:
     # A dense Fig.-5 defect population over a fine die grid.  Since
     # grading became a die-grid lookup, one wafer costs ~7-8 ms on a
-    # 2-vCPU VM (67-80 ms before), less than starting a per-call pool
-    # inside pytest (~13 ms at 2 workers, ~24 ms at 4).  This bench
-    # recorded 0.45-1.11x there (1.01-1.77x before), so its 2x gate
-    # may fail on a >=4-CPU host until pools are reused across calls.
+    # 2-vCPU VM (67-80 ms before), less than starting a pool inside
+    # pytest (~13 ms at 2 workers, ~24 ms at 4).  Lots now reuse the
+    # long-lived pool of repro.pool, so only the untimed first call
+    # starts one; on 2 vCPUs this bench went from 0.45-1.11x with a
+    # pool per call to 0.69-1.49x (median 0.97).  The 2x gate needs
+    # >= 4 CPUs.
     return SpotDefectSimulator(
         Wafer(radius_cm=7.5), Die.square(0.35),
         defect_density_per_cm2=200.0,

@@ -27,6 +27,7 @@ import numpy as np
 
 from conftest import emit, emit_json
 from repro import obs
+from repro import pool as pool_mod
 from repro.batch import engine as engine_mod
 from repro.batch import evaluate_batch
 from repro.batch.cache import BatchCache
@@ -128,8 +129,10 @@ def _patch_out_hooks(monkeypatch):
     monkeypatch.setattr(engine_mod, "_tracing_enabled", false)
     monkeypatch.setattr(parallel_mod, "_span", _null_span)
     monkeypatch.setattr(parallel_mod, "_metrics", _NullMetrics)
-    monkeypatch.setattr(parallel_mod, "capture_flags", lambda: None)
-    monkeypatch.setattr(parallel_mod, "absorb", lambda payload: None)
+    monkeypatch.setattr(pool_mod, "capture_flags", lambda: None)
+    monkeypatch.setattr(pool_mod, "begin_capture", lambda flags: None)
+    monkeypatch.setattr(pool_mod, "end_capture", lambda frame: None)
+    monkeypatch.setattr(pool_mod, "absorb", lambda payload: None)
     monkeypatch.setattr(serve_scheduler_mod, "_span", _null_span)
     monkeypatch.setattr(serve_scheduler_mod, "_metrics", _NullMetrics)
     monkeypatch.setattr(serve_scheduler_mod, "_obs_enabled", false)

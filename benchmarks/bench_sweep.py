@@ -1,9 +1,9 @@
-"""Mega-sweep throughput — the tiled shm pool vs one in-process pass.
+"""Mega-sweep throughput — the tiled process pool vs one in-process pass.
 
 The acceptance claim of the tiled sweep engine
 (:mod:`repro.batch.sweep`): a **≥ 10⁶-point** (λ, N_tr) Fig.-8
-landscape evaluated through :class:`TiledSweepRunner` on the
-shared-memory process pool is
+landscape evaluated through :class:`TiledSweepRunner` on the process
+pool (:mod:`repro.pool`) is
 
 1. **bitwise identical** to the single-process full-grid
    :func:`~repro.batch.engine.transistor_cost_batch` reference
@@ -82,7 +82,7 @@ def _update_bench_json(key, record):
     _BENCH_SWEEP_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def test_mega_sweep_shm_pool_vs_single_process():
+def test_mega_sweep_pool_vs_single_process():
     counts, lams = _axes()
     plan = SweepPlan.for_grid(counts.size, lams.size, TILE_SIZE)
 
@@ -90,8 +90,8 @@ def test_mega_sweep_shm_pool_vs_single_process():
 
     t_pool = math.inf
     stats = None
-    with TiledSweepRunner(backend="process", workers=POOL_WORKERS,
-                          tile_size=TILE_SIZE, cache=None) as runner:
+    with TiledSweepRunner(workers=POOL_WORKERS, tile_size=TILE_SIZE,
+                          cache=None) as runner:
         spec = FabCostSweep()
         runner.run(spec, counts, lams)  # warm-up (pool fork, imports)
         for _ in range(REPS):
@@ -117,7 +117,7 @@ def test_mega_sweep_shm_pool_vs_single_process():
         "reps": REPS,
         "parity_only": PARITY_ONLY,
         "single_process_s": t_single,
-        "shm_pool_s": t_pool,
+        "pool_s": t_pool,
         "speedup_pool_over_single": speedup,
         "min_speedup_required": MIN_SPEEDUP,
         "speedup_asserted": assert_speedup,
@@ -132,12 +132,12 @@ def test_mega_sweep_shm_pool_vs_single_process():
         gate = "recorded only: parity-only leg"
     else:
         gate = f"recorded only: {cpus} CPU(s)"
-    emit("Mega-sweep — shared-memory tiled pool vs single process",
+    emit("Mega-sweep — tiled process pool vs single process",
          f"landscape     : {counts.size} x {lams.size} = "
          f"{counts.size * lams.size:,} (N_tr, lambda) cells, "
          f"{plan.n_tiles} tiles of {plan.tile_rows}x{plan.tile_cols}\n"
          f"single process: {t_single * 1e3:8.1f} ms (best of {REPS})\n"
-         f"shm pool      : {t_pool * 1e3:8.1f} ms  "
+         f"process pool  : {t_pool * 1e3:8.1f} ms  "
          f"-> {speedup:5.2f}x at {POOL_WORKERS} workers\n"
          f"contract      : >= {MIN_SPEEDUP}x at >= {POOL_WORKERS} CPUs "
          f"({gate})\n"
@@ -148,7 +148,7 @@ def test_mega_sweep_shm_pool_vs_single_process():
         f"reference"
     if assert_speedup:
         assert speedup >= MIN_SPEEDUP, \
-            f"shm pool is only {speedup:.2f}x over single-process " \
+            f"process pool is only {speedup:.2f}x over single-process " \
             f"(single {t_single * 1e3:.1f} ms, pool " \
             f"{t_pool * 1e3:.1f} ms); the mega-sweep contract requires " \
             f"{MIN_SPEEDUP}x at {POOL_WORKERS} workers"

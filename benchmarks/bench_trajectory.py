@@ -8,8 +8,9 @@ written 1994).
 
 This file also hosts the *performance* trajectory: an aggregation over
 the committed ``BENCH_*.json`` records that stacks every tier of the
-stack — batch engine, micro-batch serving, shm sweep pool, Monte-Carlo
-sharding, replay parity, obs overhead, and the HTTP network tier — into
+stack — batch engine, micro-batch serving, sweep process pool,
+Monte-Carlo sharding, replay parity, obs overhead, and the HTTP network
+tier — into
 one ``perf_trajectory`` record, so the per-tier speedups and the
 end-to-end network latency live side by side in ``BENCH_repro.json``.
 """

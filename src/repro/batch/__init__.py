@@ -24,8 +24,9 @@ Entry points:
   batched yield kernels and through process-sharded simulator lots
   (``workers=`` forwards to :mod:`repro.yieldsim.parallel`),
 * :class:`~repro.batch.sweep.TiledSweepRunner` — million-point tiled
-  mega-sweeps over the shared-memory process pool, with checkpoint/
-  resume (see :mod:`repro.batch.sweep`).
+  mega-sweeps, in-process or on the process pool of :mod:`repro.pool`
+  (shared with the sharded Monte Carlo lots), with checkpoint/resume
+  (see :mod:`repro.batch.sweep`).
 
 See ``docs/performance.md`` for the parity contract and measured
 speedups.

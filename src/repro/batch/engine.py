@@ -216,8 +216,8 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
 
     Matches :meth:`WaferCostModel.pure_cost` /
     :meth:`WaferCostModel.cost_at_volume` elementwise to 1e-12.
-    With ``out`` the result is copied into the caller's buffer (e.g. a
-    shared-memory row) and that buffer is returned.
+    With ``out`` the result is copied into the caller's buffer and
+    that buffer is returned.
     """
     lam = _as_float_array("feature_sizes_um", feature_sizes_um)
     _require_all_positive("feature_sizes_um", lam)
@@ -260,8 +260,8 @@ def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
     The per-row chord sum runs as array reductions, chunked so no
     temporary exceeds a fixed element budget regardless of batch size.
     With ``out`` the counts are copied into the caller's buffer and
-    that buffer is returned — a float64 ``out`` (a shared-memory row)
-    holds them exactly, since a wafer bounds N_ch far below 2^53.
+    that buffer is returned — a float64 ``out`` holds them exactly,
+    since a wafer bounds N_ch far below 2^53.
     """
     w = _as_float_array("width_cm", width_cm)
     h = _as_float_array("height_cm", height_cm)
@@ -414,7 +414,7 @@ def yield_for_area_batch(model: YieldModel, area_cm2,
     operation order per element and is **bitwise** identical to it;
     unknown subclasses fall back to a per-element loop so every custom
     model keeps working.  With ``out`` the yields land in the caller's
-    float64 buffer (e.g. a shared-memory row), which is returned.
+    float64 buffer, which is returned.
     """
     area = _as_float_array("area_cm2", area_cm2)
     density = _as_float_array("defect_density_per_cm2",
@@ -873,7 +873,7 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
     the cache: each element is priced by ``system_cost`` itself.
 
     With ``out`` the composed C_tr lands in the caller's float64
-    buffer (e.g. a shared-memory sweep tile), which also becomes the
+    buffer (e.g. a sweep tile's slab), which also becomes the
     result's ``cost_per_transistor_dollars``.
     """
     from ..system.chiplet import ChipletCostModel

@@ -1,31 +1,25 @@
-"""Tiled mega-sweeps: million-point landscapes on the shm pool.
+"""Tiled mega-sweeps: million-point landscapes on the process pool.
 
 The paper's headline artifacts are *sweeps* — the Fig.-8 cost
 landscape over (λ, N_tr), the per-die-area optimal-λ curves, the
 Fig.-6/7 scenario curves.  :class:`TiledSweepRunner` evaluates any
 such two-axis grid by cutting it into tiles (:class:`SweepPlan`) and
-executing the tiles sequentially, on a thread pool, or on a process
-pool that communicates through one :class:`~repro.shm.ShmBlock`.
+executing the tiles in-process (``workers=1``, the reference) or on
+the process's worker pool (:mod:`repro.pool`).
 
-Process-backend data flow (zero per-point pickling)
----------------------------------------------------
-One shared segment holds the whole sweep as a flat float64 row::
-
-    [ row-axis (R) | col-axis (C) | result grid (R·C, row-major) ]
-
-The parent writes both axes once; a task pickles only ``(block name,
-spec, tile bounds, obs flags)``.  Each worker maps the block by name,
-reads its tile's axis slices, evaluates the spec's kernel straight
-into its slab of the result grid (the ``out=`` write path end to
-end), and unmaps.  The parent copies finished slabs into the caller's
-array.  Worker crashes degrade through
-:func:`repro.yieldsim.parallel._run_pool`'s sequential fallback and
-the pool is rebuilt on the next wave; worker spans/metrics re-parent
-into the caller's trace via the ``capture_flags``/``absorb`` protocol.
+Pooled data flow
+----------------
+A task pickles the spec, the tile and the tile's slices of the two
+axes.  The worker evaluates the spec's kernel into a fresh slab and
+returns it by value; the parent copies it into the caller's array.
+Tiles go out in waves of two per worker.  Worker crashes degrade
+through :func:`repro.pool.run`'s in-process fallback and the pool is
+rebuilt on the next wave; worker spans/metrics re-parent into the
+caller's trace through the pool's capture bracket.
 
 Bitwise parity
 --------------
-Tiling must be invisible: every backend, worker count, tile size and
+Tiling must be invisible: every worker count, tile size and
 resume path produces a result array **bit-for-bit identical** to the
 sequential full-grid evaluation.  The sweep kernels only ever slice
 axis arrays and evaluate the same elementwise :mod:`repro.batch`
@@ -50,21 +44,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, TYPE_CHECKING
 
 import numpy as np
 
+from .. import pool as _pool
 from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
-from ..obs.capture import absorb, begin_capture, capture_flags, end_capture
 from ..obs.state import enabled as _obs_enabled
-from ..shm import ShmBlock
-from ..yieldsim.parallel import _run_pool
 from .cache import BatchCache, default_cache
 from .engine import (
     USE_DEFAULT_CACHE,
@@ -79,7 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with core
     from ..system.chiplet import ChipletCostModel
 
 __all__ = [
-    "BACKEND_CHOICES",
     "ChipletCrossoverSweep",
     "DieAreaCostSweep",
     "FabCostSweep",
@@ -90,39 +79,12 @@ __all__ = [
     "TiledSweepRunner",
 ]
 
-#: Accepted values of the runner's ``backend=`` knob.
-BACKEND_CHOICES = ("auto", "thread", "process")
-
 #: Default points per tile: big enough that NumPy ufunc dispatch is
 #: amortized, small enough that a pool sees many tiles per worker.
 DEFAULT_TILE_SIZE = 65536
 
-#: Fault-injection hook for the resilience tests
-#: (``tests/batch/test_sweep.py``): ``"raise"`` raises in every process;
-#: ``"exit:<pid>"`` hard-kills any process *except* ``<pid>`` so the
-#: parent's sequential fallback still completes.
-FAULT_ENV = "REPRO_SWEEP_WORKER_FAULT"
-
 _MANIFEST_NAME = "plan.json"
 _MANIFEST_VERSION = 1
-
-
-def validate_backend(backend: str) -> str:
-    """Check a ``backend=`` knob value, returning it unchanged."""
-    if backend not in BACKEND_CHOICES:
-        raise ParameterError(
-            f"backend must be one of {BACKEND_CHOICES}, got {backend!r}")
-    return backend
-
-
-def _apply_fault() -> None:
-    fault = os.environ.get(FAULT_ENV)
-    if not fault:
-        return
-    if fault == "raise":
-        raise RuntimeError("injected sweep worker fault")
-    if fault.startswith("exit:") and os.getpid() != int(fault[5:]):
-        os._exit(17)
 
 
 # ---------------------------------------------------------------------------
@@ -471,48 +433,19 @@ class SweepCheckpoint:
 # worker side
 # ---------------------------------------------------------------------------
 
-def _shm_extent(n_rows: int, n_cols: int) -> int:
-    # Flat layout: row axis, col axis, then the row-major grid.
-    return n_rows + n_cols + n_rows * n_cols
+def _tile_worker(spec: Any, rows: np.ndarray, cols: np.ndarray, tile: Tile,
+                 use_cache: bool) -> np.ndarray:
+    """Evaluate one tile into a fresh slab and return it.
 
-
-def _tile_worker(name: str, n_rows: int, n_cols: int, spec: Any,
-                 tile: Tile, flags: tuple[bool, bool] | None,
-                 use_cache: bool) -> dict | None:
-    """Evaluate one tile of a shared-memory sweep in place.
-
-    Maps the named block, slices this tile's axis values out of the
-    shared header, evaluates the spec's kernel directly into the
-    tile's slab of the shared grid, and returns only the observability
-    payload.  Runs identically in a pool worker and in the parent
-    during the ``_run_pool`` sequential fallback.
+    ``rows``/``cols`` are the tile's own slices of the two axes.  Runs
+    identically in a pool worker and in the parent during the pool's
+    in-process fallback.
     """
-    frame = begin_capture(flags) if flags else None
-    try:
-        _apply_fault()
-        cache: BatchCache | None = default_cache() if use_cache else None
-        block = ShmBlock.attach(name, 1, _shm_extent(n_rows, n_cols))
-        try:
-            flat = block.array[0]
-            # Copy the axis slices out: the kernels broadcast and
-            # slice them freely, and a private copy keeps every view
-            # of the shared buffer short-lived.
-            rows = np.array(flat[tile.row_lo:tile.row_hi])
-            cols = np.array(
-                flat[n_rows + tile.col_lo:n_rows + tile.col_hi])
-            grid = flat[n_rows + n_cols:].reshape(n_rows, n_cols)
-            with _span("sweep.tile", index=tile.index,
-                       points=tile.n_points):
-                spec.evaluate_tile(
-                    rows, cols,
-                    grid[tile.row_lo:tile.row_hi, tile.col_lo:tile.col_hi],
-                    cache=cache)
-            del grid, flat
-        finally:
-            block.close()
-    finally:
-        payload = end_capture(frame) if frame else None
-    return payload
+    slab = np.empty(tile.shape, dtype=np.float64)
+    with _span("sweep.tile", index=tile.index, points=tile.n_points):
+        spec.evaluate_tile(rows, cols, slab,
+                           cache=default_cache() if use_cache else None)
+    return slab
 
 
 # ---------------------------------------------------------------------------
@@ -549,27 +482,23 @@ class SweepResult:
 
 
 class TiledSweepRunner:
-    """Execute a :class:`SweepPlan` over a spec, any backend, bitwise.
+    """Execute a :class:`SweepPlan` over a spec, at any worker count, bitwise.
 
-    ``backend="auto"`` picks the shared-memory process pool when more
-    than one worker is configured (tile evaluation is CPU-bound NumPy
-    plus the eq.-(4) reduction's Python bookkeeping, which threads
-    serialize on) and in-process execution otherwise.  ``workers <= 1``
-    always runs sequentially, tile by tile — that path is the parity
-    reference everything else must match bit-for-bit.
-
-    A runner owns at most one process pool; it is created lazily,
-    rebuilt if a crashed worker broke it (the wave that observed the
-    break completes in-process via ``_run_pool``'s fallback), and shut
-    down by :meth:`close` / the context manager.
+    ``workers <= 1`` (the default) runs in-process, tile by tile — the
+    parity reference everything else must match bit-for-bit.
+    ``workers = k`` runs the tiles on the process's pool of ``k``
+    workers (:mod:`repro.pool`), the same pool a Monte Carlo lot
+    sharded at ``k`` workers uses.  A wave whose pool breaks completes
+    in-process, and the next wave gets a fresh pool.  :meth:`close` /
+    the context manager shut the pool down, so a ``with`` block leaves
+    no workers behind.
     """
 
-    def __init__(self, *, backend: str = "auto", workers: int | None = None,
+    def __init__(self, *, workers: int | None = None,
                  tile_size: int = DEFAULT_TILE_SIZE,
                  checkpoint_dir: str | os.PathLike | None = None,
                  resume: bool = False,
                  cache: Any = USE_DEFAULT_CACHE) -> None:
-        self.backend = validate_backend(backend)
         self.workers = 1 if workers is None else int(workers)
         if self.workers < 1:
             raise ParameterError(
@@ -582,8 +511,6 @@ class TiledSweepRunner:
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
         self._cache = _resolve_cache(cache)
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
 
     def __enter__(self) -> "TiledSweepRunner":
         return self
@@ -592,26 +519,9 @@ class TiledSweepRunner:
         self.close()
 
     def close(self) -> None:
-        """Shut down the process pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # -- backend plumbing ---------------------------------------------------
-
-    def _resolved_backend(self) -> str:
-        if self.backend == "auto":
-            return "process" if self.workers > 1 else "thread"
-        return self.backend
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        pool = self._pool
-        if pool is not None and getattr(pool, "_broken", False):
-            pool.shutdown(wait=False)
-            pool = self._pool = None
-        if pool is None:
-            pool = self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return pool
+        """Shut down the pool of ``workers`` processes (idempotent)."""
+        if self.workers > 1:
+            _pool.shutdown(self.workers)
 
     # -- the sweep ----------------------------------------------------------
 
@@ -644,7 +554,6 @@ class TiledSweepRunner:
                 raise ParameterError(
                     f"out must be float64, got dtype {out.dtype}")
         plan = SweepPlan.for_grid(rows.size, cols.size, self.tile_size)
-        backend = self._resolved_backend()
 
         checkpoint: SweepCheckpoint | None = None
         done: set[int] = set()
@@ -669,20 +578,14 @@ class TiledSweepRunner:
         t0 = time.perf_counter()
         progress = {"done": resumed}
         with _span("sweep.run", shape=(rows.size, cols.size),
-                   tiles=plan.n_tiles, backend=backend,
-                   workers=self.workers):
+                   tiles=plan.n_tiles, workers=self.workers):
             if obs_on:
                 _metrics.inc("sweep.runs")
                 if resumed:
                     _metrics.inc("sweep.tiles_resumed", resumed)
-            if not pending:
-                pass
-            elif backend == "process" and self.workers > 1:
-                self._run_process(spec, rows, cols, out, pending,
-                                  checkpoint, on_tile, progress, plan)
-            elif backend == "thread" and self.workers > 1:
-                self._run_threads(spec, rows, cols, out, pending,
-                                  checkpoint, on_tile, progress, plan)
+            if self.workers > 1:
+                self._run_pooled(spec, rows, cols, out, pending,
+                                 checkpoint, on_tile, progress, plan)
             else:
                 self._run_sequential(spec, rows, cols, out, pending,
                                      checkpoint, on_tile, progress, plan)
@@ -691,7 +594,6 @@ class TiledSweepRunner:
             _metrics.observe("sweep.run.seconds", seconds)
 
         stats = {
-            "backend": backend if self.workers > 1 else "sequential",
             "workers": self.workers,
             "tile_rows": plan.tile_rows,
             "tile_cols": plan.tile_cols,
@@ -751,65 +653,19 @@ class TiledSweepRunner:
             self._finish_tile(tile, out, checkpoint, on_tile, progress,
                               plan)
 
-    def _run_threads(self, spec, rows, cols, out, pending,
-                     checkpoint, on_tile, progress, plan) -> None:
-        # Tiles are disjoint slabs of `out`, so concurrent in-place
-        # writes never overlap; finish-order bookkeeping serializes in
-        # the parent thread as futures drain, tile order preserved so
-        # checkpoint/progress semantics match the sequential path.
-        def evaluate(tile: Tile) -> None:
-            with _span("sweep.tile", index=tile.index,
-                       points=tile.n_points):
-                spec.evaluate_tile(
-                    rows[tile.row_lo:tile.row_hi],
-                    cols[tile.col_lo:tile.col_hi],
-                    out[tile.row_lo:tile.row_hi, tile.col_lo:tile.col_hi],
-                    cache=self._cache)
-
-        with ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-sweep-worker") as pool:
-            futures = [(tile, pool.submit(evaluate, tile))
-                       for tile in pending]
-            for tile, future in futures:
-                future.result()
+    def _run_pooled(self, spec, rows, cols, out, pending,
+                    checkpoint, on_tile, progress, plan) -> None:
+        # Waves of ~2 tiles per worker: enough in flight to keep the
+        # pool busy, small enough that checkpoints and the progress
+        # gauge advance throughout the run instead of once at the end.
+        use_cache = self._cache is not None
+        wave = 2 * self.workers
+        for start in range(0, len(pending), wave):
+            tiles = pending[start:start + wave]
+            slabs = _pool.run(_tile_worker, [
+                (spec, rows[t.row_lo:t.row_hi], cols[t.col_lo:t.col_hi],
+                 t, use_cache) for t in tiles], self.workers)
+            for tile, slab in zip(tiles, slabs):
+                out[tile.row_lo:tile.row_hi, tile.col_lo:tile.col_hi] = slab
                 self._finish_tile(tile, out, checkpoint, on_tile,
                                   progress, plan)
-
-    def _run_process(self, spec, rows, cols, out, pending,
-                     checkpoint, on_tile, progress, plan) -> None:
-        flags = capture_flags()
-        n_rows, n_cols = rows.size, cols.size
-        pool = self._ensure_pool()
-        block = ShmBlock.create(1, _shm_extent(n_rows, n_cols))
-        if _obs_enabled():
-            _metrics.inc("sweep.shm.blocks")
-            _metrics.inc("sweep.shm.bytes", block.shm.size)
-        try:
-            flat = block.array[0]
-            flat[:n_rows] = rows
-            flat[n_rows:n_rows + n_cols] = cols
-            grid = flat[n_rows + n_cols:].reshape(n_rows, n_cols)
-            # Waves of ~2 tiles per worker: enough in flight to keep
-            # the pool busy, small enough that checkpoints and the
-            # progress gauge advance throughout the run instead of
-            # once at the end.
-            wave = max(1, 2 * self.workers)
-            for start in range(0, len(pending), wave):
-                tiles = pending[start:start + wave]
-                pool = self._ensure_pool()
-                argsets = [(block.name, n_rows, n_cols, spec, tile,
-                            flags, self._cache is not None)
-                           for tile in tiles]
-                payloads = _run_pool(_tile_worker, argsets, pool=pool)
-                for tile, payload in zip(tiles, payloads):
-                    absorb(payload)
-                    src = grid[tile.row_lo:tile.row_hi,
-                               tile.col_lo:tile.col_hi]
-                    out[tile.row_lo:tile.row_hi,
-                        tile.col_lo:tile.col_hi] = src
-                    self._finish_tile(tile, out, checkpoint, on_tile,
-                                      progress, plan)
-            del grid, flat
-        finally:
-            block.release()

@@ -14,13 +14,13 @@ Usage::
     python -m repro fit-yield --lots 8 --wafers 6 --lot-alpha 2.0 \\
         --wafer-alpha 1.2 --seed 7 --format table
     python -m repro sweep --ntr-points 1000 --lam-points 1000 \\
-        --workers 4 --backend process --tile-size 65536 \\
+        --workers 4 --tile-size 65536 \\
         --checkpoint runs/fig8 --output landscape.npy
     python -m repro sweep --checkpoint runs/fig8 --resume ...
     python -m repro chiplet --transistors 1e7 --chiplets 4 \\
         --packaging interposer
     python -m repro chiplet --sweep --k-max 8 --ntr-points 400 \\
-        --workers 2 --backend process --checkpoint runs/chiplet
+        --workers 2 --checkpoint runs/chiplet
     python -m repro cost --input points.csv --density 150 \\
         --record traffic.jsonl
     python -m repro replay --log traffic.jsonl --run-dir runs/replay
@@ -40,7 +40,7 @@ batches are priced through :class:`repro.serve.CostService`, so a
 
 ``sweep`` evaluates a full (λ, N_tr) Fig.-8 landscape through
 :class:`repro.batch.sweep.TiledSweepRunner` — tiled, optionally on
-the shared-memory process pool (``--workers/--backend/--tile-size``),
+the process pool (``--workers/--tile-size``; see :mod:`repro.pool`),
 optionally checkpointed and resumable (``--checkpoint DIR``,
 ``--resume``); see ``docs/performance.md`` ("Mega-sweeps").
 
@@ -254,7 +254,7 @@ def _optimize_batch(args: argparse.Namespace) -> None:
                       f"(point {i} has no die_area field)")
         areas.append(area)
     lams, costs = optimal_feature_size_for_die_areas(
-        areas, workers=args.workers, backend=args.backend)
+        areas, workers=args.workers)
     rows = [(area, float(lam), float(cost), float(cost) * 1e6)
             for area, lam, cost in zip(areas, lams, costs)]
     if args.format == "json":
@@ -305,7 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         spec = FabCostSweep()
         row_values = counts
         col_values = np.linspace(args.lam_lo, args.lam_hi, args.lam_points)
-    with TiledSweepRunner(backend=args.backend, workers=args.workers,
+    with TiledSweepRunner(workers=args.workers,
                           tile_size=args.tile_size,
                           checkpoint_dir=args.checkpoint,
                           resume=args.resume) as runner:
@@ -322,7 +322,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
          f"{stats['tiles_computed']} / {stats['tiles_resumed']} / "
          f"{stats['tiles_total']}"),
         ("tile shape", f"{stats['tile_rows']} x {stats['tile_cols']}"),
-        ("backend", stats["backend"]),
         ("workers", float(stats["workers"])),
         ("seconds", stats["seconds"]),
     ]
@@ -372,7 +371,7 @@ def _chiplet_sweep(args: argparse.Namespace) -> None:
                                  model=_chiplet_model(args))
     ks = np.arange(1, args.k_max + 1, dtype=float)
     counts = np.geomspace(args.ntr_lo, args.ntr_hi, args.ntr_points)
-    with TiledSweepRunner(backend=args.backend, workers=args.workers,
+    with TiledSweepRunner(workers=args.workers,
                           tile_size=args.tile_size,
                           checkpoint_dir=args.checkpoint,
                           resume=args.resume) as runner:
@@ -386,7 +385,6 @@ def _chiplet_sweep(args: argparse.Namespace) -> None:
         ("feature size [um]", args.feature_size),
         ("grid points", float(grid.size)),
         ("feasible cells", float(np.count_nonzero(finite))),
-        ("backend", stats["backend"]),
         ("workers", float(stats["workers"])),
         ("tiles (computed/resumed/total)",
          f"{stats['tiles_computed']} / {stats['tiles_resumed']} / "
@@ -688,14 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker count for the batch coarse-scan sweep "
                           "(with --input; results are identical for any "
                           "value)")
-    opt.add_argument("--backend", default="auto",
-                     choices=("auto", "thread", "process"),
-                     help="sweep backend for the batch coarse scan")
 
     sweep = add_parser(
         "sweep",
         help="tiled (lambda, N_tr) cost landscape, optionally on the "
-             "shared-memory process pool")
+             "process pool")
     sweep.add_argument("--ntr-lo", type=float, default=1e5,
                        help="smallest transistor count (geometric axis)")
     sweep.add_argument("--ntr-hi", type=float, default=1e7,
@@ -713,9 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker count (results are identical for any "
                             "value)")
-    sweep.add_argument("--backend", default="auto",
-                       choices=("auto", "thread", "process"),
-                       help="tile execution backend")
     sweep.add_argument("--checkpoint", metavar="DIR", default=None,
                        help="flush each finished tile to DIR so a killed "
                             "sweep can resume")
@@ -765,9 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     chiplet.add_argument("--workers", type=int, default=None,
                          help="worker count (results are identical for "
                               "any value)")
-    chiplet.add_argument("--backend", default="auto",
-                         choices=("auto", "thread", "process"),
-                         help="tile execution backend (with --sweep)")
     chiplet.add_argument("--checkpoint", metavar="DIR", default=None,
                          help="flush each finished tile to DIR so a "
                               "killed sweep can resume")

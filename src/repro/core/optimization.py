@@ -16,7 +16,7 @@ Million-point landscapes run through the tiled sweep engine
 (:mod:`repro.batch.sweep`): ``CostLandscape.grid(workers=...)`` and
 the batch optimizers :func:`optimal_feature_sizes` /
 :func:`optimal_feature_size_for_die_areas` accept
-``workers``/``backend``/``tile_size``/``checkpoint_dir`` knobs and
+``workers``/``tile_size``/``checkpoint_dir`` knobs and
 stay bitwise identical to the sequential paths (the sweep parity
 contract).
 """
@@ -143,7 +143,7 @@ class CostLandscape:
             _metrics.inc("core.landscape.grids")
         return self._result
 
-    def grid(self, *, workers: int | None = None, backend: str = "auto",
+    def grid(self, *, workers: int | None = None,
              tile_size: int | None = None,
              checkpoint_dir=None, resume: bool = False) -> np.ndarray:
         """Cost array of shape (len(transistor_counts), len(feature_sizes)).
@@ -151,7 +151,7 @@ class CostLandscape:
         The default call evaluates (and caches) the whole plane in one
         batched pass.  With ``workers``/``checkpoint_dir`` the plane
         runs through :class:`repro.batch.sweep.TiledSweepRunner`
-        instead — tiled, optionally on the shared-memory process pool,
+        instead — tiled, optionally on the process pool,
         optionally checkpointed — and the array is bitwise identical
         to the default path (the sweep parity contract).
         """
@@ -162,7 +162,7 @@ class CostLandscape:
         counts = np.asarray(self.transistor_counts, dtype=float)
         lams = np.asarray(self.feature_sizes_um, dtype=float)
         with TiledSweepRunner(
-                backend=backend, workers=workers,
+                workers=workers,
                 tile_size=DEFAULT_TILE_SIZE if tile_size is None
                 else tile_size,
                 checkpoint_dir=checkpoint_dir, resume=resume) as runner:
@@ -311,13 +311,12 @@ def optimal_feature_sizes(n_transistors,
                           lam_lo_um: float = 0.25, lam_hi_um: float = 1.5,
                           tol_um: float = 1e-4, *,
                           workers: int | None = None,
-                          backend: str = "auto",
                           tile_size: int | None = None) -> np.ndarray:
     """Cost-minimizing λ for each of an array of transistor counts.
 
     The batch form of :func:`optimal_feature_size`: the coarse scans
     for all counts run as *one* tiled sweep (optionally on the
-    shared-memory pool via ``workers``), then each count's bracket is
+    process pool via ``workers``), then each count's bracket is
     refined with the same scalar golden section — so every element
     equals the scalar function's answer for that count.
     """
@@ -335,7 +334,7 @@ def optimal_feature_sizes(n_transistors,
     out = np.empty(counts.size, dtype=np.float64)
     with _span("core.optimal_feature_sizes", count=int(counts.size)):
         with TiledSweepRunner(
-                backend=backend, workers=workers,
+                workers=workers,
                 tile_size=DEFAULT_TILE_SIZE if tile_size is None
                 else tile_size) as runner:
             costs = runner.run(FabCostSweep(fab), counts, lams).values
@@ -380,7 +379,6 @@ def optimal_feature_size_for_die_areas(
         fab: FabCharacterization = FIG8_FAB,
         lam_lo_um: float = 0.25, lam_hi_um: float = 1.5, *,
         workers: int | None = None,
-        backend: str = "auto",
         tile_size: int | None = None,
         checkpoint_dir=None,
         resume: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +386,7 @@ def optimal_feature_size_for_die_areas(
 
     The batch form of :func:`optimal_feature_size_for_die_area`: all
     areas scan the same λ grid in one tiled sweep (optionally on the
-    shared-memory pool, optionally checkpointed), and each element
+    process pool, optionally checkpointed), and each element
     matches the scalar function's answer for that area — the sweep
     kernel replicates the scalar eq.-(5) operation order exactly.
     """
@@ -406,7 +404,7 @@ def optimal_feature_size_for_die_areas(
     with _span("core.optimal_feature_size_for_die_areas",
                count=int(areas.size)):
         with TiledSweepRunner(
-                backend=backend, workers=workers,
+                workers=workers,
                 tile_size=DEFAULT_TILE_SIZE if tile_size is None
                 else tile_size,
                 checkpoint_dir=checkpoint_dir, resume=resume) as runner:

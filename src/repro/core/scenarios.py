@@ -117,7 +117,7 @@ class Scenario:
             die_area_cm2=self.die_area_cm2_fn(feature_size_um))
 
     def curves(self, feature_sizes_um: Sequence[float], *,
-               workers: int | None = None, backend: str = "auto",
+               workers: int | None = None,
                tile_size: int | None = None) -> dict[float, np.ndarray]:
         """One C_tr(λ) array (dollars) per configured X.
 
@@ -136,7 +136,7 @@ class Scenario:
             DEFAULT_TILE_SIZE, ScenarioSweep, TiledSweepRunner)
         rates = np.asarray(self.growth_rates, dtype=float)
         with TiledSweepRunner(
-                backend=backend, workers=workers,
+                workers=workers,
                 tile_size=DEFAULT_TILE_SIZE if tile_size is None
                 else tile_size) as runner:
             result = runner.run(ScenarioSweep(self), rates, lams)

@@ -11,8 +11,9 @@ A zero-dependency observability layer for the batch engine, the
 * :mod:`~repro.obs.registry` — a process-wide
   :class:`MetricsRegistry` (``repro.obs.metrics``) of counters,
   gauges, and summary histograms, snapshot-able to a dict.
-* :mod:`~repro.obs.capture` — the shard-side capture bracket that
-  ships worker-process spans/metrics back to the parent
+* :mod:`~repro.obs.capture` — the capture bracket :mod:`repro.pool`
+  opens around every task, which ships worker-process spans/metrics
+  back to the parent
   (:func:`capture_flags` / :func:`begin_capture` /
   :func:`end_capture` / :func:`absorb`).
 * :mod:`~repro.obs.recording` — the recorded-traffic JSONL format:

@@ -1,18 +1,18 @@
 """Cross-process observability capture for sharded workloads.
 
-The sharded Monte Carlo paths run shard functions either in worker
-processes (the happy path) or in-process (the ``workers=1`` schedule
-and the pool-failure fallback).  Either way, the shard's spans and
+:func:`repro.pool.run` runs sweep tiles and Monte Carlo shards either
+in worker processes (the happy path) or in-process (``workers=1`` lots
+and the pool-failure fallback).  Either way, each task's spans and
 metrics must end up in the *parent's* trace and registry, re-parented
-under the span that launched the work.  The protocol:
+under the span that launched the work.  The protocol, applied once by
+:mod:`repro.pool` around every task:
 
 * the parent computes :func:`capture_flags` and ships it with the
-  shard (a plain tuple, picklable, ``None`` when observability is
-  off — workers then skip all bookkeeping);
-* the shard function brackets its work with :func:`begin_capture` /
-  :func:`end_capture`, which force the requested flags on, swap in
-  fresh span/metric storage, and return everything recorded as one
-  plain-dict payload (pickles across the pool boundary);
+  task (a plain tuple, picklable, ``None`` when observability is off);
+* the task runs inside :func:`begin_capture` / :func:`end_capture`,
+  which force the requested flags on, swap in fresh span/metric
+  storage, and return everything recorded as one plain-dict payload
+  (pickles across the pool boundary);
 * the parent calls :func:`absorb` on each returned payload, adopting
   the spans under its current span and merging the metric deltas.
 

@@ -16,7 +16,8 @@ package implements:
   used to cross-validate the closed forms.
 * :mod:`~repro.yieldsim.parallel` — process-sharded Monte Carlo lots on
   ``SeedSequence.spawn`` child streams (bitwise independent of worker
-  count), with the :class:`~repro.yieldsim.parallel.LotResult` container.
+  count), with the :class:`~repro.yieldsim.parallel.LotResult` container;
+  the shards run on :mod:`repro.pool`.
 * :mod:`~repro.yieldsim.selection` — maximum-likelihood fits of every
   closed-form law to simulated lots with AIC/BIC model ranking.
 * :mod:`~repro.yieldsim.redundancy` — row/column spare repair for
@@ -45,13 +46,9 @@ from .critical_area import (
     average_critical_area,
     WirePattern,
 )
+from ..pool import ParallelExecutionWarning
 from .monte_carlo import SpotDefectSimulator, WaferMap
-from .parallel import (
-    LotResult,
-    ParallelExecutionWarning,
-    simulate_lot_sharded,
-    spawn_wafer_seeds,
-)
+from .parallel import LotResult, simulate_lot_sharded, spawn_wafer_seeds
 from .redundancy import RedundantMemoryYield
 from .parametric import ParametricYield, CompositeYield
 from .learning import RampEconomics, YieldLearningCurve

@@ -15,12 +15,14 @@ This module shards a lot across processes while keeping the results
   ``simulate_wafer`` on that wafer's child stream, so the sharded lot
   is bitwise identical to a sequential per-wafer reference loop.
 
-Execution degrades gracefully: ``workers=1`` (or ``None``) runs the
-same spawned-stream schedule in-process, and a
-:class:`~concurrent.futures.ProcessPoolExecutor` that cannot start or
-run (sandboxed/fork-restricted hosts, unpicklable platforms) falls
-back to the sequential schedule with a single
-:class:`ParallelExecutionWarning` — results are identical either way.
+Shards run through :func:`repro.pool.run`: ``workers=1`` (or ``None``)
+runs the same spawned-stream schedule in-process, ``workers=k`` uses
+the process's long-lived pool of ``k`` workers (the one a tiled sweep
+at ``k`` workers also runs on), and a pool that cannot start or run
+(sandboxed/fork-restricted hosts, unpicklable platforms) falls back to
+the in-process schedule with a single
+:class:`~repro.pool.ParallelExecutionWarning` — results are identical
+either way.
 
 The contract is pinned down by ``tests/yieldsim/test_parallel.py``
 (golden determinism + convergence at large lot sizes) and
@@ -31,18 +33,16 @@ timed by ``benchmarks/bench_mc_shard.py``.
 
 from __future__ import annotations
 
-import pickle
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Union, overload
+from typing import TYPE_CHECKING, Iterator, Union, overload
 
 import numpy as np
 
+from .. import pool as _pool
 from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
-from ..obs.capture import absorb, begin_capture, capture_flags, end_capture
 from .monte_carlo import WaferMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with monte_carlo
@@ -50,15 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with monte_carlo
 
 #: Seeds accepted wherever a lot-level seed is expected.
 SeedLike = Union[int, np.random.SeedSequence]
-
-
-class ParallelExecutionWarning(RuntimeWarning):
-    """Process-pool execution failed; the lot ran sequentially instead.
-
-    Emitted at most once per :func:`simulate_lot_sharded` call.  The
-    results are unaffected — the sequential fallback replays exactly
-    the same per-wafer seed schedule.
-    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,44 +153,32 @@ def spawn_wafer_seeds(seed: SeedLike,
 def _simulate_shard(sim: "SpotDefectSimulator",
                     seeds: list[np.random.SeedSequence],
                     n_dies: int, first_wafer: int = 0,
-                    obs_capture: tuple[bool, bool] | None = None,
                     density_scale: float = 1.0
-                    ) -> tuple[list[int], np.ndarray, dict | None]:
+                    ) -> tuple[list[int], np.ndarray]:
     # One worker's unit: draw each wafer from its own child stream (in
     # exactly simulate_wafer's draw order), then grade the whole shard
     # in one pass.  Returns (defects thrown per wafer, counts array of
-    # shape (len(seeds), n_dies), observability payload or None) —
-    # centers are NOT shipped back; the parent re-attaches its own copy.
-    # ``obs_capture`` carries the parent's obs flags (None when off);
-    # spans/metrics recorded under it are returned in the payload for
-    # the parent to absorb, which works identically in-process and
-    # across a spawn/fork pool boundary.
-    # ``density_scale`` is the lot-level hierarchy factor — one scalar
-    # drawn by the parent and shipped to every shard, so it cannot
-    # depend on how the lot was split.
-    frame = begin_capture(obs_capture) if obs_capture else None
-    try:
-        t0 = time.perf_counter() if obs_capture else 0.0
-        with _span("mc.shard", first_wafer=first_wafer,
-                   n_wafers=len(seeds)):
-            n_thrown: list[int] = []
-            killer_pos: list[np.ndarray] = []
-            for i, ss in enumerate(seeds):
-                with _span("mc.wafer", wafer=first_wafer + i):
-                    rng = np.random.default_rng(ss)
-                    thrown, pos = sim._throw_wafer_defects(
-                        rng, n_dies, density_scale)
-                n_thrown.append(thrown)
-                killer_pos.append(pos)
-                _metrics.inc("mc.wafers_simulated")
-                _metrics.inc("mc.defects_thrown", thrown)
-            counts = sim._grade_lot(killer_pos)
-        if obs_capture:
-            _metrics.observe("mc.worker.wall_seconds",
-                             time.perf_counter() - t0)
-    finally:
-        payload = end_capture(frame) if frame else None
-    return n_thrown, counts, payload
+    # shape (len(seeds), n_dies)) — centers are NOT shipped back; the
+    # parent re-attaches its own copy.  ``density_scale`` is the
+    # lot-level hierarchy factor — one scalar drawn by the parent and
+    # shipped to every shard, so it cannot depend on how the lot was
+    # split.
+    t0 = time.perf_counter()
+    with _span("mc.shard", first_wafer=first_wafer, n_wafers=len(seeds)):
+        n_thrown: list[int] = []
+        killer_pos: list[np.ndarray] = []
+        for i, ss in enumerate(seeds):
+            with _span("mc.wafer", wafer=first_wafer + i):
+                rng = np.random.default_rng(ss)
+                thrown, pos = sim._throw_wafer_defects(
+                    rng, n_dies, density_scale)
+            n_thrown.append(thrown)
+            killer_pos.append(pos)
+            _metrics.inc("mc.wafers_simulated")
+            _metrics.inc("mc.defects_thrown", thrown)
+        counts = sim._grade_lot(killer_pos)
+    _metrics.observe("mc.worker.wall_seconds", time.perf_counter() - t0)
+    return n_thrown, counts
 
 
 def _shard_slices(n_wafers: int, workers: int) -> list[slice]:
@@ -225,13 +204,14 @@ def simulate_lot_sharded(sim: "SpotDefectSimulator", n_wafers: int,
         :func:`spawn_wafer_seeds`.
     workers:
         ``None`` or ``1`` runs the spawned-stream schedule in-process;
-        ``k > 1`` splits the lot into ``k`` contiguous shards on a
-        :class:`~concurrent.futures.ProcessPoolExecutor`.  Results are
-        bitwise identical for every value (worker-count invariance).
+        ``k > 1`` splits the lot into ``k`` contiguous shards on the
+        process's pool of ``k`` workers (:func:`repro.pool.run`).
+        Results are bitwise identical for every value (worker-count
+        invariance).
 
     A pool that cannot start or execute falls back to the in-process
-    schedule with one :class:`ParallelExecutionWarning`; genuine
-    simulation errors (bad parameters) are never swallowed.
+    schedule with one :class:`~repro.pool.ParallelExecutionWarning`;
+    genuine simulation errors (bad parameters) are never swallowed.
     """
     if n_wafers < 0:
         raise ParameterError(f"n_wafers must be >= 0, got {n_wafers}")
@@ -254,19 +234,15 @@ def simulate_lot_sharded(sim: "SpotDefectSimulator", n_wafers: int,
             np.random.default_rng(root.spawn(1)[0]))
 
     n_workers = 1 if workers is None else min(workers, max(n_wafers, 1))
-    flags = capture_flags()
     with _span("mc.simulate_lot", n_wafers=n_wafers, workers=n_workers):
         if n_workers <= 1:
-            parts = [_simulate_shard(sim, seeds, n_dies, 0, flags,
-                                     density_scale)]
+            parts = _pool.run(_simulate_shard,
+                              [(sim, seeds, n_dies, 0, density_scale)], 1)
         else:
-            slices = _shard_slices(n_wafers, n_workers)
-            parts = _run_pool(
+            parts = _pool.run(
                 _simulate_shard,
-                [(sim, seeds[s], n_dies, s.start, flags, density_scale)
-                 for s in slices])
-        for part in parts:
-            absorb(part[2])
+                [(sim, seeds[s], n_dies, s.start, density_scale)
+                 for s in _shard_slices(n_wafers, n_workers)], workers)
     _metrics.inc("mc.lots_simulated")
 
     n_thrown = [t for part in parts for t in part[0]]
@@ -276,33 +252,3 @@ def simulate_lot_sharded(sim: "SpotDefectSimulator", n_wafers: int,
         WaferMap(die_centers_cm=centers, defect_counts=counts[i],
                  n_defects_total=n_thrown[i])
         for i in range(n_wafers)))
-
-
-def _run_pool(fn: Callable, argsets: list[tuple],
-              pool: ProcessPoolExecutor | None = None) -> list:
-    # Submit fn(*args) per argset on a process pool, one worker each.
-    # Infrastructure failures (pool cannot fork/spawn, payload cannot
-    # pickle, pool dies mid-flight) degrade to the sequential schedule;
-    # model errors raised inside a worker propagate unchanged because
-    # they are not in the caught set.  Shared by the sharded MC paths
-    # here and in :mod:`repro.yieldsim.spatial`, and — with a
-    # long-lived ``pool`` — by the tiled sweep runner
-    # (:mod:`repro.batch.sweep`), which amortizes worker startup
-    # across runs instead of paying it per call.  A caller-owned
-    # pool is never shut down here, even when it turns out broken.
-    import warnings
-
-    try:
-        if pool is not None:
-            futures = [pool.submit(fn, *args) for args in argsets]
-            return [f.result() for f in futures]
-        with ProcessPoolExecutor(max_workers=len(argsets)) as tmp_pool:
-            futures = [tmp_pool.submit(fn, *args) for args in argsets]
-            return [f.result() for f in futures]
-    except (OSError, RuntimeError, ImportError, pickle.PicklingError,
-            TypeError) as exc:
-        warnings.warn(
-            f"process-pool execution unavailable ({exc!r}); "
-            f"running the same schedule sequentially in-process",
-            ParallelExecutionWarning, stacklevel=2)
-        return [fn(*args) for args in argsets]

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import pool as _pool
 from ..errors import ParameterError
 from ..geometry import Die, Wafer
 from ..obs import metrics as _metrics, span as _span
-from ..obs.capture import absorb, begin_capture, capture_flags, end_capture
 from ..units import require_nonnegative, require_positive
 from .models import PoissonYield, YieldModel
 from .monte_carlo import SpotDefectSimulator, WaferMap
-from .parallel import SeedLike, _run_pool, _shard_slices, spawn_wafer_seeds
+from .parallel import SeedLike, _shard_slices, spawn_wafer_seeds
 
 
 @dataclass(frozen=True)
@@ -182,35 +182,25 @@ def _radial_simulator(profile: RadialDefectProfile, wafer: Wafer,
 
 
 def _radial_shard(profile: RadialDefectProfile, wafer: Wafer, die: Die,
-                  seeds: list, first_wafer: int = 0,
-                  obs_capture: tuple[bool, bool] | None = None
-                  ) -> tuple[np.ndarray, list[int], dict | None]:
+                  seeds: list, first_wafer: int = 0
+                  ) -> tuple[np.ndarray, list[int]]:
     # One worker's unit of a sharded radial lot — the radial analog of
-    # repro.yieldsim.parallel._simulate_shard, with the same capture
-    # protocol (spans/metrics come back in the payload for the parent
-    # to absorb).  Returns (counts of shape (len(seeds), n_dies),
-    # defects kept per wafer, payload); centers are not shipped back,
-    # the parent re-attaches its own copy.
-    frame = begin_capture(obs_capture) if obs_capture else None
-    try:
-        t0 = time.perf_counter() if obs_capture else 0.0
-        with _span("mc.shard", first_wafer=first_wafer,
-                   n_wafers=len(seeds)):
-            sim = _radial_simulator(profile, wafer, die)
-            positions: list[np.ndarray] = []
-            for i, ss in enumerate(seeds):
-                with _span("mc.wafer", wafer=first_wafer + i):
-                    rng = np.random.default_rng(ss)
-                    positions.append(_radial_wafer(profile, wafer, rng))
-                _metrics.inc("mc.wafers_simulated")
-                _metrics.inc("mc.defects_thrown", len(positions[-1]))
-            counts = sim._grade_lot(positions)
-        if obs_capture:
-            _metrics.observe("mc.worker.wall_seconds",
-                             time.perf_counter() - t0)
-    finally:
-        payload = end_capture(frame) if frame else None
-    return counts, [len(p) for p in positions], payload
+    # repro.yieldsim.parallel._simulate_shard.  Returns (counts of shape
+    # (len(seeds), n_dies), defects kept per wafer); centers are not
+    # shipped back, the parent re-attaches its own copy.
+    t0 = time.perf_counter()
+    with _span("mc.shard", first_wafer=first_wafer, n_wafers=len(seeds)):
+        sim = _radial_simulator(profile, wafer, die)
+        positions: list[np.ndarray] = []
+        for i, ss in enumerate(seeds):
+            with _span("mc.wafer", wafer=first_wafer + i):
+                rng = np.random.default_rng(ss)
+                positions.append(_radial_wafer(profile, wafer, rng))
+            _metrics.inc("mc.wafers_simulated")
+            _metrics.inc("mc.defects_thrown", len(positions[-1]))
+        counts = sim._grade_lot(positions)
+    _metrics.observe("mc.worker.wall_seconds", time.perf_counter() - t0)
+    return counts, [len(p) for p in positions]
 
 
 def simulate_radial_lot(profile: RadialDefectProfile, wafer: Wafer, die: Die,
@@ -263,18 +253,15 @@ def simulate_radial_lot(profile: RadialDefectProfile, wafer: Wafer, die: Die,
 
     seeds = spawn_wafer_seeds(seed, n_wafers)
     n_workers = 1 if workers is None else min(workers, max(n_wafers, 1))
-    flags = capture_flags()
     with _span("mc.simulate_lot", n_wafers=n_wafers, workers=n_workers):
         if n_workers <= 1:
-            shards = [_radial_shard(profile, wafer, die, seeds, 0, flags)]
+            shards = _pool.run(_radial_shard,
+                               [(profile, wafer, die, seeds, 0)], 1)
         else:
-            slices = _shard_slices(n_wafers, n_workers)
-            shards = _run_pool(
+            shards = _pool.run(
                 _radial_shard,
-                [(profile, wafer, die, seeds[s], s.start, flags)
-                 for s in slices])
-        for shard in shards:
-            absorb(shard[2])
+                [(profile, wafer, die, seeds[s], s.start)
+                 for s in _shard_slices(n_wafers, n_workers)], workers)
     _metrics.inc("mc.lots_simulated")
     counts_list = [c for shard in shards for c in shard[0]]
     kept_list = [k for shard in shards for k in shard[1]]

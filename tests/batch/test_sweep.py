@@ -1,12 +1,13 @@
 """TiledSweepRunner: plans, specs, checkpoints, faults, out= contract.
 
-The bitwise-parity quantification over tile size / workers / backend /
-resume lives in ``tests/property_based/test_sweep_parity.py``; the
+The bitwise-parity quantification over tile size / workers / resume
+lives in ``tests/property_based/test_sweep_parity.py``; the
 kill-a-real-process resume test in
 ``tests/integration/test_sweep_resume.py``.  This module pins the
 mechanics those rely on.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,22 +16,21 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import pool as pool_mod
 from repro.batch.sweep import (
     DEFAULT_TILE_SIZE,
     DieAreaCostSweep,
     FabCostSweep,
-    FAULT_ENV,
     ScenarioSweep,
     SweepCheckpoint,
     SweepPlan,
     Tile,
     TiledSweepRunner,
-    validate_backend,
 )
 from repro.core.optimization import FIG8_FAB, CostLandscape
 from repro.core.scenarios import SCENARIO_2
 from repro.errors import ParameterError
-from repro.yieldsim.parallel import ParallelExecutionWarning
+from repro.pool import FAULT_ENV, ParallelExecutionWarning
 
 COUNTS = np.geomspace(1e5, 1e7, 17)
 LAMS = np.linspace(0.3, 2.0, 23)
@@ -82,11 +82,6 @@ class TestPlan:
         with pytest.raises(ParameterError):
             SweepPlan.for_grid(5, 5).tile(999)
 
-    def test_backend_vocabulary(self):
-        assert validate_backend("auto") == "auto"
-        with pytest.raises(ParameterError):
-            validate_backend("fork")
-
 
 class TestRunnerBasics:
     def test_sequential_matches_landscape_grid_bitwise(self):
@@ -95,7 +90,7 @@ class TestRunnerBasics:
         result = TiledSweepRunner(workers=1, tile_size=64).run(
             FabCostSweep(), COUNTS, LAMS)
         assert np.array_equal(result.values, _reference_grid())
-        assert result.stats["backend"] == "sequential"
+        assert result.stats["workers"] == 1
         assert result.stats["tiles_computed"] == result.plan.n_tiles
 
     def test_out_buffer_is_filled_and_returned(self):
@@ -117,8 +112,6 @@ class TestRunnerBasics:
 
     def test_constructor_validation(self):
         with pytest.raises(ParameterError):
-            TiledSweepRunner(backend="fork")
-        with pytest.raises(ParameterError):
             TiledSweepRunner(workers=0)
         with pytest.raises(ParameterError):
             TiledSweepRunner(tile_size=0)
@@ -128,12 +121,6 @@ class TestRunnerBasics:
     def test_empty_axes_rejected(self):
         with pytest.raises(ParameterError):
             TiledSweepRunner().run(FabCostSweep(), [], LAMS)
-
-    def test_auto_backend_resolution(self):
-        assert TiledSweepRunner(
-            backend="auto", workers=1)._resolved_backend() == "thread"
-        with TiledSweepRunner(backend="auto", workers=2) as runner:
-            assert runner._resolved_backend() == "process"
 
     def test_on_tile_progress_sequence(self):
         calls = []
@@ -160,58 +147,59 @@ class TestRunnerBasics:
 
 
 class TestBackends:
-    def test_thread_backend_bitwise(self):
-        with TiledSweepRunner(backend="thread", workers=3,
-                              tile_size=37) as runner:
-            result = runner.run(FabCostSweep(), COUNTS, LAMS)
-        assert np.array_equal(result.values, _reference_grid())
-        assert result.stats["backend"] == "thread"
-
     def test_process_backend_bitwise(self):
-        with TiledSweepRunner(backend="process", workers=2,
-                              tile_size=100) as runner:
+        with TiledSweepRunner(workers=2, tile_size=100) as runner:
             result = runner.run(FabCostSweep(), COUNTS, LAMS)
         assert np.array_equal(result.values, _reference_grid())
-        assert result.stats["backend"] == "process"
+        assert result.stats["workers"] == 2
 
     def test_pool_reused_across_runs(self):
-        with TiledSweepRunner(backend="process", workers=2,
-                              tile_size=200) as runner:
+        pool_mod.shutdown()  # pools other tests left at other counts
+        with TiledSweepRunner(workers=2, tile_size=200) as runner:
             runner.run(FabCostSweep(), COUNTS, LAMS)
-            pool = runner._pool
-            assert pool is not None
+            pool = pool_mod._POOLS[2]
             runner.run(FabCostSweep(), COUNTS, LAMS)
-            assert runner._pool is pool
-        assert runner._pool is None  # context exit shut it down
+            assert pool_mod._POOLS[2] is pool  # across runs
+            TiledSweepRunner(workers=2, tile_size=200).run(
+                FabCostSweep(), COUNTS, LAMS)
+            assert pool_mod._POOLS[2] is pool  # across runners
+        assert 2 not in pool_mod._POOLS  # context exit shut it down
+        assert multiprocessing.active_children() == []
 
     def test_injected_raise_surfaces_after_fallback(self):
         # "raise" faults in every process, the parent's in-process
         # retry included — the error must surface to the caller, not
-        # vanish into a silent half-written grid.
-        os.environ[FAULT_ENV] = "raise"
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ParallelExecutionWarning)
-                with TiledSweepRunner(backend="process", workers=2,
-                                      tile_size=100) as runner:
+        # vanish into a silent half-written grid.  The hook is set
+        # after the pool's workers started: they must still see it.
+        with TiledSweepRunner(workers=2, tile_size=100) as runner:
+            runner.run(FabCostSweep(), COUNTS, LAMS)
+            os.environ[FAULT_ENV] = "raise"
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ParallelExecutionWarning)
                     with pytest.raises(RuntimeError,
                                        match="injected sweep worker"):
                         runner.run(FabCostSweep(), COUNTS, LAMS)
-        finally:
-            del os.environ[FAULT_ENV]
+            finally:
+                del os.environ[FAULT_ENV]
 
     def test_killed_workers_degrade_to_sequential_parity(self):
         # Workers hard-exit; the parent (whose pid is exempted) picks
         # the tiles up in-process and the sweep still lands bitwise.
-        os.environ[FAULT_ENV] = f"exit:{os.getpid()}"
-        try:
-            with pytest.warns(ParallelExecutionWarning):
-                with TiledSweepRunner(backend="process", workers=2,
-                                      tile_size=100) as runner:
+        with TiledSweepRunner(workers=2, tile_size=100) as runner:
+            runner.run(FabCostSweep(), COUNTS, LAMS)
+            os.environ[FAULT_ENV] = f"exit:{os.getpid()}"
+            try:
+                with pytest.warns(ParallelExecutionWarning):
                     result = runner.run(FabCostSweep(), COUNTS, LAMS)
-        finally:
-            del os.environ[FAULT_ENV]
+            finally:
+                del os.environ[FAULT_ENV]
+            # The next run rebuilds the pool and succeeds on it.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ParallelExecutionWarning)
+                again = runner.run(FabCostSweep(), COUNTS, LAMS)
         assert np.array_equal(result.values, _reference_grid())
+        assert np.array_equal(again.values, _reference_grid())
 
 
 class TestSpecs:
@@ -362,8 +350,7 @@ class TestProcessPoolObservability:
         obs.clear_trace()
         obs.metrics.reset()
         try:
-            with TiledSweepRunner(backend="process", workers=2,
-                                  tile_size=100) as runner:
+            with TiledSweepRunner(workers=2, tile_size=100) as runner:
                 runner.run(FabCostSweep(), COUNTS, LAMS)
             counters = obs.metrics.snapshot()["counters"]
         finally:
@@ -374,7 +361,6 @@ class TestProcessPoolObservability:
         assert counters["sweep.runs"] == 1
         assert counters["sweep.tiles"] == plan.n_tiles
         assert counters["sweep.points"] == COUNTS.size * LAMS.size
-        assert counters["sweep.shm.blocks"] == 1
         # Worker-side batch-engine activity crossed the process
         # boundary via the capture/absorb protocol.
         assert counters.get("batch.evaluate.calls", 0) > 0
@@ -382,17 +368,15 @@ class TestProcessPoolObservability:
 
 class TestShutdownHygiene:
     def test_process_sweep_interpreter_exit_is_clean(self):
-        # End-to-end guard for the promoted ShmBlock's tracker
-        # discipline: a full process-backend sweep must leave a fresh
-        # interpreter with rc 0 and zero stderr (no resource-tracker
-        # KeyErrors, no leaked-segment warnings at shutdown).
+        # End-to-end guard for the pool's shutdown discipline: a full
+        # pooled sweep must leave a fresh interpreter with rc 0 and
+        # zero stderr (no worker tracebacks or hangs at shutdown).
         code = "\n".join([
             "import numpy as np",
             "from repro.batch.sweep import FabCostSweep, TiledSweepRunner",
             "counts = np.geomspace(1e5, 1e7, 8)",
             "lams = np.linspace(0.3, 2.0, 9)",
-            "with TiledSweepRunner(backend='process', workers=2,",
-            "                      tile_size=24) as runner:",
+            "with TiledSweepRunner(workers=2, tile_size=24) as runner:",
             "    runner.run(FabCostSweep(), counts, lams)",
         ])
         proc = subprocess.run(

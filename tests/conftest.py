@@ -1,25 +1,24 @@
-"""Shared fixtures: environment-selected sweep backend matrix.
+"""Shared fixtures: environment-selected sweep worker count.
 
-``REPRO_SWEEP_BACKEND``/``REPRO_SWEEP_WORKERS`` rerun every test that
-goes through :class:`repro.batch.sweep.TiledSweepRunner` on the chosen
-backend — the sweep CI job reruns the whole sweep surface on the shm
-process pool, and the bitwise-parity assertions must keep holding
-(the same idiom as ``REPRO_TEST_WORKERS`` for the Monte Carlo
-shards).  The injection uses ``setdefault``: tests that pin
-``backend=``/``workers=`` explicitly keep their pinned values.
+``REPRO_SWEEP_WORKERS`` reruns every test that goes through
+:class:`repro.batch.sweep.TiledSweepRunner` at that worker count — the
+sweep CI job reruns the whole sweep surface on the process pool, and
+the bitwise-parity assertions must keep holding (the same idiom as
+``REPRO_TEST_WORKERS`` for the Monte Carlo shards).  The injection uses
+``setdefault``: tests that pin ``workers=`` explicitly keep their
+pinned value.
 """
 
 import os
 
 import pytest
 
-_SWEEP_BACKEND = os.environ.get("REPRO_SWEEP_BACKEND")
 _SWEEP_WORKERS = os.environ.get("REPRO_SWEEP_WORKERS")
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _sweep_backend_from_env():
-    if not (_SWEEP_BACKEND or _SWEEP_WORKERS):
+def _sweep_workers_from_env():
+    if not _SWEEP_WORKERS:
         yield
         return
     from repro.batch.sweep import TiledSweepRunner
@@ -27,10 +26,7 @@ def _sweep_backend_from_env():
     original = TiledSweepRunner.__init__
 
     def injected(self, **kwargs):
-        if _SWEEP_BACKEND:
-            kwargs.setdefault("backend", _SWEEP_BACKEND)
-        if _SWEEP_WORKERS:
-            kwargs.setdefault("workers", int(_SWEEP_WORKERS))
+        kwargs.setdefault("workers", int(_SWEEP_WORKERS))
         original(self, **kwargs)
 
     TiledSweepRunner.__init__ = injected

@@ -21,6 +21,7 @@ N_COUNTS, N_LAMS, TILE_SIZE = 24, 30, 90
 KILL_AFTER = 3
 
 _SWEEP_PROGRAM = """
+import multiprocessing
 import os
 import sys
 
@@ -30,7 +31,7 @@ from repro.batch.sweep import FabCostSweep, TiledSweepRunner
 
 counts = np.geomspace(1e5, 1e7, {n_counts})
 lams = np.linspace(0.3, 2.0, {n_lams})
-runner = TiledSweepRunner({backend_args}tile_size={tile_size},
+runner = TiledSweepRunner({workers_args}tile_size={tile_size},
                           checkpoint_dir=sys.argv[1])
 
 
@@ -39,10 +40,8 @@ def kill(tile, done, total):
         # Hard death of the whole tree (kill -9 style): no unwinding,
         # no cleanup.  Pool workers go first — orphans would otherwise
         # pin the test harness's output pipes open.
-        pool = getattr(runner, "_pool", None)
-        if pool is not None:
-            for p in pool._processes.values():
-                p.kill()
+        for p in multiprocessing.active_children():
+            p.kill()
         os._exit(3)
 
 
@@ -68,7 +67,7 @@ def test_killed_sweep_resumes_bitwise(tmp_path, reference):
     ckpt = tmp_path / "run"
     program = _SWEEP_PROGRAM.format(
         n_counts=N_COUNTS, n_lams=N_LAMS, tile_size=TILE_SIZE,
-        kill_after=KILL_AFTER, backend_args="")
+        kill_after=KILL_AFTER, workers_args="")
     proc = subprocess.run(
         [sys.executable, "-c", program, str(ckpt)],
         capture_output=True, text=True, timeout=300)
@@ -89,7 +88,7 @@ def test_killed_sweep_resumes_bitwise(tmp_path, reference):
 
 
 def test_killed_process_backend_sweep_resumes_bitwise(tmp_path, reference):
-    # Same death, but the victim was driving the shm process pool —
+    # Same death, but the victim was driving the process pool —
     # resume must also work when the checkpoint came from pooled waves.
     counts = np.geomspace(1e5, 1e7, N_COUNTS)
     lams = np.linspace(0.3, 2.0, N_LAMS)
@@ -98,7 +97,7 @@ def test_killed_process_backend_sweep_resumes_bitwise(tmp_path, reference):
     program = _SWEEP_PROGRAM.format(
         n_counts=N_COUNTS, n_lams=N_LAMS, tile_size=TILE_SIZE,
         kill_after=KILL_AFTER,
-        backend_args="backend='process', workers=2, ")
+        workers_args="workers=2, ")
     ckpt = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-c", program, str(ckpt)],

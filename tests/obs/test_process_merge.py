@@ -13,11 +13,11 @@ import os
 import pytest
 
 from repro import obs
+from repro import pool as pool_mod
 from repro.geometry import Die, Wafer
 from repro.obs.capture import absorb, begin_capture, capture_flags, \
     end_capture
 from repro.yieldsim import ParallelExecutionWarning, SpotDefectSimulator
-from repro.yieldsim import parallel as parallel_mod
 
 
 @pytest.fixture
@@ -131,8 +131,9 @@ class TestFallbackEquivalence:
 
         obs.clear_trace()
         obs.metrics.reset()
+        pool_mod.shutdown()  # a cached pool would bypass the patch
         monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor",
+            pool_mod, "ProcessPoolExecutor",
             _ExplodingExecutor)
         with pytest.warns(ParallelExecutionWarning):
             sim.simulate_lot(6, seed=42, workers=2)

@@ -201,7 +201,7 @@ class TestSweepParity:
         counts = np.geomspace(1e5, 1e9, n_points)
         direct = np.empty((k_max, n_points))
         spec.evaluate_tile(ks, counts, direct, cache=None)
-        with TiledSweepRunner(backend="thread", workers=workers,
+        with TiledSweepRunner(workers=workers,
                               tile_size=tile_size) as runner:
             tiled = runner.run(spec, ks, counts)
         np.testing.assert_array_equal(tiled.values, direct)

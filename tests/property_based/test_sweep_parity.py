@@ -1,10 +1,10 @@
 """Property-based parity for :mod:`repro.batch.sweep`.
 
 The sweep engine's headline contract: tiling is **invisible**.  For
-any tile size, worker count, backend, and kill/resume split, the
-result grid is bitwise identical to the sequential full-grid
-evaluation (``CostLandscape.grid()`` for the Fig.-8 spec).  Hypothesis
-drives all four degrees of freedom; the assertions are
+any tile size, worker count and kill/resume split, the result grid is
+bitwise identical to the sequential full-grid evaluation
+(``CostLandscape.grid()`` for the Fig.-8 spec).  Hypothesis drives all
+three degrees of freedom; the assertions are
 ``np.array_equal`` — exact float equality including the inf cells of
 infeasible regions, never ``allclose``.
 """
@@ -33,20 +33,11 @@ class TestTilingInvariance:
             FabCostSweep(), COUNTS, LAMS)
         assert np.array_equal(result.values, REFERENCE)
 
-    @settings(max_examples=20, deadline=None)
-    @given(tile_size=st.integers(min_value=5, max_value=120),
-           workers=st.integers(min_value=2, max_value=4))
-    def test_thread_pool_is_bitwise(self, tile_size, workers):
-        with TiledSweepRunner(backend="thread", workers=workers,
-                              tile_size=tile_size) as runner:
-            result = runner.run(FabCostSweep(), COUNTS, LAMS)
-        assert np.array_equal(result.values, REFERENCE)
-
     @settings(max_examples=6, deadline=None)
     @given(tile_size=st.integers(min_value=20, max_value=150),
            workers=st.integers(min_value=2, max_value=3))
     def test_process_pool_is_bitwise(self, tile_size, workers):
-        with TiledSweepRunner(backend="process", workers=workers,
+        with TiledSweepRunner(workers=workers,
                               tile_size=tile_size) as runner:
             result = runner.run(FabCostSweep(), COUNTS, LAMS)
         assert np.array_equal(result.values, REFERENCE)
@@ -90,12 +81,9 @@ class TestTilingInvariance:
 
     @settings(max_examples=10, deadline=None)
     @given(tile_size=st.integers(min_value=1, max_value=300),
-           workers=st.integers(min_value=1, max_value=3),
-           backend=st.sampled_from(["auto", "thread", "process"]))
-    def test_landscape_grid_knobs_are_bitwise(self, tile_size, workers,
-                                              backend):
+           workers=st.integers(min_value=1, max_value=3))
+    def test_landscape_grid_knobs_are_bitwise(self, tile_size, workers):
         landscape = CostLandscape(fab=FIG8_FAB, feature_sizes_um=LAMS,
                                   transistor_counts=COUNTS)
-        tiled = landscape.grid(workers=workers, backend=backend,
-                               tile_size=tile_size)
+        tiled = landscape.grid(workers=workers, tile_size=tile_size)
         assert np.array_equal(tiled, REFERENCE)

@@ -31,6 +31,7 @@ MODULES = [
     "repro.units",
     "repro.errors",
     "repro.cli",
+    "repro.pool",
     "repro.core.wafer_cost",
     "repro.core.transistor_cost",
     "repro.core.scenarios",

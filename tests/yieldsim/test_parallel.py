@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import pool as pool_mod
 from repro.errors import ParameterError
 from repro.geometry import Die, Wafer
 from repro.yieldsim import (
@@ -35,7 +36,6 @@ from repro.yieldsim import (
     simulate_lot_sharded,
     spawn_wafer_seeds,
 )
-from repro.yieldsim import parallel as parallel_mod
 
 # CI injects an explicit worker count (REPRO_TEST_WORKERS=2) so the
 # golden suite provably exercises multi-process sharding there.
@@ -199,14 +199,17 @@ class _BrokenSubmitExecutor:
     def __init__(self, *args, **kwargs):
         pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, *args, **kwargs):
         raise OSError("worker process died")
+
+    def shutdown(self, *args, **kwargs):
+        pass
+
+
+def _deny_pools(monkeypatch, executor):
+    # A pool cached by an earlier test would bypass the patch.
+    pool_mod.shutdown()
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", executor)
 
 
 class TestExecutorFallback:
@@ -216,7 +219,7 @@ class TestExecutorFallback:
                                                        monkeypatch,
                                                        executor):
         expected = clustered_sim.simulate_lot(6, seed=55, workers=1)
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", executor)
+        _deny_pools(monkeypatch, executor)
         with pytest.warns(ParallelExecutionWarning) as record:
             lot = clustered_sim.simulate_lot(6, seed=55, workers=3)
         assert len(record) == 1, "fallback must warn exactly once per lot"
@@ -232,8 +235,7 @@ class TestExecutorFallback:
         """Only infrastructure failures trigger the fallback; model
         errors raised while sharding propagate unchanged."""
         sim = SpotDefectSimulator(wafer, die, defect_density_per_cm2=0.5)
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
-                            _ExplodingExecutor)
+        _deny_pools(monkeypatch, _ExplodingExecutor)
         with pytest.raises(ParameterError):
             simulate_lot_sharded(sim, -2, seed=0, workers=2)
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import pool as pool_mod
 from repro.errors import ParameterError
 from repro.geometry import Die, Wafer
 from repro.yieldsim import (
@@ -14,7 +15,6 @@ from repro.yieldsim import (
     simulate_radial_lot,
     wafer_size_penalty,
 )
-from repro.yieldsim import parallel as parallel_mod
 
 _ENV_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "0"))
 WORKER_COUNTS = sorted({1, 2, 4} | ({_ENV_WORKERS} if _ENV_WORKERS else set()))
@@ -162,7 +162,8 @@ class TestShardedRadialLot:
                                         monkeypatch):
         reference = simulate_radial_lot(profile, wafer, die, 4, seed=5,
                                         workers=2)
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
+        pool_mod.shutdown()  # a cached pool would bypass the patch
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
                             _ExplodingExecutor)
         with pytest.warns(ParallelExecutionWarning):
             fallback = simulate_radial_lot(profile, wafer, die, 4, seed=5,
