@@ -2,13 +2,26 @@
 
 The batch engine's two expensive sub-computations — dies-per-wafer
 (eq. 4, a per-row reduction over every die in the batch) and wafer cost
-(eq. 3, a transcendental per λ) — recur verbatim across sweeps: every
-Fig.-8 landscape over the same (λ, N_tr) axes needs the same die-count
-array, every scenario curve over the same λ grid needs the same wafer
-costs.  :class:`BatchCache` memoizes them under exact keys built from
-the model parameters plus the raw bytes of the input arrays, so a hit
-requires bit-identical inputs — there is no approximate matching and
-therefore no way for the cache to change results.
+(eq. 3, a transcendental per λ) — recur verbatim: a serve group or an
+optimizer scan over the same points needs the same die-count array,
+and every tile of a sweep over one λ axis needs the same wafer costs.
+:class:`BatchCache` memoizes them under exact keys built from the model
+parameters plus the raw bytes of the input arrays, so a hit requires
+bit-identical inputs — there is no approximate matching and therefore
+no way for the cache to change results.
+
+What bypasses it: a sub-result of more than
+:data:`~repro.batch.engine._CACHE_MAX_CELLS` (16,384) cells — the die
+counts and chiplet die yields of a 65,536-cell sweep tile — is computed
+without building a key, looking up or storing anything; so are the
+groups of at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
+that the scalar references price.  A sweep tile still caches its
+wafer costs, which the engine prices over the λ axis alone.
+
+Worst-case footprint: an admitted entry holds at most 16,384 float64
+or int64 cells, and its key copies at most two input arrays of the
+same size, so it pins at most ~384 KiB; the default 128 entries stay
+below ~48 MiB per process.
 
 Cached arrays are stored (and returned) with ``writeable=False`` so a
 consumer cannot corrupt entries in place; callers that need to mutate
@@ -66,7 +79,13 @@ def array_fingerprint(arr: np.ndarray) -> tuple:
 
 
 class BatchCache:
-    """A bounded, thread-safe, LRU map from exact keys to result arrays."""
+    """A bounded, thread-safe, LRU map from exact keys to result arrays.
+
+    The engine only offers it sub-results of at most
+    :data:`~repro.batch.engine._CACHE_MAX_CELLS` cells, so with the
+    default ``max_entries=128`` it pins at most ~48 MiB (see the module
+    docstring).
+    """
 
     def __init__(self, max_entries: int = 128) -> None:
         if max_entries < 1:
@@ -131,7 +150,9 @@ class BatchCache:
         the cold-start misses (see ``docs/serving.md``).  Groups of
         at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
         warm nothing: the executor prices them through the scalar
-        references, which use no cache.
+        references, which use no cache.  Nor does a group of more
+        than :data:`~repro.batch.engine._CACHE_MAX_CELLS` points: the
+        engine does not cache sub-results that large.
 
         Returns the number of unique points evaluated.  The computed
         group results are discarded — only the cache entries matter.

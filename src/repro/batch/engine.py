@@ -43,7 +43,12 @@ The dies-per-wafer and wafer-cost sub-results are memoized in a
 shared across sweeps.  Pass ``cache=None`` to disable, or a private
 :class:`BatchCache` to isolate; by default the process-wide cache from
 :func:`~repro.batch.cache.default_cache` is used.  Cached arrays are
-read-only.
+read-only.  A sub-result of more than :data:`_CACHE_MAX_CELLS` cells
+(a sweep tile's die counts) bypasses the cache entirely.  The eq.-(3)
+wafer cost depends on λ alone, so the composed kernels price it over
+the λ operand as given, before broadcasting: a Fig.-8 tile's wafer
+costs are one λ axis, small enough to cache and shared by every tile
+of the sweep.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -104,6 +110,13 @@ _MAX_ROWS = 100_000_000
 #: sweep's CPU in the kernel (docs/performance.md).
 _ROW_CHUNK_BUDGET = 1 << 16
 
+#: Sub-results with more cells than this are computed without the
+#: cache: no key is built (a key copies its input arrays), nothing is
+#: looked up or stored.  Serve groups (<= 256 points), optimizer scans
+#: and the per-axis wafer costs of a sweep stay far below it; a
+#: 65,536-cell sweep tile, whose fresh axes rarely repeat, is above.
+_CACHE_MAX_CELLS = 1 << 14
+
 #: Sentinel: "use the process-wide default cache".
 USE_DEFAULT_CACHE: Any = object()
 
@@ -141,20 +154,22 @@ def _resolve_cache(cache: Any) -> BatchCache | None:
         f"got {cache!r}")
 
 
-def _cached(cache: BatchCache | None, key, compute) -> np.ndarray:
+def _cached(cache: BatchCache | None, kind: str, cells: int, key,
+            compute) -> np.ndarray:
+    # ``key()`` builds the rest of the exact key after ``kind``; it is
+    # only called for a sub-result of at most _CACHE_MAX_CELLS cells
+    # that has a cache to go to.
     if _tracing_enabled():
-        # A span per *computed* sub-result (cache hits record nothing):
-        # key[0] names the kernel ("wafer_cost", "dies_per_wafer").
-        kind = key[0] if isinstance(key, tuple) and key else "anonymous"
+        # A span per *computed* sub-result (cache hits record nothing).
         inner = compute
 
         def compute() -> np.ndarray:
             with _span(f"batch.compute.{kind}"):
                 return inner()
 
-    if cache is None:
+    if cache is None or cells > _CACHE_MAX_CELLS:
         return np.asarray(compute())
-    return cache.get_or_compute(key, compute)
+    return cache.get_or_compute((kind,) + key(), compute)
 
 
 def _as_float_array(name: str, value) -> np.ndarray:
@@ -225,11 +240,12 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
         raise ParameterError(
             f"volume_wafers must be > 0, got {volume_wafers}")
     cache = _resolve_cache(cache)
-    key = ("wafer_cost", model.reference_cost_dollars,
-           model.cost_growth_rate, model.reference_feature_um,
-           model.overhead_dollars, model.generation_model,
-           model.shrink, model.linear_step_um, volume_wafers,
-           array_fingerprint(lam))
+
+    def key() -> tuple:
+        return (model.reference_cost_dollars, model.cost_growth_rate,
+                model.reference_feature_um, model.overhead_dollars,
+                model.generation_model, model.shrink, model.linear_step_um,
+                volume_wafers, array_fingerprint(lam))
 
     def compute() -> np.ndarray:
         g = generations_batch(lam, model.reference_feature_um,
@@ -241,7 +257,8 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
             return pure
         return pure + model.overhead_dollars / volume_wafers
 
-    return _deliver(_cached(cache, key, compute), out)
+    return _deliver(_cached(cache, "wafer_cost", lam.size, key, compute),
+                    out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +287,18 @@ def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
     _require_all_positive("height_cm", h)
     require_nonnegative("scribe_cm", scribe_cm)
     cache = _resolve_cache(cache)
-    key = ("dies_per_wafer", wafer.radius_cm, wafer.edge_exclusion_cm,
-           float(scribe_cm), array_fingerprint(w), array_fingerprint(h))
+
+    def key() -> tuple:
+        return (wafer.radius_cm, wafer.edge_exclusion_cm, float(scribe_cm),
+                array_fingerprint(w), array_fingerprint(h))
 
     def compute() -> np.ndarray:
         return _dies_per_wafer_rows(wafer.usable_radius_cm,
                                     w.ravel(), h.ravel(),
                                     float(scribe_cm)).reshape(w.shape)
 
-    return _deliver(_cached(cache, key, compute), out)
+    return _deliver(_cached(cache, "dies_per_wafer", w.size, key, compute),
+                    out)
 
 
 def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
@@ -310,29 +330,28 @@ def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
     r_active = rows_sorted[pos:]
     # Dies are padded to their chunk's max row count (rows past a die's
     # own floor(2R/b) contribute exactly 0: the chord at offset
-    # (j+1)·b − R already lies outside the circle).  Chunk boundaries
-    # group dies whose row counts agree within ×1.5 so that padding
-    # wastes at most ~50% of each chunk's row matrix, and each chunk is
-    # further split to keep its temporaries under the element budget.
-    bucket = np.floor(np.log(r_active.astype(np.float64))
-                      / math.log(1.5)).astype(np.int64)
-    cuts = np.flatnonzero(np.diff(bucket)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [r_active.size]))
-    for start, end in zip(starts, ends):
-        max_size = max(1, _ROW_CHUNK_BUDGET // (int(r_active[end - 1]) + 2))
-        for lo in range(start, end, max_size):
-            hi = min(lo + max_size, end)
-            sel = active[lo:hi]
-            r_chunk = int(r_active[hi - 1])
-            j = np.arange(r_chunk + 1, dtype=np.float64)
-            offset = j[None, :] * b[sel, None] - radius
-            inside = r2 - offset * offset
-            chord = np.sqrt(np.maximum(inside, 0.0))
-            row_chord = np.minimum(chord[:, :-1], chord[:, 1:])
-            per_row = np.floor(2.0 * row_chord / a[sel, None]
-                               + ROW_FIT_SLACK)
-            counts[sel] = per_row.sum(axis=1).astype(np.int64)
+    # (j+1)·b − R already lies outside the circle).  Chunks take the
+    # row-sorted dies greedily while the padded (dies × (rows + 2))
+    # matrix fits the element budget, so a serve-sized batch is one
+    # chunk.  ``first_lo[i]`` is the lowest chunk start that may still
+    # end at die i; it is strictly increasing (the per-die capacity
+    # budget // (rows + 2) never grows along the sort), so one
+    # searchsorted finds each chunk's end.
+    first_lo = np.arange(1, r_active.size + 1) \
+        - _ROW_CHUNK_BUDGET // (r_active + 2)
+    lo = 0
+    while lo < r_active.size:
+        hi = max(lo + 1, int(np.searchsorted(first_lo, lo, side="right")))
+        sel = active[lo:hi]
+        r_chunk = int(r_active[hi - 1])
+        j = np.arange(r_chunk + 1, dtype=np.float64)
+        offset = j[None, :] * b[sel, None] - radius
+        inside = r2 - offset * offset
+        chord = np.sqrt(np.maximum(inside, 0.0))
+        row_chord = np.minimum(chord[:, :-1], chord[:, 1:])
+        per_row = np.floor(2.0 * row_chord / a[sel, None] + ROW_FIT_SLACK)
+        counts[sel] = per_row.sum(axis=1).astype(np.int64)
+        lo = hi
     return counts
 
 
@@ -448,7 +467,9 @@ def _scalar_pow_elementwise(base: np.ndarray, exponent: float) -> np.ndarray:
     # which would break the bitwise contract of the compound-family
     # kernels; the surrounding arithmetic stays vectorized (IEEE-exact
     # ops only) and just the transcendental goes through Python floats.
-    flat = np.fromiter((b ** exponent for b in base.ravel().tolist()),
+    # ``map(pow, ...)`` makes the same libm calls as ``b ** exponent``
+    # in a generator, without a generator frame per element.
+    flat = np.fromiter(map(pow, base.ravel().tolist(), repeat(exponent)),
                        dtype=np.float64, count=base.size)
     return flat.reshape(base.shape)
 
@@ -580,15 +601,18 @@ def transistor_cost_batch(n_transistors, feature_sizes_um,
     ``n_transistors`` and ``feature_sizes_um`` broadcast together, so a
     full (λ, N_tr) landscape is one call with ``counts[:, None]`` and
     ``lams[None, :]``.  ``fab`` defaults to the Fig.-8 fitted fab.
+    The λ-only factors — the eq.-(3) wafer cost and eq.-(7)'s
+    ``D / λ^p`` — are computed over ``feature_sizes_um`` as given and
+    broadcast afterwards.
     """
     from ..core.optimization import FIG8_FAB
     if fab is None:
         fab = FIG8_FAB
     n = _as_float_array("n_transistors", n_transistors)
-    lam = _as_float_array("feature_sizes_um", feature_sizes_um)
-    n, lam = np.broadcast_arrays(n, lam)
+    lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
+    n, lam = np.broadcast_arrays(n, lam_axis)
     _require_all_positive("n_transistors", n)
-    _require_all_positive("feature_sizes_um", lam)
+    _require_all_positive("feature_sizes_um", lam_axis)
     cache = _resolve_cache(cache)
 
     obs_on = _obs_enabled()
@@ -599,12 +623,12 @@ def transistor_cost_batch(n_transistors, feature_sizes_um,
             reference_cost_dollars=fab.reference_cost_dollars,
             cost_growth_rate=fab.cost_growth_rate)
         width, height, area_cm2 = _die_geometry(n, fab.design_density,
-                                                lam, 1.0)
+                                                lam_axis, 1.0)
         n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
         y = scaled_poisson_yield_batch(n, fab.design_density,
-                                       fab.defect_coefficient, lam,
+                                       fab.defect_coefficient, lam_axis,
                                        fab.size_exponent_p)
-        c_w = wafer_cost_batch(wafer_cost_model, lam, cache=cache)
+        c_w = wafer_cost_batch(wafer_cost_model, lam_axis, cache=cache)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore",
                          under="ignore"):
             cost = c_w / (n_ch * n * y)
@@ -638,13 +662,15 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
     method; ``yield_value`` may itself be an array.  Where the scalar
     method *raises* because the die does not fit the wafer, the batch
     form masks the cell to ``inf`` instead (``feasible=False``), so
-    aggressive sweeps need no per-cell exception handling.
+    aggressive sweeps need no per-cell exception handling.  As in
+    :func:`transistor_cost_batch`, the wafer cost is priced over
+    ``feature_sizes_um`` before it is broadcast.
     """
     n = _as_float_array("n_transistors", n_transistors)
-    lam = _as_float_array("feature_sizes_um", feature_sizes_um)
-    n, lam = np.broadcast_arrays(n, lam)
+    lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
+    n, lam = np.broadcast_arrays(n, lam_axis)
     _require_all_positive("n_transistors", n)
-    _require_all_positive("feature_sizes_um", lam)
+    _require_all_positive("feature_sizes_um", lam_axis)
     if design_density <= 0:
         raise ParameterError(
             f"design_density must be > 0, got {design_density}")
@@ -656,12 +682,12 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
     obs_on = _obs_enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with _span("batch.evaluate", cells=int(n.size)):
-        width, height, area_cm2 = _die_geometry(n, design_density, lam,
-                                                aspect_ratio)
+        width, height, area_cm2 = _die_geometry(n, design_density,
+                                                lam_axis, aspect_ratio)
         n_ch = dies_per_wafer_batch(model.wafer, width, height, cache=cache)
         y = _resolve_yield_batch(area_cm2, yield_model,
                                  defect_density_per_cm2, yield_value)
-        c_w = wafer_cost_batch(model.wafer_cost, lam,
+        c_w = wafer_cost_batch(model.wafer_cost, lam_axis,
                                volume_wafers=model.volume_wafers, cache=cache)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore",
                          under="ignore"):
@@ -807,8 +833,8 @@ def _scalar_pow_pairwise(base: np.ndarray,
     # ``base ** exponent`` with a per-element exponent, through the
     # scalar libm pow — the pairwise sibling of
     # ``_scalar_pow_elementwise`` (same bitwise rationale).
-    flat = np.fromiter((b ** e for b, e in zip(base.ravel().tolist(),
-                                               exponent.ravel().tolist())),
+    flat = np.fromiter(map(pow, base.ravel().tolist(),
+                           exponent.ravel().tolist()),
                        dtype=np.float64, count=base.size)
     return flat.reshape(base.shape)
 
@@ -816,12 +842,12 @@ def _scalar_pow_pairwise(base: np.ndarray,
 def _scalar_exp_neg_clamped(exponent: np.ndarray) -> np.ndarray:
     # ``exp(-exponent)`` through scalar libm with the eq.-(7) underflow
     # clamp — replays scaled_poisson_yield's tail (and its bits)
-    # exactly, element by element.
-    exp = math.exp
-    flat = np.fromiter(
-        (_TINY_YIELD if e > _EXPONENT_CLAMP else exp(-e)
-         for e in exponent.ravel().tolist()),
-        dtype=np.float64, count=exponent.size)
+    # exactly, element by element.  Negation is exact, so libm sees
+    # the scalar code's argument; the clamp then overwrites the cells
+    # the scalar code never passes to exp.
+    flat = np.fromiter(map(math.exp, (-exponent).ravel().tolist()),
+                       dtype=np.float64, count=exponent.size)
+    flat[exponent.ravel() > _EXPONENT_CLAMP] = _TINY_YIELD
     return flat.reshape(exponent.shape)
 
 
@@ -830,10 +856,10 @@ def _scalar_wafer_cost_batch(model: WaferCostModel, lam: np.ndarray,
     # Eq. (3) per *unique* λ through the scalar ``pure_cost`` (libm pow
     # and log), fanned back out — bitwise equal to the scalar path, and
     # cheap because sweeps carry few distinct feature sizes.
-    key = ("chiplet_wafer_cost", model.reference_cost_dollars,
-           model.cost_growth_rate, model.reference_feature_um,
-           model.generation_model, model.shrink, model.linear_step_um,
-           array_fingerprint(lam))
+    def key() -> tuple:
+        return (model.reference_cost_dollars, model.cost_growth_rate,
+                model.reference_feature_um, model.generation_model,
+                model.shrink, model.linear_step_um, array_fingerprint(lam))
 
     def compute() -> np.ndarray:
         uniq, inv = np.unique(lam.ravel(), return_inverse=True)
@@ -842,7 +868,7 @@ def _scalar_wafer_cost_batch(model: WaferCostModel, lam: np.ndarray,
                            dtype=np.float64, count=uniq.size)
         return vals[inv].reshape(lam.shape)
 
-    return _cached(cache, key, compute)
+    return _cached(cache, "chiplet_wafer_cost", lam.size, key, compute)
 
 
 def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
@@ -883,11 +909,11 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
         raise ParameterError(
             f"model must be a ChipletCostModel, got {model!r}")
     n = _as_float_array("n_transistors", n_transistors)
-    lam = _as_float_array("feature_sizes_um", feature_sizes_um)
+    lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
     kk = _as_float_array("chiplets", chiplets)
-    n, lam, kk = np.broadcast_arrays(n, lam, kk)
+    n, lam, kk = np.broadcast_arrays(n, lam_axis, kk)
     _require_all_positive("n_transistors", n)
-    _require_all_positive("feature_sizes_um", lam)
+    _require_all_positive("feature_sizes_um", lam_axis)
     if bool((kk < 1).any()) or bool((np.floor(kk) != kk).any()):
         raise ParameterError(
             "chiplets must be integer-valued and >= 1 for every element")
@@ -899,7 +925,8 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
         if n.size <= SCALAR_MAX_POINTS:
             result = _chiplet_cost_points(model, n, lam, kk, out)
         else:
-            result = _chiplet_cost_arrays(model, n, lam, kk, cache, out)
+            result = _chiplet_cost_arrays(model, n, lam_axis, kk, cache,
+                                          out)
     if obs_on:
         _metrics.inc("batch.chiplet.calls")
         _metrics.inc("batch.chiplet.cells", int(n.size))
@@ -941,9 +968,12 @@ def _chiplet_cost_points(model: "ChipletCostModel", n: np.ndarray,
 
 
 def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
-                         lam: np.ndarray, kk: np.ndarray,
+                         lam_axis: np.ndarray, kk: np.ndarray,
                          cache: BatchCache | None,
                          out: np.ndarray | None) -> ChipletBatchResult:
+    # ``n`` and ``kk`` come broadcast to the result shape; ``lam_axis``
+    # is the λ operand as given, so the λ-only factors (wafer cost,
+    # D / λ^p, their np.unique) run once per distinct λ.
     fab = model.fab
     pk = model.packaging
     t = model.test
@@ -953,27 +983,29 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
         cost_growth_rate=fab.cost_growth_rate)
     n_k = n / kk
     width, height, area_cm2 = _die_geometry(n_k, fab.design_density,
-                                            lam, 1.0)
+                                            lam_axis, 1.0)
     n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
-    c_w = _scalar_wafer_cost_batch(wafer_cost_model, lam, cache)
-    ykey = ("chiplet_die_yield", fab.design_density,
-            fab.defect_coefficient, fab.size_exponent_p,
-            array_fingerprint(n_k), array_fingerprint(lam))
+    c_w = _scalar_wafer_cost_batch(wafer_cost_model, lam_axis, cache)
+
+    def ykey() -> tuple:
+        return (fab.design_density, fab.defect_coefficient,
+                fab.size_exponent_p, array_fingerprint(n_k),
+                array_fingerprint(lam_axis))
 
     def compute_yield() -> np.ndarray:
         # scaled_poisson_yield's exact operation order: the d0 pow
         # per unique λ through scalar libm, the area product
         # vectorized (IEEE-exact), the exp per element.
-        uniq, inv = np.unique(lam.ravel(), return_inverse=True)
+        uniq, inv = np.unique(lam_axis.ravel(), return_inverse=True)
         p = fab.size_exponent_p
         coeff = fab.defect_coefficient
         d0_u = np.fromiter((coeff / l ** p for l in uniq.tolist()),
                            dtype=np.float64, count=uniq.size)
-        area_y = n_k * fab.design_density * (lam * lam) * 1.0e-8
-        exponent = area_y * d0_u[inv].reshape(lam.shape)
+        area_y = n_k * fab.design_density * (lam_axis * lam_axis) * 1.0e-8
+        exponent = area_y * d0_u[inv].reshape(lam_axis.shape)
         return _scalar_exp_neg_clamped(exponent)
 
-    y = _cached(cache, ykey, compute_yield)
+    y = _cached(cache, "chiplet_die_yield", n_k.size, ykey, compute_yield)
     pc = model.probe_coverage
     pass_rate = _scalar_pow_elementwise(y, pc)
     q = _scalar_pow_elementwise(y, 1.0 - pc)
@@ -998,11 +1030,11 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
         overhead = overhead_total / (y_asm * n)
         cost = silicon + overhead
     return ChipletBatchResult(
-        feature_size_um=lam,
+        feature_size_um=np.broadcast_to(lam_axis, n.shape),
         chiplet_count=kk,
         transistors_per_chiplet=n_k,
         chiplet_area_cm2=area_cm2,
-        wafer_cost_dollars=c_w,
+        wafer_cost_dollars=np.broadcast_to(c_w, n.shape),
         dies_per_wafer=n_ch,
         die_yield=y,
         assembly_yield=y_asm,

@@ -153,7 +153,10 @@ class CostLandscape:
         runs through :class:`repro.batch.sweep.TiledSweepRunner`
         instead — tiled, optionally on the process pool,
         optionally checkpointed — and the array is bitwise identical
-        to the default path (the sweep parity contract).
+        to the default path (the sweep parity contract).  The pool is
+        the process's shared one (:mod:`repro.pool`): the call leaves
+        it running for later sweeps and lots, and an enclosing ``with
+        TiledSweepRunner(...)`` block keeps its workers.
         """
         if workers is None and checkpoint_dir is None:
             return self.breakdown().cost_per_transistor_dollars
@@ -161,12 +164,11 @@ class CostLandscape:
             DEFAULT_TILE_SIZE, FabCostSweep, TiledSweepRunner)
         counts = np.asarray(self.transistor_counts, dtype=float)
         lams = np.asarray(self.feature_sizes_um, dtype=float)
-        with TiledSweepRunner(
-                workers=workers,
-                tile_size=DEFAULT_TILE_SIZE if tile_size is None
-                else tile_size,
-                checkpoint_dir=checkpoint_dir, resume=resume) as runner:
-            return runner.run(FabCostSweep(self.fab), counts, lams).values
+        runner = TiledSweepRunner(
+            workers=workers,
+            tile_size=DEFAULT_TILE_SIZE if tile_size is None else tile_size,
+            checkpoint_dir=checkpoint_dir, resume=resume)
+        return runner.run(FabCostSweep(self.fab), counts, lams).values
 
     def optimal_lambda_per_count(self) -> list[tuple[float, float, float]]:
         """For each N_tr row: (N_tr, λ_opt, C_tr at optimum).
@@ -333,11 +335,10 @@ def optimal_feature_sizes(n_transistors,
     lams = np.linspace(lam_lo_um, lam_hi_um, _OPT_SCAN_POINTS)
     out = np.empty(counts.size, dtype=np.float64)
     with _span("core.optimal_feature_sizes", count=int(counts.size)):
-        with TiledSweepRunner(
-                workers=workers,
-                tile_size=DEFAULT_TILE_SIZE if tile_size is None
-                else tile_size) as runner:
-            costs = runner.run(FabCostSweep(fab), counts, lams).values
+        runner = TiledSweepRunner(
+            workers=workers,
+            tile_size=DEFAULT_TILE_SIZE if tile_size is None else tile_size)
+        costs = runner.run(FabCostSweep(fab), counts, lams).values
         for i, n in enumerate(counts.tolist()):
             row = costs[i]
             if not np.isfinite(row).any():
@@ -403,12 +404,11 @@ def optimal_feature_size_for_die_areas(
     cost_opt = np.empty(areas.size, dtype=np.float64)
     with _span("core.optimal_feature_size_for_die_areas",
                count=int(areas.size)):
-        with TiledSweepRunner(
-                workers=workers,
-                tile_size=DEFAULT_TILE_SIZE if tile_size is None
-                else tile_size,
-                checkpoint_dir=checkpoint_dir, resume=resume) as runner:
-            costs = runner.run(DieAreaCostSweep(fab), areas, lams).values
+        runner = TiledSweepRunner(
+            workers=workers,
+            tile_size=DEFAULT_TILE_SIZE if tile_size is None else tile_size,
+            checkpoint_dir=checkpoint_dir, resume=resume)
+        costs = runner.run(DieAreaCostSweep(fab), areas, lams).values
         for i in range(areas.size):
             row = costs[i]
             finite = np.isfinite(row)

@@ -135,11 +135,10 @@ class Scenario:
         from ..batch.sweep import (
             DEFAULT_TILE_SIZE, ScenarioSweep, TiledSweepRunner)
         rates = np.asarray(self.growth_rates, dtype=float)
-        with TiledSweepRunner(
-                workers=workers,
-                tile_size=DEFAULT_TILE_SIZE if tile_size is None
-                else tile_size) as runner:
-            result = runner.run(ScenarioSweep(self), rates, lams)
+        runner = TiledSweepRunner(
+            workers=workers,
+            tile_size=DEFAULT_TILE_SIZE if tile_size is None else tile_size)
+        result = runner.run(ScenarioSweep(self), rates, lams)
         return {x: result.values[i].copy()
                 for i, x in enumerate(self.growth_rates)}
 

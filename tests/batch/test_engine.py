@@ -8,6 +8,8 @@ import pytest
 
 from repro.batch import (
     BatchCache,
+    CacheStats,
+    chiplet_cost_batch,
     dies_per_wafer_batch,
     evaluate_batch,
     scaled_poisson_yield_batch,
@@ -15,7 +17,9 @@ from repro.batch import (
     wafer_cost_batch,
 )
 from repro.batch.engine import (
+    _CACHE_MAX_CELLS,
     _ROW_CHUNK_BUDGET,
+    SCALAR_MAX_POINTS,
     generations_batch,
     poisson_yield_batch,
     scenario1_cost_batch,
@@ -27,6 +31,7 @@ from repro.core import GenerationModel, TransistorCostModel, WaferCostModel
 from repro.core.optimization import FIG8_FAB, transistor_cost_full
 from repro.errors import ParameterError
 from repro.geometry import Die, Wafer, dies_per_wafer_maly
+from repro.system.chiplet import ChipletCostModel
 from repro.technology.roadmap import die_area_trend_cm2
 from repro.yieldsim import (
     BoseEinsteinYield,
@@ -136,20 +141,15 @@ class TestDiesPerWaferBatch:
                     wafer, Die(width_cm=w, height_cm=h))
 
     def test_parity_when_buckets_span_several_chunks(self):
-        # 2,400 small dies: their row counts fall into several x1.5
-        # buckets, and three buckets' (dies x rows) matrices are each
-        # split into three or more chunks by the element budget.
+        # 2,400 small dies of 120-480 rows: every chunk holds at most
+        # _ROW_CHUNK_BUDGET padded elements, so the plan needs more
+        # than eight chunks.
         wafer = Wafer(radius_cm=7.5, edge_exclusion_cm=0.3)
         rng = np.random.default_rng(4)
         widths = rng.uniform(0.04, 0.3, 2400)
         heights = rng.uniform(0.03, 0.12, 2400)
         rows = np.floor(2.0 * wafer.usable_radius_cm / heights)
-        bucket = np.floor(np.log(rows) / math.log(1.5))
-        chunks = [math.ceil(np.count_nonzero(bucket == b)
-                            / (_ROW_CHUNK_BUDGET // (rows[bucket == b].max()
-                                                     + 2)))
-                  for b in np.unique(bucket)]
-        assert sum(n >= 3 for n in chunks) >= 3
+        assert (rows + 2).sum() > 8 * _ROW_CHUNK_BUDGET
         counts = dies_per_wafer_batch(wafer, widths, heights, cache=None)
         assert counts.tolist() == [
             dies_per_wafer_maly(wafer, Die(width_cm=float(w),
@@ -492,3 +492,94 @@ class TestArrayOut:
         with pytest.raises(ParameterError):
             scaled_poisson_yield_batch([1e6], 150.0, 1.0, [0.8], 3.0,
                                        out=np.empty(1, dtype=np.int32))
+
+
+class TestCacheAdmission:
+    """Tile-sized sub-results bypass the cache; λ-only factors are
+    priced over the λ operand as given."""
+
+    TILE = 65536
+
+    def _flat(self, size):
+        rng = np.random.default_rng(size)
+        return (10.0 ** rng.uniform(5.0, 7.5, size),
+                rng.uniform(0.35, 1.4, size))
+
+    def _calls(self, n, lam, cache):
+        wafer = Wafer(radius_cm=7.5)
+        side = np.sqrt(n * 152.0 * lam * lam / 1e8)
+        dies_per_wafer_batch(wafer, side, side, cache=cache)
+        transistor_cost_batch(n, lam, cache=cache)
+        chiplet_cost_batch(n, lam, 2.0, cache=cache)
+
+    def test_tile_sized_calls_bypass_the_cache_serve_sized_ones_hit(self):
+        cache = BatchCache()
+        self._calls(*self._flat(self.TILE), cache)
+        assert len(cache) == 0
+        assert cache.stats == CacheStats(hits=0, misses=0, entries=0)
+        n, lam = self._flat(32)
+        self._calls(n, lam, cache)
+        first = cache.stats
+        assert first.misses >= 3 and first.hits == 0
+        assert len(cache) == first.misses
+        self._calls(n, lam, cache)
+        again = cache.stats
+        assert again.misses == first.misses
+        assert again.hits == first.misses
+
+    def test_admission_bound_is_inclusive(self):
+        cache = BatchCache()
+        wafer = Wafer(radius_cm=7.5)
+        for cells in (_CACHE_MAX_CELLS, _CACHE_MAX_CELLS + 1):
+            side = np.linspace(0.1, 1.0, cells)
+            dies_per_wafer_batch(wafer, side, side, cache=cache)
+        assert cache.stats.misses == 1 and len(cache) == 1
+
+    def test_fig8_tile_caches_one_wafer_cost_per_lambda(self):
+        cache = BatchCache()
+        counts = np.geomspace(1e5, 3e7, 128)
+        lams = np.linspace(0.35, 1.4, 512)
+        tile = transistor_cost_batch(counts[:, None], lams[None, :],
+                                     cache=cache)
+        # The 65,536 die counts bypass the cache; the one entry is the
+        # wafer cost of the 512 λ, which a later call finds.
+        assert cache.stats.misses == 1 and len(cache) == 1
+        c_w = wafer_cost_batch(
+            WaferCostModel(
+                reference_cost_dollars=FIG8_FAB.reference_cost_dollars,
+                cost_growth_rate=FIG8_FAB.cost_growth_rate),
+            lams[None, :], cache=cache)
+        assert cache.stats.hits == 1 and c_w.shape == (1, lams.size)
+        full = transistor_cost_batch(
+            counts[:, None], np.broadcast_to(lams, tile.shape), cache=None)
+        for name in ("cost_per_transistor_dollars", "wafer_cost_dollars",
+                     "yield_value", "dies_per_wafer", "die_area_cm2"):
+            assert getattr(tile, name).tobytes() \
+                == getattr(full, name).tobytes(), name
+
+
+class TestChipletClamp:
+    def test_clamped_die_yield_is_bitwise_in_a_vector_batch(self):
+        # Above an eq.-(7) exponent of 700 the scalar reference returns
+        # 5e-324 without calling exp; the kernel's libm loop must land
+        # on the same bits, also between 700 and exp's own underflow.
+        model = ChipletCostModel()
+        fab = model.fab
+        counts = [1e6, 2e6, 3e6, 5e6, 8e6, 1e7, 2e7, 4e7, 6.6e7, 1e8]
+        lam = 0.5
+        exponents = [n * fab.design_density * (lam * lam) * 1.0e-8
+                     * (fab.defect_coefficient / lam ** fab.size_exponent_p)
+                     for n in counts]
+        assert any(700.0 < e < 745.0 for e in exponents)
+        assert any(e > 745.0 for e in exponents)
+        assert len(counts) > SCALAR_MAX_POINTS
+        result = chiplet_cost_batch(np.array(counts), lam, 1.0, model,
+                                    cache=None)
+        for i, (n, e) in enumerate(zip(counts, exponents)):
+            ref = model.system_cost(1, n, lam)
+            got = float(result.die_yield[i])
+            assert got.hex() == ref.die_yield.hex()
+            if e > 700.0:
+                assert got == 5e-324
+            assert float(result.cost_per_transistor_dollars[i]) \
+                == ref.cost_per_transistor_dollars

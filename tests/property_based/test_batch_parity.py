@@ -20,7 +20,7 @@ from repro.batch import (
     transistor_cost_batch,
     wafer_cost_batch,
 )
-from repro.batch.engine import generations_batch
+from repro.batch.engine import _ROW_CHUNK_BUDGET, generations_batch
 from repro.core import GenerationModel, TransistorCostModel, WaferCostModel
 from repro.core.optimization import FabCharacterization, transistor_cost_full
 from repro.errors import ParameterError
@@ -136,3 +136,34 @@ class TestSubmodelParity:
             cache=None)
         expected = [dies_per_wafer_maly(wafer, d) for d in dies]
         assert counts.tolist() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(radius=radius_strategy,
+           max_rows=st.integers(min_value=100, max_value=1500),
+           fill=st.floats(min_value=0.5, max_value=3.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_dies_per_wafer_bitwise_across_chunk_plans(self, radius,
+                                                       max_rows, fill,
+                                                       seed):
+        # Batches around the eq.-(4) element budget: dies × (max rows
+        # + 2) from half to three times _ROW_CHUNK_BUDGET, so the
+        # greedy plan is one chunk or several.  Row counts mix 0-row
+        # dies (taller than the wafer), 1-row dies and up to
+        # ``max_rows``, which one die always reaches.
+        wafer = Wafer(radius_cm=radius)
+        span = 2.0 * wafer.usable_radius_cm
+        n = max(2, math.ceil(fill * _ROW_CHUNK_BUDGET / (max_rows + 2)))
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(2, max_rows + 1, n)
+        kind = rng.integers(0, 4, n)
+        rows[kind == 0] = 0
+        rows[kind == 1] = 1
+        rows[-1] = max_rows
+        frac = rng.uniform(0.05, 0.95, n)
+        heights = np.where(rows == 0, span * (1.0 + frac),
+                           span / (rows + frac))
+        widths = rng.uniform(0.005, 0.5 * span, n)
+        counts = dies_per_wafer_batch(wafer, widths, heights, cache=None)
+        assert counts.tolist() == [
+            dies_per_wafer_maly(wafer, Die(width_cm=w, height_cm=h))
+            for w, h in zip(widths.tolist(), heights.tolist())]
