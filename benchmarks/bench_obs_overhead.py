@@ -9,17 +9,21 @@ the modules' hook bindings (``_span``, ``_metrics``, the state probes,
 the capture protocol) with the cheapest possible no-ops — the same code
 paths minus any observability logic.
 
-Timings are interleaved best-of-N so both variants see the same host
-noise; the minimum is the standard robust estimator for "how fast can
-this code go".  Results land in ``benchmarks/BENCH_obs.json`` and, via
-the shared ``emit_json`` hook, in ``benchmarks/BENCH_repro.json``.
+Each leg times the two variants in back-to-back pairs, alternating
+which runs first, and gates the median of the per-pair ratios: a pair
+sees one stretch of host noise, so CPU steal that slows a whole pair
+cancels in its ratio, and the median ignores the pairs it splits.
+(Best-of-7 minima compared across variants failed the bound in 4 of
+10 runs on a 2-vCPU VM with no code change.)  Results land in
+``benchmarks/BENCH_obs.json`` and, via the shared ``emit_json`` hook,
+in ``benchmarks/BENCH_repro.json``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
+import statistics
 import time
 from pathlib import Path
 
@@ -39,7 +43,7 @@ from repro.yieldsim import PoissonYield, SpotDefectSimulator
 from repro.yieldsim import parallel as parallel_mod
 
 MAX_DISABLED_OVERHEAD = 0.03
-REPS = 7
+PAIRS = 41
 _BENCH_OBS_JSON = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 class _NullSpan:
@@ -138,16 +142,34 @@ def _patch_out_hooks(monkeypatch):
     monkeypatch.setattr(serve_scheduler_mod, "_obs_enabled", false)
 
 
-def _interleaved_best_of(instrumented, baseline, reps):
-    t_inst = t_base = math.inf
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        instrumented()
-        t_inst = min(t_inst, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        baseline()
-        t_base = min(t_base, time.perf_counter() - t0)
-    return t_inst, t_base
+def _timed(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _paired_medians(workload, patched, pairs):
+    """(median instrumented s, median baseline s, median of the
+    per-pair instrumented/baseline ratios).
+
+    ``patched()`` swaps the no-op hooks in for the baseline call; it is
+    entered and left outside the timed region (patching inside it
+    slowed the baseline by up to 5% on the batch leg).  Odd pairs run
+    the baseline first.
+    """
+    t_inst, t_base, ratios = [], [], []
+    for i in range(pairs):
+        if i % 2 == 0:
+            inst = _timed(workload)
+        with patched():
+            base = _timed(workload)
+        if i % 2:
+            inst = _timed(workload)
+        t_inst.append(inst)
+        t_base.append(base)
+        ratios.append(inst / base)
+    return (statistics.median(t_inst), statistics.median(t_base),
+            statistics.median(ratios))
 
 
 def test_disabled_observability_overhead(monkeypatch):
@@ -169,30 +191,25 @@ def test_disabled_observability_overhead(monkeypatch):
             self._mp.undo()
 
     def timed(workload):
-        def baseline():
-            with _Patch():
-                workload()
-        return _interleaved_best_of(workload, baseline, REPS)
+        return _paired_medians(workload, _Patch, PAIRS)
 
-    batch_inst, batch_base = timed(batch)
-    mc_inst, mc_base = timed(mc)
+    batch_inst, batch_base, batch_ratio = timed(batch)
+    mc_inst, mc_base, mc_ratio = timed(mc)
 
     # The service is created only for its own leg so its flusher and
     # worker threads cannot perturb the other timings.
     serve, svc = _serve_workload()
     try:
         serve()  # warm the shared BatchCache so both legs replay hits
-        serve_inst, serve_base = timed(serve)
+        serve_inst, serve_base, serve_ratio = timed(serve)
     finally:
         svc.close()
-    batch_ratio = batch_inst / batch_base
-    mc_ratio = mc_inst / mc_base
-    serve_ratio = serve_inst / serve_base
 
     record = {
         "kind": "obs_overhead",
         "max_allowed_overhead": MAX_DISABLED_OVERHEAD,
-        "reps": REPS,
+        "pairs": PAIRS,
+        "estimator": "median of per-pair ratios; times are medians",
         "batch": {"instrumented_s": batch_inst, "baseline_s": batch_base,
                   "ratio": batch_ratio},
         "monte_carlo": {"instrumented_s": mc_inst, "baseline_s": mc_base,
@@ -212,7 +229,8 @@ def test_disabled_observability_overhead(monkeypatch):
          f"serve        : {serve_inst * 1e3:8.2f} ms instrumented vs "
          f"{serve_base * 1e3:8.2f} ms baseline  "
          f"(ratio {serve_ratio:6.4f})\n"
-         f"contract     : ratio < {1.0 + MAX_DISABLED_OVERHEAD}")
+         f"contract     : median pair ratio < "
+         f"{1.0 + MAX_DISABLED_OVERHEAD}")
 
     limit = 1.0 + MAX_DISABLED_OVERHEAD
     assert batch_ratio < limit, \

@@ -139,15 +139,18 @@ class BatchCache:
         (:mod:`repro.obs.recording`, auto-detected by
         :func:`~repro.obs.recording.is_recorded_log`) loads its
         replayable queries directly, and any other file goes through
-        the caller's legacy loader first.  Queries are coalesced
-        exactly the way a flush would
-        (grouped by signature, deduplicated by point) and priced
-        through the serve executor with *this* cache, so the
-        expensive memoized sub-results — eq.-(4) die-count arrays,
-        eq.-(3) wafer costs — are resident before live traffic
-        arrives.  A service whose flushes repeat the recorded grids
-        then starts at its steady-state hit rate instead of paying
-        the cold-start misses (see ``docs/serving.md``).  Groups of
+        the caller's legacy loader first.  Queries are coalesced the
+        way one flush would (grouped by signature, deduplicated by
+        point), and each signature's unique points are priced as one
+        group through the serve executor with *this* cache.
+
+        The entries are keyed on that group's exact arrays, so a live
+        flush hits them only when its group for the signature holds
+        the same unique points in the same first-seen order: when the
+        recorded traffic arrives again as one flush (a replayed bulk
+        body or input file of at most ``max_batch_size`` points per
+        signature).  Traffic spread over several flushes misses them
+        all (see ``docs/serving.md``, "Cache prewarming").  Groups of
         at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
         warm nothing: the executor prices them through the scalar
         references, which use no cache.  Nor does a group of more

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Any
@@ -95,10 +96,11 @@ _TINY_YIELD = 5e-324
 #: Batches of at most this many points are priced point by point
 #: through the scalar reference: on them the vectorized kernels' fixed
 #: NumPy overhead costs more than the scalar loop, which they match bit
-#: for bit anyway (crossover table: docs/performance.md, "Serving
-#: single-point queries").  Used by :func:`chiplet_cost_batch` and the
-#: serve executor.
-SCALAR_MAX_POINTS = 8
+#: for bit anyway.  4 is the largest group size at which the scalar
+#: path wins for every query kind (crossover table: docs/performance.md,
+#: "Serving single-point queries").  Used by :func:`chiplet_cost_batch`
+#: and the serve executor.
+SCALAR_MAX_POINTS = 4
 
 #: Refuse eq.-(4) batches whose row reduction would exceed this many
 #: rows for a single die (the scalar loop would effectively hang too).
@@ -180,14 +182,22 @@ def _as_float_array(name: str, value) -> np.ndarray:
 
 
 def _require_all_positive(name: str, arr: np.ndarray) -> None:
-    # Mirrors require_positive elementwise: raises on value <= 0 (NaN
-    # propagates, as in the scalar code, rather than raising).
-    if bool((arr <= 0).any()):
-        raise ParameterError(f"{name} must be > 0 for every element")
+    # Mirrors require_positive elementwise: every value finite and > 0.
+    # A NaN propagates through min() and max() and fails both bounds.
+    if arr.size and not (arr.min() > 0 and arr.max() < math.inf):
+        raise ParameterError(
+            f"{name} must be finite and > 0 for every element")
+
+
+def _require_all_nonnegative(name: str, arr: np.ndarray) -> None:
+    # Mirrors require_nonnegative elementwise: finite and >= 0.
+    if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):
+        raise ParameterError(
+            f"{name} must be finite and >= 0 for every element")
 
 
 def _require_all_fraction(name: str, arr: np.ndarray) -> None:
-    if bool(((arr <= 0) | (arr > 1.0)).any()):
+    if arr.size and not (arr.min() > 0 and arr.max() <= 1.0):
         raise ParameterError(f"{name} must be in (0, 1] for every element")
 
 
@@ -274,8 +284,10 @@ def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
 
     ``width_cm`` and ``height_cm`` broadcast together; the result is an
     int64 array of that broadcast shape (0 where the die does not fit).
-    The per-row chord sum runs as array reductions, chunked so no
-    temporary exceeds a fixed element budget regardless of batch size.
+    The per-row chord sum runs as array reductions, chunked so its two
+    work buffers stay within a fixed element budget regardless of
+    batch size.  NaN or ±inf sizes raise :class:`ParameterError`, as
+    the scalar reference does.
     With ``out`` the counts are copied into the caller's buffer and
     that buffer is returned — a float64 ``out`` holds them exactly,
     since a wafer bounds N_ch far below 2^53.
@@ -306,53 +318,124 @@ def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
     # Same operations, same order, as the scalar row loop: pitch
     # a = w + scribe, b = h + scribe; floor(2R/b) rows; each row holds
     # floor(2·min(R_j, R_{j+1})/a + ROW_FIT_SLACK) dies with
-    # R_j = sqrt(R² − (jb − R)²).
-    a = w + scribe
-    b = h + scribe
+    # R_j = sqrt(R² − (jb − R)²).  The per-die sums add integer-valued
+    # floats far below 2^53, so they are exact in any order.  Every die
+    # is padded to its chunk's largest row count r: past a die's own
+    # floor(2R/b) rows the chord offset already lies outside the
+    # circle, so padded rows add exactly 0.
     n = w.size
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return counts
-    fits = ~((w > 2.0 * radius) | (h > 2.0 * radius))
-    rows = np.zeros(n, dtype=np.int64)
-    rows[fits] = np.floor(2.0 * radius / b[fits]).astype(np.int64)
-    if bool((rows > _MAX_ROWS).any()):
+    rows = np.add(h, scribe)
+    np.divide(2.0 * radius, rows, out=rows)
+    np.floor(rows, out=rows)
+    np.copyto(rows, 0.0, where=(w > 2.0 * radius) | (h > 2.0 * radius))
+    top = float(rows.max()) if n else 0.0
+    if top > _MAX_ROWS:
         raise ParameterError(
             f"a die in the batch implies more than {_MAX_ROWS} wafer rows; "
             f"refusing the (intractable) eq.-(4) reduction")
-    order = np.argsort(rows, kind="stable")
-    rows_sorted = rows[order]
-    r2 = radius * radius
-    pos = int(np.searchsorted(rows_sorted, 1))  # zero-row dies stay 0
-    if pos >= n:
-        return counts
+    if top == 0.0:
+        return np.zeros(n, dtype=np.int64)
+    r_top = int(top)
+    if (r_top + 1) * n <= _ROW_CHUNK_BUDGET:
+        # One chunk holds the whole batch (a serve group, an optimizer
+        # scan): no sort.  A die wider than the wafer still sums chords
+        # of its pitch b, so it is zeroed afterwards.
+        b = np.add(h, scribe)
+        per_row = _row_floors(radius,
+                              np.arange(r_top + 1, dtype=np.float64),
+                              np.add(w, scribe), b,
+                              np.empty((r_top + 1) * n), np.empty(r_top * n))
+        np.add.reduce(per_row, axis=0, out=b)
+        np.copyto(b, 0.0, where=rows == 0.0)
+        return b.astype(np.int64)
+    # A stable argsort radix-sorts integer keys of at most 16 bits.
+    key = rows.astype(np.uint16 if top < 1 << 16 else np.int64)
+    del rows
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pos = int(np.searchsorted(key, 1))  # zero-row dies stay 0
     active = order[pos:]
-    r_active = rows_sorted[pos:]
-    # Dies are padded to their chunk's max row count (rows past a die's
-    # own floor(2R/b) contribute exactly 0: the chord at offset
-    # (j+1)·b − R already lies outside the circle).  Chunks take the
-    # row-sorted dies greedily while the padded (dies × (rows + 2))
-    # matrix fits the element budget, so a serve-sized batch is one
-    # chunk.  ``first_lo[i]`` is the lowest chunk start that may still
-    # end at die i; it is strictly increasing (the per-die capacity
-    # budget // (rows + 2) never grows along the sort), so one
-    # searchsorted finds each chunk's end.
-    first_lo = np.arange(1, r_active.size + 1) \
-        - _ROW_CHUNK_BUDGET // (r_active + 2)
-    lo = 0
-    while lo < r_active.size:
-        hi = max(lo + 1, int(np.searchsorted(first_lo, lo, side="right")))
-        sel = active[lo:hi]
-        r_chunk = int(r_active[hi - 1])
-        j = np.arange(r_chunk + 1, dtype=np.float64)
-        offset = j[None, :] * b[sel, None] - radius
-        inside = r2 - offset * offset
-        chord = np.sqrt(np.maximum(inside, 0.0))
-        row_chord = np.minimum(chord[:, :-1], chord[:, 1:])
-        per_row = np.floor(2.0 * row_chord / a[sel, None] + ROW_FIT_SLACK)
-        counts[sel] = per_row.sum(axis=1).astype(np.int64)
-        lo = hi
+    key = key[pos:]
+    chunks = _plan_row_chunks(key)
+    # Pitches in row-sorted order, gathered once.  Each chunk's per-die
+    # sums land in its slice of ``b``, which no later chunk reads.
+    a = w[active]
+    a += scribe
+    b = h[active]
+    b += scribe
+    size = max(min((r + 1) * (hi - lo), _ROW_CHUNK_BUDGET)
+               for lo, hi, r in chunks)
+    chord_buf = np.empty(size)
+    row_buf = np.empty(size)
+    for lo, hi, r in chunks:
+        # Rows per pass: all r of them, unless the chunk is one die
+        # whose r + 1 chords alone exceed the budget.
+        step = _ROW_CHUNK_BUDGET // (hi - lo) - 1
+        if step >= r:
+            per_row = _row_floors(radius, np.arange(r + 1, dtype=np.float64),
+                                  a[lo:hi], b[lo:hi], chord_buf, row_buf)
+            np.add.reduce(per_row, axis=0, out=b[lo:hi])
+            continue
+        total = 0.0
+        for j0 in range(0, r, step):
+            j = np.arange(j0, min(j0 + step, r) + 1, dtype=np.float64)
+            total += float(_row_floors(radius, j, a[lo:hi], b[lo:hi],
+                                       chord_buf, row_buf).sum())
+        b[lo] = total
+    counts = np.zeros(n, dtype=np.int64)
+    counts[active] = b.astype(np.int64)
     return counts
+
+
+def _row_floors(radius: float, j: np.ndarray, a: np.ndarray, b: np.ndarray,
+                chord_buf: np.ndarray, row_buf: np.ndarray) -> np.ndarray:
+    # The dies-per-row floors of the rows between the chords at offsets
+    # j[0]·b − R, ..., j[-1]·b − R, for dies of pitches a, b.  The
+    # matrices are laid out (rows × dies), so every ufunc's inner loop
+    # runs along the dies, and each pass writes in place into the two
+    # work buffers: (len(j) × dies) chords, then one fewer row of floors.
+    k, m = j.size - 1, b.size
+    chord = chord_buf[:(k + 1) * m].reshape(k + 1, m)
+    np.multiply(j[:, None], b, out=chord)
+    np.subtract(chord, radius, out=chord)
+    np.multiply(chord, chord, out=chord)
+    np.subtract(radius * radius, chord, out=chord)
+    np.maximum(chord, 0.0, out=chord)
+    np.sqrt(chord, out=chord)
+    per_row = row_buf[:k * m].reshape(k, m)
+    np.minimum(chord[:-1], chord[1:], out=per_row)
+    np.multiply(per_row, 2.0, out=per_row)
+    np.divide(per_row, a, out=per_row)
+    np.add(per_row, ROW_FIT_SLACK, out=per_row)
+    np.floor(per_row, out=per_row)
+    return per_row
+
+
+def _plan_row_chunks(key: np.ndarray) -> list[tuple[int, int, int]]:
+    # Greedy chunks (lo, hi, r) over dies sorted by row count (all
+    # >= 1): a chunk [lo, hi) takes the next die while its
+    # (r + 1) × dies chord matrix fits the element budget, r being its
+    # last die's count.  Dies of equal row count form runs; a chunk
+    # starting at ``lo`` can end inside run i only if lo >= first[i] =
+    # start_i + 1 − cap_i, with cap_i = budget // (rows_i + 1) dies, so
+    # the division runs once per run, not per die.  ``first`` strictly
+    # increases (starts do, caps never grow), so one bisect finds a
+    # chunk's last run.  A die whose chords alone exceed the budget
+    # (cap 0) is a chunk by itself.
+    m = key.size
+    starts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    run_rows = key[np.concatenate(([0], starts))].astype(np.int64)
+    caps = (_ROW_CHUNK_BUDGET // (run_rows + 1)).tolist()
+    first = [s + 1 - c for s, c in zip([0] + starts.tolist(), caps)]
+    ends = starts.tolist() + [m]
+    chunks = []
+    lo = 0
+    while lo < m:
+        i = bisect_right(first, lo) - 1
+        hi = lo + 1 if i < 0 else max(lo + 1, min(ends[i], lo + caps[i]))
+        chunks.append((lo, hi, int(key[hi - 1])))
+        lo = hi
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +467,8 @@ def poisson_yield_batch(area_cm2, defect_density_per_cm2) -> np.ndarray:
     area = _as_float_array("area_cm2", area_cm2)
     density = _as_float_array("defect_density_per_cm2",
                               defect_density_per_cm2)
-    if bool((area < 0).any()) or bool((density < 0).any()):
-        raise ParameterError("areas and densities must be >= 0")
+    _require_all_nonnegative("area_cm2", area)
+    _require_all_nonnegative("defect_density_per_cm2", density)
     return np.exp(-(area * density))
 
 
@@ -410,8 +493,7 @@ def scaled_poisson_yield_batch(n_transistors, design_density,
     _require_all_positive("design_density", d)
     _require_all_positive("feature_sizes_um", lam)
     _require_all_positive("p", p_arr)
-    if bool((coeff < 0).any()):
-        raise ParameterError("defect_coefficient must be >= 0 everywhere")
+    _require_all_nonnegative("defect_coefficient", coeff)
     area_cm2 = n * d * (lam * lam) * 1.0e-8
     d0_per_cm2 = coeff / lam ** p_arr
     exponent = area_cm2 * d0_per_cm2
@@ -438,8 +520,8 @@ def yield_for_area_batch(model: YieldModel, area_cm2,
     area = _as_float_array("area_cm2", area_cm2)
     density = _as_float_array("defect_density_per_cm2",
                               defect_density_per_cm2)
-    if bool((area < 0).any()) or bool((density < 0).any()):
-        raise ParameterError("areas and densities must be >= 0")
+    _require_all_nonnegative("area_cm2", area)
+    _require_all_nonnegative("defect_density_per_cm2", density)
     m = area * density
     return _deliver(_yield_from_expectation_batch(model, m), out)
 
@@ -456,8 +538,7 @@ def yield_from_expectation_batch(model: YieldModel, m, *,
     the caller's float64 buffer, which is returned.
     """
     arr = _as_float_array("m", m)
-    if bool((arr < 0).any()):
-        raise ParameterError("m must be >= 0 for every element")
+    _require_all_nonnegative("m", arr)
     return _deliver(_yield_from_expectation_batch(model, arr), out)
 
 
@@ -914,7 +995,8 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
     n, lam, kk = np.broadcast_arrays(n, lam_axis, kk)
     _require_all_positive("n_transistors", n)
     _require_all_positive("feature_sizes_um", lam_axis)
-    if bool((kk < 1).any()) or bool((np.floor(kk) != kk).any()):
+    if kk.size and not (kk.min() >= 1 and kk.max() < math.inf
+                        and bool((np.floor(kk) == kk).all())):
         raise ParameterError(
             "chiplets must be integer-valued and >= 1 for every element")
     cache = _resolve_cache(cache)

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..batch.engine import BatchCostResult, transistor_cost_batch
+from ..batch.engine import BatchCostResult, _require_all_positive, \
+    transistor_cost_batch
 from ..errors import ConvergenceError, ParameterError
 from ..geometry import Die, Wafer, dies_per_wafer_maly
 from ..obs import metrics as _metrics, span as _span
@@ -327,8 +328,7 @@ def optimal_feature_sizes(n_transistors,
     counts = np.ascontiguousarray(n_transistors, dtype=float).ravel()
     if counts.size < 1:
         raise ParameterError("n_transistors must be non-empty")
-    if bool((counts <= 0).any()):
-        raise ParameterError("n_transistors must be > 0 for every element")
+    _require_all_positive("n_transistors", counts)
     if not lam_lo_um < lam_hi_um:
         raise ParameterError("lam_lo_um must be < lam_hi_um")
 
@@ -396,8 +396,7 @@ def optimal_feature_size_for_die_areas(
     areas = np.ascontiguousarray(die_areas_cm2, dtype=float).ravel()
     if areas.size < 1:
         raise ParameterError("die_areas_cm2 must be non-empty")
-    if bool((areas <= 0).any()):
-        raise ParameterError("die_areas_cm2 must be > 0 for every element")
+    _require_all_positive("die_areas_cm2", areas)
 
     lams = np.linspace(lam_lo_um, lam_hi_um, _DIE_AREA_SCAN_POINTS)
     lam_opt = np.empty(areas.size, dtype=np.float64)

@@ -2,6 +2,7 @@
 scalar reference, plus the composed eq.-(1) calls."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,15 @@ from repro.batch.engine import (
     scenario2_cost_batch,
     transistors_per_die_batch,
     yield_for_area_batch,
+    yield_from_expectation_batch,
 )
 from repro.core import GenerationModel, TransistorCostModel, WaferCostModel
-from repro.core.optimization import FIG8_FAB, transistor_cost_full
+from repro.core.optimization import (
+    FIG8_FAB,
+    optimal_feature_size_for_die_areas,
+    optimal_feature_sizes,
+    transistor_cost_full,
+)
 from repro.errors import ParameterError
 from repro.geometry import Die, Wafer, dies_per_wafer_maly
 from repro.system.chiplet import ChipletCostModel
@@ -160,6 +167,28 @@ class TestDiesPerWaferBatch:
         with pytest.raises(ParameterError):
             dies_per_wafer_batch(Wafer(radius_cm=7.5), [1.0], [1e-9],
                                  cache=None)
+        # A row count too large for int64 is refused too, not wrapped.
+        with pytest.raises(ParameterError):
+            dies_per_wafer_batch(Wafer(radius_cm=7.5), [1.0], [1e-300],
+                                 cache=None)
+
+    def test_peak_allocation_stays_within_nine_budgets(self):
+        # 65,536 dies of 100-375 rows, whose unchunked chord matrix
+        # would hold 375 budgets of elements.  The call keeps a few
+        # per-die arrays (65,536 float64 = one budget's bytes each) and
+        # two work buffers of at most one budget each.
+        wafer = Wafer(radius_cm=7.5)
+        rng = np.random.default_rng(5)
+        widths = rng.uniform(0.04, 0.3, 1 << 16)
+        heights = rng.uniform(0.04, 0.15, 1 << 16)
+        budget_bytes = _ROW_CHUNK_BUDGET * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            dies_per_wafer_batch(wafer, widths, heights, cache=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * budget_bytes
 
 
 class TestYieldBatches:
@@ -583,3 +612,64 @@ class TestChipletClamp:
                 assert got == 5e-324
             assert float(result.cost_per_transistor_dollars[i]) \
                 == ref.cost_per_transistor_dollars
+
+
+#: Every batch kernel with one array argument replaced by ``bad``; the
+#: other arguments are valid.
+_KERNEL_CALLS = {
+    "generations": lambda bad: generations_batch([0.8, bad]),
+    "wafer_cost": lambda bad: wafer_cost_batch(
+        _model().wafer_cost, [0.8, bad], cache=None),
+    "dies_per_wafer_width": lambda bad: dies_per_wafer_batch(
+        Wafer(radius_cm=7.5), [bad, 1.0], [1.0, 1.0], cache=None),
+    "dies_per_wafer_height": lambda bad: dies_per_wafer_batch(
+        Wafer(radius_cm=7.5), [1.0, 1.0], [1.0, bad], cache=None),
+    "transistors_per_die": lambda bad: transistors_per_die_batch(
+        [1.0, bad], 150.0, 0.8),
+    "poisson_yield": lambda bad: poisson_yield_batch([1.0, bad], 0.5),
+    "scaled_poisson_yield": lambda bad: scaled_poisson_yield_batch(
+        [1e6, 2e6], 150.0, [1.72, bad], 0.8, 4.07),
+    "yield_for_area": lambda bad: yield_for_area_batch(
+        MurphyYield(), [1.0, 2.0], [bad, 0.5]),
+    "yield_from_expectation": lambda bad: yield_from_expectation_batch(
+        MurphyYield(), [0.1, bad]),
+    "transistor_cost": lambda bad: transistor_cost_batch(
+        [bad], [0.5], cache=None),
+    "evaluate": lambda bad: evaluate_batch(
+        _model(), n_transistors=[1e6], feature_sizes_um=[bad],
+        design_density=150.0, yield_value=0.8, cache=None),
+    "evaluate_yield_value": lambda bad: evaluate_batch(
+        _model(), n_transistors=[1e6], feature_sizes_um=[0.8],
+        design_density=150.0, yield_value=[bad], cache=None),
+    "scenario1": lambda bad: scenario1_cost_batch(
+        _model(), [0.8, bad], 150.0, cache=None),
+    "scenario2": lambda bad: scenario2_cost_batch(
+        _model(), [0.8, 1.0], 150.0, die_area_cm2=[1.0, bad],
+        cache=None),
+    "chiplet_transistors": lambda bad: chiplet_cost_batch(
+        [1e6, bad], 0.8, 2, cache=None),
+    "chiplet_chiplets": lambda bad: chiplet_cost_batch(
+        [1e6, 2e6], 0.8, [2.0, bad], cache=None),
+    "optimal_feature_sizes": lambda bad: optimal_feature_sizes(
+        [1e6, bad]),
+    "optimal_feature_size_for_die_areas": lambda bad:
+        optimal_feature_size_for_die_areas([bad, 1.0]),
+}
+
+
+class TestNonFiniteInputs:
+    """NaN and ±inf raise ParameterError, as the scalar references'
+    ``require_positive`` / ``require_nonnegative`` do."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kernel", sorted(_KERNEL_CALLS))
+    def test_raises_parameter_error(self, kernel, bad):
+        with pytest.raises(ParameterError):
+            _KERNEL_CALLS[kernel](bad)
+
+    def test_scalar_reference_agrees(self):
+        with pytest.raises(ParameterError, match="finite"):
+            transistor_cost_full(math.nan, 0.5)
+        with pytest.raises(ParameterError, match="finite"):
+            transistor_cost_batch([math.nan], [0.5], cache=None)

@@ -167,3 +167,47 @@ class TestSubmodelParity:
         assert counts.tolist() == [
             dies_per_wafer_maly(wafer, Die(width_cm=w, height_cm=h))
             for w, h in zip(widths.tolist(), heights.tolist())]
+
+    @settings(max_examples=20, deadline=None)
+    @given(radius=radius_strategy,
+           edge=st.floats(min_value=0.0, max_value=1.0),
+           scribe_frac=st.sampled_from([0.0, 0.3, 0.9]),
+           extra_rows=st.integers(min_value=2,
+                                  max_value=_ROW_CHUNK_BUDGET),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_dies_per_wafer_bitwise_edge_layouts(self, radius, edge,
+                                                 scribe_frac, extra_rows,
+                                                 seed):
+        # One broadcast (widths[:, None] × heights[None, :]) batch that
+        # mixes dies wider or taller than the wafer, 1-row dies,
+        # ordinary dies and a die whose rows + 1 chords alone exceed
+        # _ROW_CHUNK_BUDGET (its rows run in several passes), under
+        # edge exclusion and scribe lanes; then every die again as 0-d
+        # inputs.
+        wafer = Wafer(radius_cm=radius, edge_exclusion_cm=edge)
+        span = 2.0 * wafer.usable_radius_cm
+        fine_pitch = span / (_ROW_CHUNK_BUDGET + extra_rows)
+        scribe = scribe_frac * fine_pitch
+        rng = np.random.default_rng(seed)
+        frac = rng.uniform(0.05, 0.95, 4)
+        heights = np.array([span * (1.0 + frac[0]), span / (1.0 + frac[1]),
+                            span / (20.0 + frac[2]), fine_pitch]) - scribe
+        widths = np.array([span * (1.0 + frac[3]),
+                           rng.uniform(0.02, 0.5 * span),
+                           rng.uniform(0.002, 0.02)])
+        assert math.floor(span / (heights[-1] + scribe)) + 1 \
+            > _ROW_CHUNK_BUDGET
+        expected = [[dies_per_wafer_maly(
+            wafer, Die(width_cm=w, height_cm=h, scribe_cm=scribe))
+            for h in heights.tolist()] for w in widths.tolist()]
+        counts = dies_per_wafer_batch(wafer, widths[:, None],
+                                      heights[None, :], scribe_cm=scribe,
+                                      cache=None)
+        assert counts.shape == (widths.size, heights.size)
+        assert counts.tolist() == expected
+        for i, w in enumerate(widths.tolist()):
+            for j, h in enumerate(heights.tolist()):
+                single = dies_per_wafer_batch(wafer, w, h, scribe_cm=scribe,
+                                              cache=None)
+                assert single.shape == ()
+                assert int(single) == expected[i][j]

@@ -224,6 +224,14 @@ class TestEndpoints:
         assert got["optimal_feature_size_um"] == lam
         assert got["cost_per_transistor_dollars"] == cost
 
+    @pytest.mark.parametrize("body", ['{"die_areas": [NaN]}',
+                                      '{"die_areas": [Infinity, 1.0]}',
+                                      '{"die_area": NaN}'])
+    def test_optimize_non_finite_area_400(self, server, body):
+        status, _, reply = _http(server.port, "POST", "/v1/optimize", body)
+        assert status == 400
+        assert json.loads(reply)["error"] == "bad_request"
+
     def test_healthz(self, server):
         status, _, body = _http(server.port, "GET", "/healthz")
         assert status == 200
