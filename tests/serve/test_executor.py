@@ -229,7 +229,10 @@ class TestRouting:
         with pytest.raises(AssertionError, match="dies_per_wafer_batch"):
             execute_group(exemplar, _PADDING + [(5e6, 1.2)], cache=None)
 
-    @pytest.mark.parametrize("size, calls", [(K, K), (K + 1, 0)])
+    # Every size from 1 past K: at most K points take one system_cost
+    # call each, a larger batch takes none.
+    @pytest.mark.parametrize("size, calls",
+                             [(s, s if s <= K else 0) for s in range(1, 10)])
     def test_chiplet_batch_prices_small_batches_by_system_cost(
             self, monkeypatch, size, calls):
         seen = []
@@ -298,10 +301,10 @@ class TestScalarReferences:
 
 
 class TestThreadBackend:
-    @pytest.mark.parametrize("k", [K, K + 2])
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_run_group_matches_scalar_reference(self, k):
         # The scheduler's one execution call, on both sides of the
-        # small-group threshold: inline, no cache, scalar-exact.
+        # small-group threshold K: inline, no cache, scalar-exact.
         points = [(1e5 * (i + 1), 0.8) for i in range(k)]
         result = ThreadBackend().run_group(FabCostQuery(*points[0]),
                                            points, None)
