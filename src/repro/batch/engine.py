@@ -96,11 +96,12 @@ _TINY_YIELD = 5e-324
 #: Batches of at most this many points are priced point by point
 #: through the scalar reference: on them the vectorized kernels' fixed
 #: NumPy overhead costs more than the scalar loop, which they match bit
-#: for bit anyway.  4 is the largest group size at which the scalar
-#: path wins for every query kind (crossover table: docs/performance.md,
-#: "Serving single-point queries").  Used by :func:`chiplet_cost_batch`
-#: and the serve executor.
-SCALAR_MAX_POINTS = 4
+#: for bit anyway.  The scalar path wins for every query kind up to 5
+#: points, and at 6 still for model and chiplet groups while fab
+#: groups lose ~10% (crossover table and the serve traffic's group
+#: sizes: docs/performance.md, "Serving single-point queries").  Used
+#: by :func:`chiplet_cost_batch` and the serve executor.
+SCALAR_MAX_POINTS = 6
 
 #: Refuse eq.-(4) batches whose row reduction would exceed this many
 #: rows for a single die (the scalar loop would effectively hang too).
@@ -335,19 +336,6 @@ def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
             f"refusing the (intractable) eq.-(4) reduction")
     if top == 0.0:
         return np.zeros(n, dtype=np.int64)
-    r_top = int(top)
-    if (r_top + 1) * n <= _ROW_CHUNK_BUDGET:
-        # One chunk holds the whole batch (a serve group, an optimizer
-        # scan): no sort.  A die wider than the wafer still sums chords
-        # of its pitch b, so it is zeroed afterwards.
-        b = np.add(h, scribe)
-        per_row = _row_floors(radius,
-                              np.arange(r_top + 1, dtype=np.float64),
-                              np.add(w, scribe), b,
-                              np.empty((r_top + 1) * n), np.empty(r_top * n))
-        np.add.reduce(per_row, axis=0, out=b)
-        np.copyto(b, 0.0, where=rows == 0.0)
-        return b.astype(np.int64)
     # A stable argsort radix-sorts integer keys of at most 16 bits.
     key = rows.astype(np.uint16 if top < 1 << 16 else np.int64)
     del rows

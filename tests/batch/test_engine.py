@@ -135,6 +135,18 @@ class TestDiesPerWaferBatch:
         counts = dies_per_wafer_batch(wafer, [11.0, 1.0], [1.0, 11.0],
                                       cache=None)
         assert counts.tolist() == [0, 0]
+        # Width 2R·(1 + 1e-12) and 50,000 rows of height: on the rows
+        # nearest the centre 2·chord/a + ROW_FIT_SLACK still floors to
+        # 1, so only the width test keeps such a die at 0.  The ordinary
+        # die beside it must keep its count.
+        wafer = Wafer(radius_cm=7.5)
+        wide = Die(width_cm=2 * 7.5 * (1 + 1e-12), height_cm=3e-4)
+        small = Die.square(1.0)
+        counts = dies_per_wafer_batch(
+            wafer, [wide.width_cm, small.width_cm],
+            [wide.height_cm, small.height_cm], cache=None)
+        assert counts.tolist() == [0, dies_per_wafer_maly(wafer, small)]
+        assert dies_per_wafer_maly(wafer, wide) == 0
 
     def test_broadcasts_width_against_height(self):
         wafer = Wafer(radius_cm=7.5)
