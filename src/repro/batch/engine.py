@@ -36,6 +36,16 @@ cells — die does not fit the wafer, or eq.-(7) yield underflow — are
 masked to ``inf`` exactly like :func:`repro.core.optimization.
 transistor_cost_full`.
 
+The chiplet kernel and the compound yield family are **bitwise** in
+the transcendentals too: they reach libm through NumPy C loops that
+skip the SIMD kernels.  ``np.float_power``'s float64 loop calls libm
+``pow`` per element, the call Python's ``**`` makes (``np.power``
+dispatches to SIMD code instead).  For ``exp(x)`` the kernel takes
+the real part of complex128 ``np.exp(x + 0j)``, which calls libm
+``cexp`` (see :func:`_exp_neg_clamped`).  ``TestLibmRoutes`` in
+``tests/batch/test_engine.py`` pins both routes against builtin
+``pow`` and ``math.exp``.
+
 Caching
 -------
 The dies-per-wafer and wafer-cost sub-results are memoized in a
@@ -57,7 +67,6 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -66,7 +75,7 @@ from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
 from ..obs.state import enabled as _obs_enabled, \
     tracing_enabled as _tracing_enabled
-from ..geometry.wafer import ROW_FIT_SLACK, Wafer
+from ..geometry.wafer import ROW_FIT_SLACK, Wafer, check_row_count
 from ..core.wafer_cost import GenerationModel, WaferCostModel
 from ..core.transistor_cost import TransistorCostModel
 from ..units import UM2_PER_CM2, require_nonnegative
@@ -81,6 +90,7 @@ from ..yieldsim.models import (
     SeedsYield,
     YIELD_CUTOFF,
     YieldModel,
+    scaled_defect_density,
 )
 from .cache import BatchCache, array_fingerprint, default_cache
 
@@ -102,10 +112,6 @@ _TINY_YIELD = 5e-324
 #: sizes: docs/performance.md, "Serving single-point queries").  Used
 #: by :func:`chiplet_cost_batch` and the serve executor.
 SCALAR_MAX_POINTS = 6
-
-#: Refuse eq.-(4) batches whose row reduction would exceed this many
-#: rows for a single die (the scalar loop would effectively hang too).
-_MAX_ROWS = 100_000_000
 
 #: Upper bound on elements per temporary in the chunked row reduction
 #: (512 KiB of float64).  At 2**22 every sweep tile page-faulted in
@@ -326,15 +332,14 @@ def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
     # circle, so padded rows add exactly 0.
     n = w.size
     rows = np.add(h, scribe)
-    np.divide(2.0 * radius, rows, out=rows)
-    np.floor(rows, out=rows)
+    with np.errstate(over="ignore"):  # inf rows: check_row_count refuses
+        np.divide(2.0 * radius, rows, out=rows)
     np.copyto(rows, 0.0, where=(w > 2.0 * radius) | (h > 2.0 * radius))
     top = float(rows.max()) if n else 0.0
-    if top > _MAX_ROWS:
-        raise ParameterError(
-            f"a die in the batch implies more than {_MAX_ROWS} wafer rows; "
-            f"refusing the (intractable) eq.-(4) reduction")
-    if top == 0.0:
+    check_row_count(top)  # the unfloored 2R/b, as the scalar loop tests
+    np.floor(rows, out=rows)
+    top = math.floor(top)  # floor is monotone: the largest floored count
+    if top == 0:
         return np.zeros(n, dtype=np.int64)
     # A stable argsort radix-sorts integer keys of at most 16 bits.
     key = rows.astype(np.uint16 if top < 1 << 16 else np.int64)
@@ -483,7 +488,8 @@ def scaled_poisson_yield_batch(n_transistors, design_density,
     _require_all_positive("p", p_arr)
     _require_all_nonnegative("defect_coefficient", coeff)
     area_cm2 = n * d * (lam * lam) * 1.0e-8
-    d0_per_cm2 = coeff / lam ** p_arr
+    with np.errstate(over="ignore"):  # an overflowing λ^p gives D₀ = 0
+        d0_per_cm2 = coeff / lam ** p_arr
     exponent = area_cm2 * d0_per_cm2
     with np.errstate(under="ignore"):
         y = np.exp(-exponent)
@@ -530,19 +536,6 @@ def yield_from_expectation_batch(model: YieldModel, m, *,
     return _deliver(_yield_from_expectation_batch(model, arr), out)
 
 
-def _scalar_pow_elementwise(base: np.ndarray, exponent: float) -> np.ndarray:
-    # ``base ** exponent`` through the *scalar* libm pow, element by
-    # element.  NumPy's SIMD pow may round differently in the last ulp,
-    # which would break the bitwise contract of the compound-family
-    # kernels; the surrounding arithmetic stays vectorized (IEEE-exact
-    # ops only) and just the transcendental goes through Python floats.
-    # ``map(pow, ...)`` makes the same libm calls as ``b ** exponent``
-    # in a generator, without a generator frame per element.
-    flat = np.fromiter(map(pow, base.ravel().tolist(), repeat(exponent)),
-                       dtype=np.float64, count=base.size)
-    return flat.reshape(base.shape)
-
-
 def _yield_from_expectation_batch(model: YieldModel,
                                   m: np.ndarray) -> np.ndarray:
     # Dispatch on the exact type, not isinstance: a subclass that
@@ -562,10 +555,10 @@ def _yield_from_expectation_batch(model: YieldModel,
     if kind is BoseEinsteinYield:
         return (1.0 + m / model.n_layers) ** (-model.n_layers)
     if kind is CompoundPoissonGamma:
-        # Same expression as NegativeBinomialYield below, but routed
-        # through scalar pow so batched == scalar bit-for-bit (the
-        # base ``1.0 + m/α`` is exactly rounded either way).
-        return _scalar_pow_elementwise(1.0 + m / model.alpha, -model.alpha)
+        # Same expression as NegativeBinomialYield below, but through
+        # libm pow (np.float_power) so batched == scalar bit-for-bit
+        # (the base ``1.0 + m/α`` is exactly rounded either way).
+        return np.float_power(1.0 + m / model.alpha, -model.alpha)
     if kind is NegativeBinomialYield:
         return (1.0 + m / model.alpha) ** (-model.alpha)
     if kind is HierarchicalYieldModel:
@@ -581,14 +574,14 @@ def _hierarchical_yield_batch(model: HierarchicalYieldModel,
                               m: np.ndarray) -> np.ndarray:
     # Replays HierarchicalYieldModel.yield_from_expectation exactly:
     # per quadrature node the base ``1.0 + (m·t)/β`` is IEEE-exact
-    # arithmetic (vectorized), the pow goes through scalar libm, and
-    # the accumulation order over nodes matches the scalar loop —
-    # so every element is bit-for-bit the scalar result.
+    # arithmetic, the pow is libm's (np.float_power), and the
+    # accumulation order over nodes matches the scalar loop — so every
+    # element is bit-for-bit the scalar result.
     nodes, weights = model.mixing_nodes()
     beta = model.wafer_alpha
     acc = np.zeros(m.shape, dtype=np.float64)
     for t, w in zip(nodes, weights):
-        acc += w * _scalar_pow_elementwise(1.0 + (m * t) / beta, -beta)
+        acc += w * np.float_power(1.0 + (m * t) / beta, -beta)
     return np.where(m == 0.0, 1.0, np.minimum(acc, 1.0))
 
 
@@ -897,27 +890,23 @@ class ChipletBatchResult:
         return self.cost_per_transistor_dollars * 1.0e6
 
 
-def _scalar_pow_pairwise(base: np.ndarray,
-                         exponent: np.ndarray) -> np.ndarray:
-    # ``base ** exponent`` with a per-element exponent, through the
-    # scalar libm pow — the pairwise sibling of
-    # ``_scalar_pow_elementwise`` (same bitwise rationale).
-    flat = np.fromiter(map(pow, base.ravel().tolist(),
-                           exponent.ravel().tolist()),
-                       dtype=np.float64, count=base.size)
-    return flat.reshape(base.shape)
-
-
-def _scalar_exp_neg_clamped(exponent: np.ndarray) -> np.ndarray:
-    # ``exp(-exponent)`` through scalar libm with the eq.-(7) underflow
-    # clamp — replays scaled_poisson_yield's tail (and its bits)
-    # exactly, element by element.  Negation is exact, so libm sees
-    # the scalar code's argument; the clamp then overwrites the cells
-    # the scalar code never passes to exp.
-    flat = np.fromiter(map(math.exp, (-exponent).ravel().tolist()),
-                       dtype=np.float64, count=exponent.size)
-    flat[exponent.ravel() > _EXPONENT_CLAMP] = _TINY_YIELD
-    return flat.reshape(exponent.shape)
+def _exp_neg_clamped(exponent: np.ndarray) -> np.ndarray:
+    # ``exp(-exponent)`` with the eq.-(7) underflow clamp, bitwise
+    # equal to scaled_poisson_yield's tail.  NumPy's float64 exp is a
+    # SIMD kernel that, on AVX-512 hosts, rounds ~4% of arguments
+    # differently from libm.  So the exp runs as complex128: NumPy's
+    # complex exp calls libm cexp, whose real part at a zero imaginary
+    # part is libm exp(x)·cos(0) = exp(x), the value math.exp returns.
+    # TestLibmRoutes in tests/batch/test_engine.py pins this on every
+    # SIMD target the parity suites run on.  Negation is exact, so libm
+    # sees the scalar code's argument; the clamp then overwrites the
+    # cells the scalar code never passes to exp.
+    buf = exponent.astype(np.complex128)
+    np.negative(buf.real, out=buf.real)
+    np.exp(buf, out=buf)
+    y = buf.real.copy()
+    y[exponent > _EXPONENT_CLAMP] = _TINY_YIELD
+    return y
 
 
 def _scalar_wafer_cost_batch(model: WaferCostModel, lam: np.ndarray,
@@ -956,13 +945,13 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
 
     Parity is **bitwise**, not 1e-12: the pure arithmetic (geometry,
     eq.-(4) die counts, every cost composition) is vectorized in the
-    scalar operation order, while the transcendental steps — eq.-(3)
-    wafer cost per unique λ, the eq.-(7) exp, and the three KGD/
-    assembly pows — run through scalar libm element by element
-    (the ``_scalar_pow_elementwise`` idiom the compound yield family
-    established).  That lets the serve executor and the loadgen
-    verifier hold chiplet traffic to the same bitwise contract as fab
-    queries.  Sub-results (die counts, wafer cost, die yield) memoize
+    scalar operation order, and every transcendental makes the libm
+    call the scalar code makes.  The eq.-(3) wafer cost and eq.-(7)'s
+    ``D / λ^p`` run through the scalar functions once per unique λ;
+    the eq.-(7) exp and the three KGD/assembly pows run in NumPy's C
+    loops over libm (the libm routes in the module docstring).  That
+    lets the serve executor and the loadgen verifier hold chiplet
+    traffic to the same bitwise contract as fab queries.  Sub-results (die counts, wafer cost, die yield) memoize
     in the shared :class:`~repro.batch.cache.BatchCache`.  A batch of
     at most :data:`SCALAR_MAX_POINTS` elements skips the kernel and
     the cache: each element is priced by ``system_cost`` itself.
@@ -1063,23 +1052,24 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
                 array_fingerprint(lam_axis))
 
     def compute_yield() -> np.ndarray:
-        # scaled_poisson_yield's exact operation order: the d0 pow
-        # per unique λ through scalar libm, the area product
-        # vectorized (IEEE-exact), the exp per element.
+        # scaled_poisson_yield's exact operation order: D₀ per unique
+        # λ through the scalar function, the area product vectorized
+        # (IEEE-exact), the exp per element.
         uniq, inv = np.unique(lam_axis.ravel(), return_inverse=True)
         p = fab.size_exponent_p
         coeff = fab.defect_coefficient
-        d0_u = np.fromiter((coeff / l ** p for l in uniq.tolist()),
+        d0_u = np.fromiter((scaled_defect_density(coeff, l, p)
+                            for l in uniq.tolist()),
                            dtype=np.float64, count=uniq.size)
         area_y = n_k * fab.design_density * (lam_axis * lam_axis) * 1.0e-8
         exponent = area_y * d0_u[inv].reshape(lam_axis.shape)
-        return _scalar_exp_neg_clamped(exponent)
+        return _exp_neg_clamped(exponent)
 
     y = _cached(cache, "chiplet_die_yield", n_k.size, ykey, compute_yield)
     pc = model.probe_coverage
-    pass_rate = _scalar_pow_elementwise(y, pc)
-    q = _scalar_pow_elementwise(y, 1.0 - pc)
-    y_asm = _scalar_pow_pairwise(q * pk.bond_yield, kk)
+    pass_rate = np.float_power(y, pc)
+    q = np.float_power(y, 1.0 - pc)
+    y_asm = np.float_power(q * pk.bond_yield, kk)
     y_eff = pass_rate * y_asm
     packaging_cost = pk.base_cost_dollars \
         + pk.cost_per_die_dollars * kk \

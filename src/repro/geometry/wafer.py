@@ -47,6 +47,15 @@ ApproxKind = Literal["gross", "ferris-prabhu", "industry"]
 #: radius).  1e-9 of a die pitch is far below any physical tolerance.
 ROW_FIT_SLACK = 1e-9
 
+#: Most wafer rows, ``2R/b``, that one die may imply in an eq.-(4)
+#: count.  The scalar row loop below costs ~0.36 µs per row (Python
+#: 3.11 on a 2-vCPU x86-64 VM), so a die at the bound takes ~0.4 s
+#: there and ~10 ms in the batch kernel: the worst one admitted point
+#: can cost.  A 0.15 µm die pitch on a 7.5 cm wafer reaches it; the
+#: paper's figures and tables, the benches, the examples and perfbench
+#: stay below 500 rows.
+MAX_WAFER_ROWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Wafer:
@@ -112,6 +121,21 @@ class Wafer:
         return int(dies_per_wafer_area_approx(self, die, kind=method))  # type: ignore[arg-type]
 
 
+def check_row_count(rows: float) -> None:
+    """Refuse an eq.-(4) count over more than :data:`MAX_WAFER_ROWS` rows.
+
+    ``rows`` is the float row count ``2R/b`` before flooring, as both
+    :func:`dies_per_wafer_maly` and the batch kernel
+    :func:`repro.batch.engine.dies_per_wafer_batch` compute it, so the
+    two refuse exactly the same dies.  Raises :class:`ParameterError`
+    (a 400 at the HTTP edge) instead of looping for seconds or hours.
+    """
+    if rows > MAX_WAFER_ROWS:
+        raise ParameterError(
+            f"the die implies {rows:.3g} wafer rows, more than the "
+            f"{MAX_WAFER_ROWS} an eq.-(4) count allows")
+
+
 def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
     """Eq. (4): row-by-row die count.
 
@@ -125,7 +149,9 @@ def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
 
     Scribe lanes, if present on the die, are folded into the stepping
     pitch (a die's *pitch* must fit, its active area is irrelevant to
-    packing).  Edge exclusion shrinks the effective radius.
+    packing).  Edge exclusion shrinks the effective radius.  A die
+    implying more than :data:`MAX_WAFER_ROWS` rows raises
+    :class:`ParameterError` (see :func:`check_row_count`).
     """
     radius = wafer.usable_radius_cm
     a = die.pitch_x_cm
@@ -133,7 +159,9 @@ def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
     if die.width_cm > 2 * radius or die.height_cm > 2 * radius:
         return 0
 
-    n_rows = math.floor(2.0 * radius / b)
+    rows = 2.0 * radius / b
+    check_row_count(rows)
+    n_rows = math.floor(rows)
     sqrt, floor = math.sqrt, math.floor
     r2 = radius * radius
     # Half-chord R_j at offset j·b − R.  Row j's upper chord R_{j+1} is

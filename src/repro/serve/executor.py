@@ -63,7 +63,8 @@ from ..core.optimization import transistor_cost_breakdown
 from ..core.wafer_cost import WaferCostModel
 from ..errors import ParameterError
 from ..geometry.wafer import Wafer
-from ..yieldsim.models import YIELD_CUTOFF, ReferenceAreaYield
+from ..yieldsim.models import YIELD_CUTOFF, ReferenceAreaYield, \
+    scaled_defect_density
 from .query import CostQuery, ServedCost
 
 __all__ = ["GroupResult", "execute_group"]
@@ -165,7 +166,7 @@ def _fab_group(exemplar, n: np.ndarray, lam: np.ndarray,
     # unique λ.
     for i, (n_i, lam_i) in enumerate(zip(n.tolist(), lam.tolist())):
         exponent = (n_i * d * (lam_i * lam_i) * 1.0e-8) \
-            * (coeff / lam_i ** p)
+            * scaled_defect_density(coeff, lam_i, p)
         y[i] = 5e-324 if exponent > 700.0 else exp(-exponent)
         cached = cw_get(lam_i)
         if cached is None:
@@ -222,8 +223,9 @@ def _chiplet_group(exemplar, n: np.ndarray, lam: np.ndarray,
                    cache: BatchCache | None) -> GroupResult:
     # Chiplet queries need no inlining here: chiplet_cost_batch is
     # already *bitwise* equal to the scalar ChipletCostModel (its
-    # transcendentals run through scalar libm — see its docstring), so
-    # one kernel call serves the group.  The ServedCost projection:
+    # transcendentals make the scalar code's libm calls, from NumPy's
+    # C loops — see its docstring), so one kernel call serves the
+    # group.  The ServedCost projection:
     # die_area is the per-chiplet area, dies_per_wafer the per-chiplet
     # eq.-(4) count, yield_value the effective (probe × assembly)
     # system yield — the quantities the eq.-(1)-shaped cost composes.

@@ -439,6 +439,22 @@ def poisson_yield(area_cm2: float, defect_density_per_cm2: float) -> float:
     return PoissonYield().yield_for_area(area_cm2, defect_density_per_cm2)
 
 
+def scaled_defect_density(defect_coefficient: float, feature_size_um: float,
+                          p: float) -> float:
+    """Eq. (7)'s defect density ``D₀ = D / λ^p`` in defects/cm².
+
+    A ``λ^p`` past the float range (λ above ~1e76 µm at p = 4.07)
+    counts as ``inf``, so ``D₀`` is 0, as NumPy's ``pow`` gives it in
+    the batch kernels; Python's ``**`` would raise
+    :class:`OverflowError` instead.  The true ``D₀`` lies below
+    ``D / 1.8e308`` there anyway.
+    """
+    try:
+        return defect_coefficient / feature_size_um ** p
+    except OverflowError:
+        return defect_coefficient / math.inf
+
+
 def scaled_poisson_yield(n_transistors: float, design_density: float,
                          defect_coefficient: float, feature_size_um: float,
                          p: float) -> float:
@@ -465,7 +481,7 @@ def scaled_poisson_yield(n_transistors: float, design_density: float,
     require_positive("p", p)
     area_cm2 = n_transistors * design_density \
         * (feature_size_um * feature_size_um) * 1.0e-8
-    d0_per_cm2 = defect_coefficient / feature_size_um ** p
+    d0_per_cm2 = scaled_defect_density(defect_coefficient, feature_size_um, p)
     exponent = area_cm2 * d0_per_cm2
     # Guard against underflow-to-zero surprising callers that divide by Y:
     # exp() underflows to 0.0 below ~-745; the caller-facing contract is a

@@ -21,6 +21,7 @@ from repro.batch.engine import (
     _CACHE_MAX_CELLS,
     _ROW_CHUNK_BUDGET,
     SCALAR_MAX_POINTS,
+    _exp_neg_clamped,
     generations_batch,
     poisson_yield_batch,
     scenario1_cost_batch,
@@ -38,6 +39,7 @@ from repro.core.optimization import (
 )
 from repro.errors import ParameterError
 from repro.geometry import Die, Wafer, dies_per_wafer_maly
+from repro.geometry.wafer import MAX_WAFER_ROWS
 from repro.system.chiplet import ChipletCostModel
 from repro.technology.roadmap import die_area_trend_cm2
 from repro.yieldsim import (
@@ -50,7 +52,11 @@ from repro.yieldsim import (
     poisson_yield,
     scaled_poisson_yield,
 )
-from repro.yieldsim.models import YieldModel
+from repro.yieldsim.models import (
+    CompoundPoissonGamma,
+    HierarchicalYieldModel,
+    YieldModel,
+)
 
 LAMS = np.array([0.35, 0.5, 0.8, 1.0, 1.5, 2.0])
 RTOL = 1e-12
@@ -135,6 +141,12 @@ class TestDiesPerWaferBatch:
         counts = dies_per_wafer_batch(wafer, [11.0, 1.0], [1.0, 11.0],
                                       cache=None)
         assert counts.tolist() == [0, 0]
+        # However thin: a die wider than the wafer counts 0 before its
+        # 1e10 rows would reach the row guard, on both paths.
+        assert dies_per_wafer_batch(wafer, [11.0, 1.0], [1e-9, 1.0],
+                                    cache=None).tolist()[0] == 0
+        assert dies_per_wafer_maly(
+            wafer, Die(width_cm=11.0, height_cm=1e-9)) == 0
         # Width 2R·(1 + 1e-12) and 50,000 rows of height: on the rows
         # nearest the centre 2·chord/a + ROW_FIT_SLACK still floors to
         # 1, so only the width test keeps such a die at 0.  The ordinary
@@ -176,13 +188,34 @@ class TestDiesPerWaferBatch:
             for w, h in zip(widths, heights)]
 
     def test_absurd_row_count_refused(self):
+        # One guard for both paths: the scalar loop raises the batch
+        # kernel's error at once instead of looping over 1.5e10 rows or
+        # more.  A row count too large for int64 is refused too, not
+        # wrapped, and so is an inf one (2R/b at b = 5e-324).
+        wafer = Wafer(radius_cm=7.5)
+        for height in (1e-9, 1e-300, 5e-324):
+            with pytest.raises(ParameterError, match="wafer rows"):
+                dies_per_wafer_batch(wafer, [1.0, 1.0], [1.0, height],
+                                     cache=None)
+            with pytest.raises(ParameterError, match="wafer rows"):
+                dies_per_wafer_maly(wafer,
+                                    Die(width_cm=1.0, height_cm=height))
+
+    def test_bound_is_the_same_on_both_sides_of_it(self):
+        # 2R/b just under MAX_WAFER_ROWS is counted, identically, by
+        # the scalar loop and the kernel; just over it both refuse.
+        wafer = Wafer(radius_cm=7.5, edge_exclusion_cm=0.5)
+        span = 2.0 * wafer.usable_radius_cm
+        under = span / (MAX_WAFER_ROWS * (1.0 - 1e-9))
+        over = span / (MAX_WAFER_ROWS * (1.0 + 1e-9))
+        assert span / under < MAX_WAFER_ROWS < span / over
+        die = Die(width_cm=2.0, height_cm=under)
+        assert int(dies_per_wafer_batch(wafer, 2.0, under, cache=None)) \
+            == dies_per_wafer_maly(wafer, die)
         with pytest.raises(ParameterError):
-            dies_per_wafer_batch(Wafer(radius_cm=7.5), [1.0], [1e-9],
-                                 cache=None)
-        # A row count too large for int64 is refused too, not wrapped.
+            dies_per_wafer_maly(wafer, Die(width_cm=2.0, height_cm=over))
         with pytest.raises(ParameterError):
-            dies_per_wafer_batch(Wafer(radius_cm=7.5), [1.0], [1e-300],
-                                 cache=None)
+            dies_per_wafer_batch(wafer, 2.0, over, cache=None)
 
     def test_peak_allocation_stays_within_nine_budgets(self):
         # 65,536 dies of 100-375 rows, whose unchunked chord matrix
@@ -685,3 +718,78 @@ class TestNonFiniteInputs:
             transistor_cost_full(math.nan, 0.5)
         with pytest.raises(ParameterError, match="finite"):
             transistor_cost_batch([math.nan], [0.5], cache=None)
+
+
+#: Pow grid: the chiplet kernel's bases y and q·y_bond lie in [0, 1],
+#: its exponents c, 1 − c and k in [0, 8]; plus the edges around them.
+_POW_BASES = [0.0, 5e-324, 1e-300, 0.3, 1.0 - 2.0 ** -53, 1.0]
+_POW_EXPONENTS = [0.0, 1e-9, 0.05, 0.95, 1.0, 2.0, 8.0, 700.0]
+#: exp edges: zeros, subnormal and tiny arguments, the eq.-(7) clamp
+#: at 700, exp's own underflow near -708.4 and -745.1, and far past it.
+_EXP_EDGES = [0.0, -0.0, -5e-324, -1e-300, -0.5, -700.0, -708.4, -745.1,
+              -1e300]
+
+
+def _f64_bytes(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestLibmRoutes:
+    """The NumPy routes to libm behind the bitwise kernels.
+
+    ``np.float_power`` must return builtin ``pow``'s bits and the real
+    part of complex128 ``np.exp`` must return ``math.exp``'s, whatever
+    SIMD target NumPy dispatches to (CI's ``simd-parity`` job reruns
+    this file with AVX-512 disabled).  On an AVX-512 host ``np.power``
+    and float64 ``np.exp`` miss ~5% of these draws, so the kernel tests
+    below fail if either replaces its route.
+    """
+
+    def test_float_power_is_builtin_pow(self):
+        base, exponent = np.meshgrid(_POW_BASES, _POW_EXPONENTS)
+        rng = np.random.default_rng(2101)
+        base = np.concatenate([base.ravel(), rng.random(100_000)])
+        exponent = np.concatenate([exponent.ravel(),
+                                   rng.uniform(0.0, 8.0, 100_000)])
+        want = list(map(pow, base.tolist(), exponent.tolist()))
+        assert _f64_bytes(np.float_power(base, exponent)) \
+            == _f64_bytes(want)
+
+    def test_complex_exp_is_math_exp(self):
+        rng = np.random.default_rng(2102)
+        x = np.concatenate([_EXP_EDGES, rng.uniform(-745.0, 0.0, 100_000)])
+        got = np.exp(x.astype(np.complex128)).real
+        assert _f64_bytes(got) == _f64_bytes(list(map(math.exp, x.tolist())))
+
+    def test_kernel_exp_is_math_exp_with_the_clamp(self):
+        rng = np.random.default_rng(2103)
+        exponent = -np.concatenate([_EXP_EDGES,
+                                    rng.uniform(-745.0, 0.0, 100_000)])
+        want = [5e-324 if e > 700.0 else math.exp(-e)
+                for e in exponent.tolist()]
+        assert _f64_bytes(_exp_neg_clamped(exponent)) == _f64_bytes(want)
+
+    def test_compound_family_pow_is_builtin_pow(self):
+        m = np.random.default_rng(2104).uniform(0.0, 20.0, 20_000)
+        for model in (CompoundPoissonGamma(alpha=1.7),
+                      HierarchicalYieldModel(wafer_alpha=2.3,
+                                             lot_alpha=1.4, n_nodes=4)):
+            want = [model.yield_from_expectation(v) for v in m.tolist()]
+            assert _f64_bytes(yield_from_expectation_batch(model, m)) \
+                == _f64_bytes(want)
+
+    def test_chiplet_kernel_fields_are_bitwise(self):
+        # y**c, y**(1 − c), (q·y_bond)**k and the eq.-(7) exp over a
+        # seeded batch, against system_cost field by field.
+        rng = np.random.default_rng(2105)
+        n = 10.0 ** rng.uniform(4.0, 8.0, 3_000)
+        lam = rng.choice([0.35, 0.5, 0.8, 1.2], 3_000)
+        k = rng.integers(1, 9, 3_000).astype(np.float64)
+        model = ChipletCostModel(probe_coverage=0.83)
+        result = chiplet_cost_batch(n, lam, k, model, cache=None)
+        refs = [model.system_cost(int(k_i), n_i, lam_i) for n_i, lam_i, k_i
+                in zip(n.tolist(), lam.tolist(), k.tolist())]
+        for name in ("die_yield", "assembly_yield", "effective_yield",
+                     "cost_per_transistor_dollars"):
+            assert _f64_bytes(getattr(result, name)) \
+                == _f64_bytes([getattr(r, name) for r in refs]), name

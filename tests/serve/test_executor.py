@@ -17,7 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.engine import SCALAR_MAX_POINTS, chiplet_cost_batch
+from repro.batch.engine import (
+    SCALAR_MAX_POINTS,
+    chiplet_cost_batch,
+    transistor_cost_batch,
+)
 from repro.core.optimization import (
     FIG8_FAB,
     FabCharacterization,
@@ -141,6 +145,8 @@ class TestSmallGroupMatchesKernels:
 
 #: Feasible padding that lifts a group above K points.
 _PADDING = [(1e5 * (i + 1), 0.35 + 0.1 * i) for i in range(K)]
+#: Seven feasible points: with the point under test, an 8-point group.
+_LAMBDA_PADDING = [(1e5 * (i + 1), 0.35 + 0.1 * i) for i in range(7)]
 
 
 class TestInfeasiblePoints:
@@ -204,6 +210,49 @@ class TestInfeasiblePoints:
         assert served.feasible
         assert served.cost_per_transistor_dollars == math.inf
         _assert_small_equals_large(exemplar, [point] + _PADDING, 1)
+
+    @pytest.mark.parametrize("lam", [1e80, 1e100])
+    def test_fab_lambda_power_overflow(self, lam):
+        # λ^p (p = 4.07) overflows a double.  Every path takes it as
+        # inf, as NumPy's pow does: D₀ = 0, Y = 1, and the die, far
+        # wider than the wafer, makes the point infeasible.
+        point = (1e6, lam)
+        points = [point] + _LAMBDA_PADDING
+        assert len(points) > K  # the large group runs the kernels
+        ref = transistor_cost_breakdown(*point)
+        assert (ref.dies_per_wafer, ref.yield_value, ref.feasible) \
+            == (0, 1.0, False)
+        _assert_small_equals_large(FabCostQuery(*point), points, 1)
+        n, lams = np.array(points).T
+        batch = transistor_cost_batch(n, lams, cache=None)
+        assert float(batch.cost_per_transistor_dollars[0]) \
+            == ref.cost_per_transistor_dollars == math.inf
+        assert float(batch.yield_value[0]).hex() == ref.yield_value.hex()
+        assert (int(batch.dies_per_wafer[0]), bool(batch.feasible[0])) \
+            == (0, False)
+
+    @pytest.mark.parametrize("lam", [1e80, 1e100])
+    def test_chiplet_lambda_power_overflow(self, lam):
+        model = ChipletCostModel()
+        point = (1e6, lam)
+        points = [point] + _LAMBDA_PADDING
+        ref = model.system_cost(4, *point)
+        assert (ref.dies_per_wafer, ref.die_yield, ref.feasible) \
+            == (0, 1.0, False)
+        _assert_small_equals_large(
+            ChipletCostQuery(*point, chiplets=4, model=model), points, 1)
+        n, lams = np.array(points).T
+        batch = chiplet_cost_batch(n, lams, 4.0, model, cache=None)
+        for name in ("chiplet_area_cm2", "wafer_cost_dollars", "die_yield",
+                     "assembly_yield", "effective_yield",
+                     "packaging_cost_dollars",
+                     "silicon_cost_per_transistor_dollars",
+                     "overhead_cost_per_transistor_dollars",
+                     "cost_per_transistor_dollars"):
+            assert float(getattr(batch, name)[0]).hex() \
+                == getattr(ref, name).hex(), name
+        assert (int(batch.dies_per_wafer[0]), bool(batch.feasible[0])) \
+            == (0, False)
 
 
 class TestRouting:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import math
 import socket
 import threading
 import time
@@ -308,6 +309,73 @@ class TestEndpoints:
                 status, _, body = _read_response(sock, leftovers)
                 assert status == 200
                 assert json.loads(body)["n_transistors"] == n
+
+
+class TestHostilePoints:
+    """Points far outside the paper's range get a prompt 400 or an
+    infeasible 200, never a 500 or a stuck flusher thread."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        with ServerThread(cache=None) as srv:
+            yield srv
+
+    def test_tiny_die_refused_fast_while_others_are_served(self, server):
+        # One transistor at λ = 1e-9 µm implies ~1.2e13 eq.-(4) rows.
+        # The row guard refuses it at once, so the single flusher
+        # thread stays free for the request sent alongside.  That one
+        # is a fab query: it never shares the tiny die's group, whose
+        # error would fail every member of the group.
+        ordinary = FabCostQuery(3.1e6, 0.8)
+        bodies = {
+            "tiny": json.dumps({"transistors": 1, "feature_size": 1e-9}),
+            "ordinary": json.dumps({"q": query_to_record(ordinary)})}
+        replies = {}
+
+        def send(name: str) -> None:
+            t0 = time.perf_counter()
+            status, _, body = _http(server.port, "POST", "/v1/cost",
+                                    bodies[name])
+            replies[name] = (status, json.loads(body),
+                             time.perf_counter() - t0)
+
+        threads = [threading.Thread(target=send, args=(name,))
+                   for name in bodies]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        status, body, elapsed = replies["tiny"]
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "wafer rows" in body["message"]
+        assert elapsed < 1.0
+        status, body, _ = replies["ordinary"]
+        assert status == 200
+        assert body["cost_per_transistor_dollars"] \
+            == transistor_cost_full(3.1e6, 0.8, FIG8_FAB)
+
+    @pytest.mark.parametrize("lam", [1e80, 1e100, 1e150])
+    def test_huge_feature_size_fab_is_infeasible(self, server, lam):
+        # λ^p overflows a double; it counts as inf, as in the kernels.
+        status, _, body = _http(
+            server.port, "POST", "/v1/cost",
+            json.dumps({"q": query_to_record(FabCostQuery(1e6, lam))}))
+        assert status == 200
+        result = json.loads(body)
+        assert result["feasible"] is False
+        assert result["cost_per_transistor_dollars"] == math.inf
+
+    @pytest.mark.parametrize("lam", [1e80, 1e100])
+    def test_huge_feature_size_chiplet_is_infeasible(self, server, lam):
+        status, _, body = _http(
+            server.port, "POST", "/v1/chiplet",
+            json.dumps({"transistors": 1e6, "feature_size": lam}))
+        assert status == 200
+        result = json.loads(body)
+        assert result["feasible"] is False
+        assert result["cost_per_transistor_dollars"] == math.inf
 
 
 class TestBackpressure:
