@@ -46,7 +46,6 @@ from .engine import (
     chiplet_cost_batch,
     dies_per_wafer_batch,
     evaluate_batch,
-    generations_batch,
     poisson_yield_batch,
     scaled_poisson_yield_batch,
     scenario1_cost_batch,
@@ -75,7 +74,6 @@ __all__ = [
     "default_cache",
     "USE_DEFAULT_CACHE",
     "BatchCostResult",
-    "generations_batch",
     "wafer_cost_batch",
     "dies_per_wafer_batch",
     "transistors_per_die_batch",

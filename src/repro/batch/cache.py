@@ -12,7 +12,7 @@ no way for the cache to change results.
 
 What bypasses it: a sub-result of more than
 :data:`~repro.batch.engine._CACHE_MAX_CELLS` (16,384) cells — the die
-counts and chiplet die yields of a 65,536-cell sweep tile — is computed
+counts of a 65,536-cell sweep tile — is computed
 without building a key, looking up or storing anything; so are the
 groups of at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
 that the scalar references price.  A sweep tile still caches its
@@ -152,7 +152,7 @@ class BatchCache:
         signature).  Traffic spread over several flushes misses them
         all (see ``docs/serving.md``, "Cache prewarming").  Groups of
         at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
-        warm nothing: the executor prices them through the scalar
+        warm nothing: the kernels price them through the scalar
         references, which use no cache.  Nor does a group of more
         than :data:`~repro.batch.engine._CACHE_MAX_CELLS` points: the
         engine does not cache sub-results that large.

@@ -16,35 +16,40 @@ one pass:
 * :func:`scaled_poisson_yield_batch` / :func:`poisson_yield_batch` /
   :func:`yield_for_area_batch` — eqs. (6)–(7) and the classical
   clustering baselines,
-* :func:`transistor_cost_batch` / :func:`evaluate_batch` — eq. (1)
-  composed, returning every :class:`~repro.core.transistor_cost.
-  CostBreakdown` intermediate as an array,
+* :func:`transistor_cost_batch` / :func:`evaluate_batch` /
+  :func:`chiplet_cost_batch` — eq. (1) composed, returning every
+  intermediate of the scalar breakdown as an array,
 * :func:`scenario1_cost_batch` / :func:`scenario2_cost_batch` —
   eqs. (8) and (9).
 
 Parity contract with the scalar reference
 -----------------------------------------
-Pure-arithmetic quantities (die dimensions, areas, the eq.-(4) die
-counts, feasibility masks) replicate the scalar code's operations in
-the same order and are **bit-for-bit identical** — IEEE-754 multiply,
-divide, sqrt and floor are exactly rounded in both NumPy and the C
-library.  Quantities passing through transcendental functions (``pow``,
-``exp``, ``log``) may differ in the last ulp because NumPy's SIMD
-kernels and libm round those independently; they agree to
-``np.allclose(rtol=1e-12)`` (observed ≤ 3e-16 relative).  Infeasible
-cells — die does not fit the wafer, or eq.-(7) yield underflow — are
-masked to ``inf`` exactly like :func:`repro.core.optimization.
-transistor_cost_full`.
+Every kernel is **bitwise** equal to its scalar reference, on every
+SIMD target NumPy dispatches to, and raises the reference's error
+class where the reference raises.  Pure arithmetic (die dimensions,
+areas, the eq.-(4) die counts, every cost composition) replicates the
+scalar code's operations in the same order: IEEE-754 multiply, divide,
+sqrt and floor are exactly rounded in NumPy and the C library alike.
+Each transcendental makes the libm call the scalar code makes, from
+NumPy C loops that skip the SIMD kernels (whose float64 ``exp`` and
+``pow`` round ~5% of arguments differently on AVX-512 hosts):
 
-The chiplet kernel and the compound yield family are **bitwise** in
-the transcendentals too: they reach libm through NumPy C loops that
-skip the SIMD kernels.  ``np.float_power``'s float64 loop calls libm
-``pow`` per element, the call Python's ``**`` makes (``np.power``
-dispatches to SIMD code instead).  For ``exp(x)`` the kernel takes
-the real part of complex128 ``np.exp(x + 0j)``, which calls libm
-``cexp`` (see :func:`_exp_neg_clamped`).  ``TestLibmRoutes`` in
-``tests/batch/test_engine.py`` pins both routes against builtin
-``pow`` and ``math.exp``.
+* every ``**`` with a non-integer result runs as ``np.float_power``,
+  whose float64 loop calls libm ``pow`` per element, the call Python's
+  ``**`` makes (``np.power`` dispatches to SIMD code instead);
+* every ``exp(x)`` is the real part of complex128 ``np.exp(x + 0j)``,
+  which calls libm ``cexp`` (see :func:`_exp_neg`);
+* the eq.-(3) wafer cost is priced by the scalar
+  :class:`~repro.core.wafer_cost.WaferCostModel` once per unique λ,
+  and Murphy's ``expm1`` by ``math.expm1`` per element: neither has a
+  libm route through NumPy.
+
+``TestLibmRoutes`` in ``tests/batch/test_engine.py`` pins both NumPy
+routes against builtin ``pow`` and ``math.exp``.  Infeasible cells —
+die does not fit the wafer, or eq.-(7) yield underflow — are masked to
+``inf`` exactly like :func:`repro.core.optimization.
+transistor_cost_full`.  The composed kernels price a batch of at most
+:data:`SCALAR_MAX_POINTS` points through the scalar reference itself.
 
 Caching
 -------
@@ -66,8 +71,10 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -76,9 +83,9 @@ from ..obs import metrics as _metrics, span as _span
 from ..obs.state import enabled as _obs_enabled, \
     tracing_enabled as _tracing_enabled
 from ..geometry.wafer import ROW_FIT_SLACK, Wafer, check_row_count
-from ..core.wafer_cost import GenerationModel, WaferCostModel
+from ..core.wafer_cost import WaferCostModel
 from ..core.transistor_cost import TransistorCostModel
-from ..units import UM2_PER_CM2, require_nonnegative
+from ..units import UM2_PER_CM2, require_nonnegative, require_positive
 from ..yieldsim.models import (
     BoseEinsteinYield,
     CompoundPoissonGamma,
@@ -90,7 +97,6 @@ from ..yieldsim.models import (
     SeedsYield,
     YIELD_CUTOFF,
     YieldModel,
-    scaled_defect_density,
 )
 from .cache import BatchCache, array_fingerprint, default_cache
 
@@ -109,8 +115,8 @@ _TINY_YIELD = 5e-324
 #: for bit anyway.  The scalar path wins for every query kind up to 5
 #: points, and at 6 still for model and chiplet groups while fab
 #: groups lose ~10% (crossover table and the serve traffic's group
-#: sizes: docs/performance.md, "Serving single-point queries").  Used
-#: by :func:`chiplet_cost_batch` and the serve executor.
+#: sizes: docs/performance.md, "Serving single-point queries").  Read
+#: by the three composed kernels only (:func:`_scalar_points`).
 SCALAR_MAX_POINTS = 6
 
 #: Upper bound on elements per temporary in the chunked row reduction
@@ -212,33 +218,6 @@ def _require_all_fraction(name: str, arr: np.ndarray) -> None:
 # eq. (3) — wafer cost
 # ---------------------------------------------------------------------------
 
-def generations_batch(feature_sizes_um, reference_um: float = 1.0, *,
-                      model: GenerationModel = GenerationModel.SHRINK_LOG,
-                      shrink: float = 0.7,
-                      linear_step_um: float = 0.15) -> np.ndarray:
-    """g(λ) over an array of feature sizes — all four laws of
-    :class:`~repro.core.wafer_cost.GenerationModel`."""
-    lam = _as_float_array("feature_sizes_um", feature_sizes_um)
-    _require_all_positive("feature_sizes_um", lam)
-    if reference_um <= 0:
-        raise ParameterError(f"reference_um must be > 0, got {reference_um}")
-    ratio = reference_um / lam
-    if model is GenerationModel.SHRINK_LOG:
-        if not 0.0 < shrink < 1.0:
-            raise ParameterError(f"shrink must be in (0, 1), got {shrink}")
-        return np.log(ratio) / math.log(1.0 / shrink)
-    if model is GenerationModel.LINEAR:
-        if linear_step_um <= 0:
-            raise ParameterError(
-                f"linear_step_um must be > 0, got {linear_step_um}")
-        return (reference_um - lam) / linear_step_um
-    if model is GenerationModel.INVERSE:
-        return 2.0 * (ratio - 1.0)
-    if model is GenerationModel.PRINTED:
-        return 0.5 * (1.0 - lam / reference_um)
-    raise ParameterError(f"unknown generation model {model!r}")
-
-
 def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
                      volume_wafers: float | None = None,
                      cache: Any = USE_DEFAULT_CACHE,
@@ -246,16 +225,21 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
     """Eq. (3) — C'_w(λ) over an array of λ, optionally with the
     eq.-(2) overhead term at ``volume_wafers``.
 
-    Matches :meth:`WaferCostModel.pure_cost` /
-    :meth:`WaferCostModel.cost_at_volume` elementwise to 1e-12.
+    Each unique λ is priced once by :meth:`WaferCostModel.pure_cost`
+    (or :meth:`WaferCostModel.cost_at_volume`) itself and fanned back
+    out, so the result is bitwise the scalar one, and an ``X**g`` past
+    the float range raises the scalar ``OverflowError``.  Sweeps carry
+    few distinct feature sizes, and the result is cached per λ array.
     With ``out`` the result is copied into the caller's buffer and
     that buffer is returned.
     """
     lam = _as_float_array("feature_sizes_um", feature_sizes_um)
     _require_all_positive("feature_sizes_um", lam)
-    if volume_wafers is not None and volume_wafers <= 0:
-        raise ParameterError(
-            f"volume_wafers must be > 0, got {volume_wafers}")
+    if volume_wafers is None:
+        price = model.pure_cost
+    else:
+        require_positive("volume_wafers", volume_wafers)
+        price = partial(model.cost_at_volume, volume_wafers=volume_wafers)
     cache = _resolve_cache(cache)
 
     def key() -> tuple:
@@ -265,14 +249,10 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
                 volume_wafers, array_fingerprint(lam))
 
     def compute() -> np.ndarray:
-        g = generations_batch(lam, model.reference_feature_um,
-                              model=model.generation_model,
-                              shrink=model.shrink,
-                              linear_step_um=model.linear_step_um)
-        pure = model.reference_cost_dollars * model.cost_growth_rate ** g
-        if volume_wafers is None:
-            return pure
-        return pure + model.overhead_dollars / volume_wafers
+        flat = lam.ravel().tolist()
+        by_lam = {l: price(l) for l in dict.fromkeys(flat)}
+        return np.fromiter(map(by_lam.__getitem__, flat), dtype=np.float64,
+                           count=len(flat)).reshape(lam.shape)
 
     return _deliver(_cached(cache, "wafer_cost", lam.size, key, compute),
                     out)
@@ -455,14 +435,35 @@ def transistors_per_die_batch(die_area_cm2, design_density,
 # eqs. (6)–(7) — yield
 # ---------------------------------------------------------------------------
 
+def _exp_neg(x: np.ndarray) -> np.ndarray:
+    # ``exp(-x)`` bitwise equal to math.exp(-x).  NumPy's float64 exp
+    # is a SIMD kernel that, on AVX-512 hosts, rounds ~4% of arguments
+    # differently from libm.  So the exp runs as complex128: NumPy's
+    # complex exp calls libm cexp, whose real part at a zero imaginary
+    # part is libm exp(x)·cos(0) = exp(x), the value math.exp returns.
+    # TestLibmRoutes in tests/batch/test_engine.py pins this on every
+    # SIMD target the test suite runs on.  Negation is exact, so libm
+    # sees the scalar code's argument.
+    buf = x.astype(np.complex128).reshape(-1)  # 0-d too has a .real view
+    np.negative(buf.real, out=buf.real)
+    np.exp(buf, out=buf)
+    return buf.real.reshape(x.shape).copy()
+
+
+def _exp_neg_clamped(exponent: np.ndarray) -> np.ndarray:
+    # ``exp(-exponent)`` with the eq.-(7) underflow clamp, bitwise
+    # equal to scaled_poisson_yield's tail: the clamp overwrites the
+    # cells the scalar code never passes to exp.
+    y = _exp_neg(exponent)
+    y[exponent > _EXPONENT_CLAMP] = _TINY_YIELD
+    return y
+
+
 def poisson_yield_batch(area_cm2, defect_density_per_cm2) -> np.ndarray:
-    """Eq. (6): ``Y = exp(−A·D₀)`` over arrays."""
-    area = _as_float_array("area_cm2", area_cm2)
-    density = _as_float_array("defect_density_per_cm2",
-                              defect_density_per_cm2)
-    _require_all_nonnegative("area_cm2", area)
-    _require_all_nonnegative("defect_density_per_cm2", density)
-    return np.exp(-(area * density))
+    """Eq. (6): ``Y = exp(−A·D₀)`` over arrays, bitwise equal to
+    :func:`~repro.yieldsim.models.poisson_yield`."""
+    return yield_for_area_batch(PoissonYield(), area_cm2,
+                                defect_density_per_cm2)
 
 
 def scaled_poisson_yield_batch(n_transistors, design_density,
@@ -471,11 +472,12 @@ def scaled_poisson_yield_batch(n_transistors, design_density,
                                out: np.ndarray | None = None) -> np.ndarray:
     """Eq. (7): ``Y = exp[−N_tr·d_d·D / λ^{p−2}]`` over arrays.
 
-    Preserves the scalar reference's underflow clamp: cells whose
-    exponent exceeds 700 return the smallest positive denormal rather
-    than 0.0, so callers dividing by Y never hit a zero division.
-    With ``out`` the yields land in the caller's buffer, which is
-    returned.
+    Bitwise equal to :func:`~repro.yieldsim.models.scaled_poisson_yield`,
+    underflow clamp included: cells whose exponent exceeds 700 return
+    the smallest positive denormal rather than 0.0, so callers dividing
+    by Y never hit a zero division.  ``D / λ^p`` is computed over
+    ``feature_sizes_um`` as given and broadcast afterwards.  With
+    ``out`` the yields land in the caller's buffer, which is returned.
     """
     n = _as_float_array("n_transistors", n_transistors)
     d = _as_float_array("design_density", design_density)
@@ -487,14 +489,20 @@ def scaled_poisson_yield_batch(n_transistors, design_density,
     _require_all_positive("feature_sizes_um", lam)
     _require_all_positive("p", p_arr)
     _require_all_nonnegative("defect_coefficient", coeff)
-    area_cm2 = n * d * (lam * lam) * 1.0e-8
-    with np.errstate(over="ignore"):  # an overflowing λ^p gives D₀ = 0
-        d0_per_cm2 = coeff / lam ** p_arr
-    exponent = area_cm2 * d0_per_cm2
-    with np.errstate(under="ignore"):
-        y = np.exp(-exponent)
-    return _deliver(np.where(exponent > _EXPONENT_CLAMP, _TINY_YIELD, y),
-                    out)
+    return _deliver(_scaled_poisson_yield(n, d, coeff, lam, p_arr), out)
+
+
+def _scaled_poisson_yield(n, design_density, coeff, lam, p) -> np.ndarray:
+    # Eq. (7) on validated operands, in scaled_poisson_yield's operation
+    # order.  An overflowing λ^p gives D₀ = 0, an underflowing one
+    # D₀ = inf unless D = 0, as scaled_defect_density takes them; the
+    # scalar function's float arithmetic raises nothing either.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        area_cm2 = n * design_density * (lam * lam) * 1.0e-8
+        d0_per_cm2 = np.where(coeff == 0.0, coeff,
+                              coeff / np.float_power(lam, p))
+        exponent = area_cm2 * d0_per_cm2
+    return _exp_neg_clamped(exponent)
 
 
 def yield_for_area_batch(model: YieldModel, area_cm2,
@@ -502,21 +510,22 @@ def yield_for_area_batch(model: YieldModel, area_cm2,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Any :class:`YieldModel` evaluated over arrays of (area, density).
 
-    The classical models are dispatched to closed-form array kernels
-    (1e-12 parity through the transcendentals); the compound family
-    (:class:`CompoundPoissonGamma`, :class:`HierarchicalYieldModel`,
-    :class:`MixtureYieldModel`) replays the scalar reference's exact
-    operation order per element and is **bitwise** identical to it;
-    unknown subclasses fall back to a per-element loop so every custom
-    model keeps working.  With ``out`` the yields land in the caller's
-    float64 buffer, which is returned.
+    Bitwise equal to :meth:`YieldModel.yield_for_area` elementwise, and
+    raising where it raises (a non-finite ``m = A·D`` included).  The
+    classical and compound laws run as array kernels that make the
+    scalar code's libm calls; :class:`MixtureYieldModel` and unknown
+    subclasses fall back to a per-element loop over the scalar method,
+    so every custom model keeps working.  With ``out`` the yields land
+    in the caller's float64 buffer, which is returned.
     """
     area = _as_float_array("area_cm2", area_cm2)
     density = _as_float_array("defect_density_per_cm2",
                               defect_density_per_cm2)
     _require_all_nonnegative("area_cm2", area)
     _require_all_nonnegative("defect_density_per_cm2", density)
-    m = area * density
+    with np.errstate(over="ignore"):  # an inf m is refused just below
+        m = area * density
+    _require_all_nonnegative("m", m)
     return _deliver(_yield_from_expectation_batch(model, m), out)
 
 
@@ -526,10 +535,9 @@ def yield_from_expectation_batch(model: YieldModel, m, *,
     """Any :class:`YieldModel` over an array of fault expectations.
 
     The array form of :meth:`YieldModel.yield_from_expectation`, under
-    the same dispatch and parity rules as :func:`yield_for_area_batch`
-    (closed-form kernels for the classical laws, bitwise scalar replay
-    for the compound family).  With ``out`` the result is copied into
-    the caller's float64 buffer, which is returned.
+    the same dispatch and bitwise parity as :func:`yield_for_area_batch`.
+    With ``out`` the result is copied into the caller's float64 buffer,
+    which is returned.
     """
     arr = _as_float_array("m", m)
     _require_all_nonnegative("m", arr)
@@ -541,26 +549,25 @@ def _yield_from_expectation_batch(model: YieldModel,
     # Dispatch on the exact type, not isinstance: a subclass that
     # overrides yield_from_expectation must NOT ride its parent's
     # vectorized kernel, or the batched result would diverge from the
-    # scalar semantics it promises to replay bitwise.
+    # scalar semantics it promises to replay bitwise.  Each branch is
+    # its scalar method's expression in the same operation order.
     kind = type(model)
     if kind in (PoissonYield, ReferenceAreaYield):
-        return np.exp(-m)
+        return _exp_neg(m)
     if kind is MurphyYield:
+        # NumPy's expm1 is not libm's, and NumPy has no route to it.
+        expm1 = np.fromiter(map(math.expm1, (-m).ravel().tolist()),
+                            dtype=np.float64, count=m.size)
         safe_m = np.where(m == 0.0, 1.0, m)
         with np.errstate(under="ignore"):
-            y = (-np.expm1(-m) / safe_m) ** 2
+            y = np.float_power(-expm1.reshape(m.shape) / safe_m, 2.0)
         return np.where(m == 0.0, 1.0, y)
     if kind is SeedsYield:
         return 1.0 / (1.0 + m)
     if kind is BoseEinsteinYield:
-        return (1.0 + m / model.n_layers) ** (-model.n_layers)
-    if kind is CompoundPoissonGamma:
-        # Same expression as NegativeBinomialYield below, but through
-        # libm pow (np.float_power) so batched == scalar bit-for-bit
-        # (the base ``1.0 + m/α`` is exactly rounded either way).
+        return np.float_power(1.0 + m / model.n_layers, -model.n_layers)
+    if kind in (NegativeBinomialYield, CompoundPoissonGamma):
         return np.float_power(1.0 + m / model.alpha, -model.alpha)
-    if kind is NegativeBinomialYield:
-        return (1.0 + m / model.alpha) ** (-model.alpha)
     if kind is HierarchicalYieldModel:
         return _hierarchical_yield_batch(model, m)
     # MixtureYieldModel and unknown subclasses: per-element scalar
@@ -639,18 +646,87 @@ class BatchCostResult:
         return np.where(self.dies_per_wafer >= 1, out, np.inf)
 
 
+#: Result fields that are not float64 in the scalar breakdowns.
+_FIELD_DTYPES = {"dies_per_wafer": np.int64, "feasible": bool}
+
+
+@lru_cache(maxsize=None)
+def _breakdown_fields(result_type: type, given: tuple[str, ...]
+                      ) -> tuple[tuple[str, ...], Callable[[Any], tuple]]:
+    # The fields of ``result_type`` read off a scalar breakdown (all
+    # but ``given``), and one getter for all of them.
+    names = tuple(f.name for f in fields(result_type)
+                  if f.name not in given)
+    return names, attrgetter(*names)
+
+
+def _scalar_points(result_type: type, price: Callable[..., Any],
+                   operands: tuple[np.ndarray, ...],
+                   out: np.ndarray | None = None, **given: np.ndarray):
+    # The composed kernels' small-batch path (see SCALAR_MAX_POINTS):
+    # each element of the broadcast ``operands`` is priced by the
+    # kind's scalar reference, ``price(*point)``, so the bits and the
+    # errors are the reference's by construction.  Every field of
+    # ``result_type`` not in ``given`` is read off the breakdowns with
+    # the same name and shaped like the operands.
+    names, read = _breakdown_fields(result_type, tuple(given))
+    cells = [read(price(*point))
+             for point in zip(*[o.ravel().tolist() for o in operands])]
+    columns = {name: np.array(values, dtype=_FIELD_DTYPES.get(name,
+                                                              np.float64))
+               for name, values in zip(
+                   names, zip(*cells) if cells else [()] * len(names))}
+    shape = operands[0].shape
+    if shape != (len(cells),):
+        columns = {name: v.reshape(shape) for name, v in columns.items()}
+    columns.update(given)
+    columns["cost_per_transistor_dollars"] = _deliver(
+        columns["cost_per_transistor_dollars"], out)
+    return result_type(**columns)
+
+
+def _broadcast(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # np.broadcast_arrays, without its ~2 µs when the shapes already
+    # agree (a serve group's N_tr and λ).
+    shape = arrays[0].shape
+    for a in arrays:
+        if a.shape != shape:
+            return np.broadcast_arrays(*arrays)
+    return arrays
+
+
 def _die_geometry(n: np.ndarray, design_density: float, lam: np.ndarray,
                   aspect_ratio: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Die.from_transistor_count → Die.from_area, same operation order.
-    area_um2 = n * design_density * (lam * lam)
-    area_cm2 = area_um2 / UM2_PER_CM2
-    height = np.sqrt(area_cm2 / aspect_ratio)
-    width = area_cm2 / height
+    # A non-finite or zero area, which the scalar Die refuses, leaves a
+    # NaN width that dies_per_wafer_batch refuses in turn.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        area_um2 = n * design_density * (lam * lam)
+        area_cm2 = area_um2 / UM2_PER_CM2
+        height = np.sqrt(area_cm2 / aspect_ratio)
+        width = area_cm2 / height
     # Report the area the way Die.area_cm2 does — recomposed from the
     # rounded dimensions — so it matches the scalar breakdown bit-for-bit
     # (width · height re-rounds and can differ from area_cm2 by 1 ulp).
     return width, height, width * height
+
+
+def _masked_cost(c_w: np.ndarray, n_ch: np.ndarray, n: np.ndarray,
+                 y: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    # masked_cost over arrays, in its operation order: C_w / (N_ch ·
+    # N_tr · Y), inf where infeasible or where the denominator is 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore",
+                     under="ignore"):
+        denominator = n_ch * n * y
+        cost = c_w / denominator
+    return np.where(feasible & (denominator != 0.0), cost, np.inf)
+
+
+def _observed(kernel: str, cells: int, t0: float) -> None:
+    _metrics.inc(f"batch.{kernel}.calls")
+    _metrics.inc(f"batch.{kernel}.cells", cells)
+    _metrics.observe(f"batch.{kernel}.seconds", time.perf_counter() - t0)
 
 
 def transistor_cost_batch(n_transistors, feature_sizes_um,
@@ -658,48 +734,56 @@ def transistor_cost_batch(n_transistors, feature_sizes_um,
                           cache: Any = USE_DEFAULT_CACHE
                           ) -> BatchCostResult:
     """Batched eqs. (1)+(3)+(4)+(7) — the vector form of
-    :func:`repro.core.optimization.transistor_cost_full`.
+    :func:`repro.core.optimization.transistor_cost_breakdown`, bitwise.
 
     ``n_transistors`` and ``feature_sizes_um`` broadcast together, so a
     full (λ, N_tr) landscape is one call with ``counts[:, None]`` and
     ``lams[None, :]``.  ``fab`` defaults to the Fig.-8 fitted fab.
     The λ-only factors — the eq.-(3) wafer cost and eq.-(7)'s
     ``D / λ^p`` — are computed over ``feature_sizes_um`` as given and
-    broadcast afterwards.
+    broadcast afterwards.  At most :data:`SCALAR_MAX_POINTS` points are
+    priced by ``transistor_cost_breakdown`` itself, point by point.
     """
-    from ..core.optimization import FIG8_FAB
+    from ..core import optimization  # it imports this module
     if fab is None:
-        fab = FIG8_FAB
+        fab = optimization.FIG8_FAB
     n = _as_float_array("n_transistors", n_transistors)
     lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
-    n, lam = np.broadcast_arrays(n, lam_axis)
-    _require_all_positive("n_transistors", n)
-    _require_all_positive("feature_sizes_um", lam_axis)
+    n, lam = _broadcast(n, lam_axis)
     cache = _resolve_cache(cache)
 
     obs_on = _obs_enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with _span("batch.transistor_cost", cells=int(n.size)):
-        wafer = Wafer(radius_cm=fab.wafer_radius_cm)
-        wafer_cost_model = WaferCostModel(
-            reference_cost_dollars=fab.reference_cost_dollars,
-            cost_growth_rate=fab.cost_growth_rate)
-        width, height, area_cm2 = _die_geometry(n, fab.design_density,
-                                                lam_axis, 1.0)
-        n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
-        y = scaled_poisson_yield_batch(n, fab.design_density,
-                                       fab.defect_coefficient, lam_axis,
-                                       fab.size_exponent_p)
-        c_w = wafer_cost_batch(wafer_cost_model, lam_axis, cache=cache)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore",
-                         under="ignore"):
-            cost = c_w / (n_ch * n * y)
-        feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
-        cost = np.where(feasible, cost, np.inf)
+        if n.size <= SCALAR_MAX_POINTS:
+            result = _scalar_points(
+                BatchCostResult,
+                partial(optimization.transistor_cost_breakdown, fab=fab),
+                (n, lam))
+        else:
+            result = _transistor_cost_arrays(fab, n, lam, lam_axis, cache)
     if obs_on:
-        _metrics.inc("batch.evaluate.calls")
-        _metrics.inc("batch.evaluate.cells", int(n.size))
-        _metrics.observe("batch.evaluate.seconds", time.perf_counter() - t0)
+        _observed("evaluate", int(n.size), t0)
+    return result
+
+
+def _transistor_cost_arrays(fab: "FabCharacterization", n: np.ndarray,
+                            lam: np.ndarray, lam_axis: np.ndarray,
+                            cache: BatchCache | None) -> BatchCostResult:
+    _require_all_positive("n_transistors", n)
+    _require_all_positive("feature_sizes_um", lam_axis)
+    wafer = Wafer(radius_cm=fab.wafer_radius_cm)
+    wafer_cost_model = WaferCostModel(
+        reference_cost_dollars=fab.reference_cost_dollars,
+        cost_growth_rate=fab.cost_growth_rate)
+    width, height, area_cm2 = _die_geometry(n, fab.design_density,
+                                            lam_axis, 1.0)
+    n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
+    y = _scaled_poisson_yield(n, fab.design_density, fab.defect_coefficient,
+                              lam_axis, fab.size_exponent_p)
+    c_w = wafer_cost_batch(wafer_cost_model, lam_axis, cache=cache)
+    feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
+    cost = _masked_cost(c_w, n_ch, n, y, feasible)
     return BatchCostResult(
         feature_size_um=lam,
         wafer_cost_dollars=np.broadcast_to(c_w, cost.shape),
@@ -718,48 +802,72 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
                    yield_value=None,
                    aspect_ratio: float = 1.0,
                    cache: Any = USE_DEFAULT_CACHE) -> BatchCostResult:
-    """Batched :meth:`TransistorCostModel.evaluate` over arrays.
+    """Batched :meth:`TransistorCostModel.evaluate_masked` over arrays,
+    bitwise.
 
     Yield is specified exactly one of three ways, as in the scalar
-    method; ``yield_value`` may itself be an array.  Where the scalar
-    method *raises* because the die does not fit the wafer, the batch
-    form masks the cell to ``inf`` instead (``feasible=False``), so
-    aggressive sweeps need no per-cell exception handling.  As in
+    method; ``yield_value`` may itself be an array, broadcast with the
+    points.  Where :meth:`TransistorCostModel.evaluate` *raises*
+    because the die does not fit the wafer, the batch form masks the
+    cell to ``inf`` instead (``feasible=False``), so aggressive sweeps
+    need no per-cell exception handling.  As in
     :func:`transistor_cost_batch`, the wafer cost is priced over
-    ``feature_sizes_um`` before it is broadcast.
+    ``feature_sizes_um`` before it is broadcast, and at most
+    :data:`SCALAR_MAX_POINTS` points are priced by the scalar method
+    itself, point by point.
     """
-    n = _as_float_array("n_transistors", n_transistors)
-    lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
-    n, lam = np.broadcast_arrays(n, lam_axis)
-    _require_all_positive("n_transistors", n)
-    _require_all_positive("feature_sizes_um", lam_axis)
-    if design_density <= 0:
-        raise ParameterError(
-            f"design_density must be > 0, got {design_density}")
-    if aspect_ratio <= 0:
-        raise ParameterError(
-            f"aspect_ratio must be > 0, got {aspect_ratio}")
+    points = [_as_float_array("n_transistors", n_transistors),
+              _as_float_array("feature_sizes_um", feature_sizes_um)]
+    lam_axis = points[1]
+    if yield_value is not None:
+        points.append(_as_float_array("yield_value", yield_value))
+    points = _broadcast(*points)
+    yield_values = points[2] if yield_value is not None else None
+    require_positive("design_density", design_density)
+    require_positive("aspect_ratio", aspect_ratio)
     cache = _resolve_cache(cache)
 
+    def price(n_i: float, lam_i: float,
+              y_i: float | None = None) -> Any:
+        return model.evaluate_masked(
+            n_transistors=n_i, feature_size_um=lam_i,
+            design_density=design_density, yield_model=yield_model,
+            defect_density_per_cm2=defect_density_per_cm2,
+            yield_value=y_i, aspect_ratio=aspect_ratio)
+
+    cells = int(points[0].size)
     obs_on = _obs_enabled()
     t0 = time.perf_counter() if obs_on else 0.0
-    with _span("batch.evaluate", cells=int(n.size)):
-        width, height, area_cm2 = _die_geometry(n, design_density,
-                                                lam_axis, aspect_ratio)
-        n_ch = dies_per_wafer_batch(model.wafer, width, height, cache=cache)
-        y = _resolve_yield_batch(area_cm2, yield_model,
-                                 defect_density_per_cm2, yield_value)
-        c_w = wafer_cost_batch(model.wafer_cost, lam_axis,
-                               volume_wafers=model.volume_wafers, cache=cache)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore",
-                         under="ignore"):
-            cost = c_w / (n_ch * n * y)
-        feasible = n_ch >= 1
-        cost = np.where(feasible, cost, np.inf)
+    with _span("batch.evaluate", cells=cells):
+        if cells <= SCALAR_MAX_POINTS:
+            result = _scalar_points(BatchCostResult, price, points)
+        else:
+            result = _evaluate_arrays(
+                model, points[0], points[1], lam_axis, design_density,
+                yield_model, defect_density_per_cm2, yield_values,
+                aspect_ratio, cache)
     if obs_on:
-        _metrics.inc("batch.evaluate.calls")
-        _metrics.inc("batch.evaluate.cells", int(n.size))
-        _metrics.observe("batch.evaluate.seconds", time.perf_counter() - t0)
+        _observed("evaluate", cells, t0)
+    return result
+
+
+def _evaluate_arrays(model: TransistorCostModel, n: np.ndarray,
+                     lam: np.ndarray, lam_axis: np.ndarray,
+                     design_density: float, yield_model: YieldModel | None,
+                     defect_density_per_cm2: float | None,
+                     yield_values: np.ndarray | None, aspect_ratio: float,
+                     cache: BatchCache | None) -> BatchCostResult:
+    _require_all_positive("n_transistors", n)
+    _require_all_positive("feature_sizes_um", lam_axis)
+    width, height, area_cm2 = _die_geometry(n, design_density, lam_axis,
+                                            aspect_ratio)
+    n_ch = dies_per_wafer_batch(model.wafer, width, height, cache=cache)
+    y = _resolve_yield_batch(area_cm2, yield_model, defect_density_per_cm2,
+                             yield_values)
+    c_w = wafer_cost_batch(model.wafer_cost, lam_axis,
+                           volume_wafers=model.volume_wafers, cache=cache)
+    feasible = n_ch >= 1
+    cost = _masked_cost(c_w, n_ch, n, y, feasible)
     return BatchCostResult(
         feature_size_um=lam,
         wafer_cost_dollars=np.broadcast_to(c_w, cost.shape),
@@ -774,24 +882,31 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
 def _resolve_yield_batch(die_area_cm2: np.ndarray,
                          yield_model: YieldModel | None,
                          defect_density_per_cm2: float | None,
-                         yield_value) -> np.ndarray:
+                         yield_value: np.ndarray | None) -> np.ndarray:
+    # TransistorCostModel._resolve_yield over arrays, check for check.
     given = [yield_model is not None, yield_value is not None]
     if sum(given) != 1:
         raise ParameterError(
             "specify exactly one of yield_model or yield_value")
     if yield_value is not None:
-        y = _as_float_array("yield_value", yield_value)
-        _require_all_fraction("yield_value", y)
-        return y
+        _require_all_fraction("yield_value", yield_value)
+        return yield_value
     assert yield_model is not None
     if isinstance(yield_model, ReferenceAreaYield):
-        return yield_model.reference_yield ** (
-            die_area_cm2 / yield_model.reference_area_cm2)
+        return _reference_area_yield(yield_model, die_area_cm2)
     if defect_density_per_cm2 is None:
         raise ParameterError(
             "defect_density_per_cm2 is required with this yield model")
     return yield_for_area_batch(yield_model, die_area_cm2,
                                 defect_density_per_cm2)
+
+
+def _reference_area_yield(law: ReferenceAreaYield,
+                          area_cm2: np.ndarray) -> np.ndarray:
+    # ReferenceAreaYield.yield_for_die_area: Y₀ ** (A / A₀).
+    _require_all_nonnegative("area_cm2", area_cm2)
+    return np.float_power(law.reference_yield,
+                          area_cm2 / law.reference_area_cm2)
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +918,12 @@ def scenario1_cost_batch(model: TransistorCostModel, feature_sizes_um,
                          cache: Any = USE_DEFAULT_CACHE) -> np.ndarray:
     """Eq. (8) over an array of λ: ``C_tr = C_w(λ)·d_d·λ² / A_w``.
 
-    The vector form of :meth:`TransistorCostModel.scenario1_cost`.
+    The vector form of :meth:`TransistorCostModel.scenario1_cost`,
+    bitwise.
     """
     lam = _as_float_array("feature_sizes_um", feature_sizes_um)
     _require_all_positive("feature_sizes_um", lam)
-    if design_density <= 0:
-        raise ParameterError(
-            f"design_density must be > 0, got {design_density}")
+    require_positive("design_density", design_density)
     c_w = wafer_cost_batch(model.wafer_cost, lam,
                            volume_wafers=model.volume_wafers, cache=cache)
     wafer_area_um2 = model.wafer.area_cm2 * UM2_PER_CM2
@@ -826,7 +940,8 @@ def scenario2_cost_batch(model: TransistorCostModel, feature_sizes_um,
 
     ``die_area_cm2`` may be an array aligned with λ; the default is the
     Fig.-3 trend evaluated per λ, exactly as the scalar
-    :meth:`TransistorCostModel.scenario2_cost` does.
+    :meth:`TransistorCostModel.scenario2_cost` does, and the result is
+    bitwise the scalar one.
     """
     lam = _as_float_array("feature_sizes_um", feature_sizes_um)
     _require_all_positive("feature_sizes_um", lam)
@@ -838,7 +953,7 @@ def scenario2_cost_batch(model: TransistorCostModel, feature_sizes_um,
     else:
         area = _as_float_array("die_area_cm2", die_area_cm2)
     _require_all_positive("die_area_cm2", area)
-    y = law.reference_yield ** (area / law.reference_area_cm2)
+    y = _reference_area_yield(law, area)
     return scenario1_cost_batch(model, lam, design_density,
                                 cache=cache) / y
 
@@ -890,52 +1005,14 @@ class ChipletBatchResult:
         return self.cost_per_transistor_dollars * 1.0e6
 
 
-def _exp_neg_clamped(exponent: np.ndarray) -> np.ndarray:
-    # ``exp(-exponent)`` with the eq.-(7) underflow clamp, bitwise
-    # equal to scaled_poisson_yield's tail.  NumPy's float64 exp is a
-    # SIMD kernel that, on AVX-512 hosts, rounds ~4% of arguments
-    # differently from libm.  So the exp runs as complex128: NumPy's
-    # complex exp calls libm cexp, whose real part at a zero imaginary
-    # part is libm exp(x)·cos(0) = exp(x), the value math.exp returns.
-    # TestLibmRoutes in tests/batch/test_engine.py pins this on every
-    # SIMD target the parity suites run on.  Negation is exact, so libm
-    # sees the scalar code's argument; the clamp then overwrites the
-    # cells the scalar code never passes to exp.
-    buf = exponent.astype(np.complex128)
-    np.negative(buf.real, out=buf.real)
-    np.exp(buf, out=buf)
-    y = buf.real.copy()
-    y[exponent > _EXPONENT_CLAMP] = _TINY_YIELD
-    return y
-
-
-def _scalar_wafer_cost_batch(model: WaferCostModel, lam: np.ndarray,
-                             cache: BatchCache | None) -> np.ndarray:
-    # Eq. (3) per *unique* λ through the scalar ``pure_cost`` (libm pow
-    # and log), fanned back out — bitwise equal to the scalar path, and
-    # cheap because sweeps carry few distinct feature sizes.
-    def key() -> tuple:
-        return (model.reference_cost_dollars, model.cost_growth_rate,
-                model.reference_feature_um, model.generation_model,
-                model.shrink, model.linear_step_um, array_fingerprint(lam))
-
-    def compute() -> np.ndarray:
-        uniq, inv = np.unique(lam.ravel(), return_inverse=True)
-        pure = model.pure_cost
-        vals = np.fromiter((pure(l) for l in uniq.tolist()),
-                           dtype=np.float64, count=uniq.size)
-        return vals[inv].reshape(lam.shape)
-
-    return _cached(cache, "chiplet_wafer_cost", lam.size, key, compute)
-
-
 def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
                        model: "ChipletCostModel | None" = None, *,
                        cache: Any = USE_DEFAULT_CACHE,
                        out: np.ndarray | None = None
                        ) -> ChipletBatchResult:
     """Batched :meth:`~repro.system.chiplet.ChipletCostModel.
-    system_cost` — the vector form of the chiplet parity reference.
+    system_cost` — the vector form of the chiplet parity reference,
+    bitwise.
 
     ``n_transistors``, ``feature_sizes_um`` and ``chiplets`` broadcast
     together, so a (k × N_tr) crossover plane at fixed λ is one call
@@ -943,18 +1020,15 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
     integer-valued (floats are fine — the sweep engine feeds float
     axes) and ≥ 1 everywhere.
 
-    Parity is **bitwise**, not 1e-12: the pure arithmetic (geometry,
-    eq.-(4) die counts, every cost composition) is vectorized in the
-    scalar operation order, and every transcendental makes the libm
-    call the scalar code makes.  The eq.-(3) wafer cost and eq.-(7)'s
-    ``D / λ^p`` run through the scalar functions once per unique λ;
-    the eq.-(7) exp and the three KGD/assembly pows run in NumPy's C
-    loops over libm (the libm routes in the module docstring).  That
-    lets the serve executor and the loadgen verifier hold chiplet
-    traffic to the same bitwise contract as fab queries.  Sub-results (die counts, wafer cost, die yield) memoize
-    in the shared :class:`~repro.batch.cache.BatchCache`.  A batch of
-    at most :data:`SCALAR_MAX_POINTS` elements skips the kernel and
-    the cache: each element is priced by ``system_cost`` itself.
+    The pure arithmetic (geometry, eq.-(4) die counts, every cost
+    composition) is vectorized in the scalar operation order; eq. (3)
+    and eq. (7) come from :func:`wafer_cost_batch` and the body of
+    :func:`scaled_poisson_yield_batch`, and the three KGD/assembly pows
+    run as ``np.float_power`` (the libm routes in the module
+    docstring).  Sub-results (die counts, wafer cost) memoize in the
+    shared :class:`~repro.batch.cache.BatchCache`.  A batch of at most
+    :data:`SCALAR_MAX_POINTS` elements skips the kernel and the cache:
+    each element is priced by ``system_cost`` itself.
 
     With ``out`` the composed C_tr lands in the caller's float64
     buffer (e.g. a sweep tile's slab), which also becomes the
@@ -969,61 +1043,30 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
     n = _as_float_array("n_transistors", n_transistors)
     lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
     kk = _as_float_array("chiplets", chiplets)
-    n, lam, kk = np.broadcast_arrays(n, lam_axis, kk)
-    _require_all_positive("n_transistors", n)
-    _require_all_positive("feature_sizes_um", lam_axis)
+    n, lam, kk = _broadcast(n, lam_axis, kk)
+    # system_cost(int(k), ...) would truncate a fractional k: this
+    # check cannot be left to the scalar reference.
     if kk.size and not (kk.min() >= 1 and kk.max() < math.inf
                         and bool((np.floor(kk) == kk).all())):
         raise ParameterError(
             "chiplets must be integer-valued and >= 1 for every element")
     cache = _resolve_cache(cache)
 
+    def price(n_i: float, lam_i: float, k_i: float) -> Any:
+        return model.system_cost(int(k_i), n_i, lam_i)
+
     obs_on = _obs_enabled()
     t0 = time.perf_counter() if obs_on else 0.0
     with _span("batch.chiplet_cost", cells=int(n.size)):
         if n.size <= SCALAR_MAX_POINTS:
-            result = _chiplet_cost_points(model, n, lam, kk, out)
+            result = _scalar_points(ChipletBatchResult, price, (n, lam, kk),
+                                    out, chiplet_count=kk)
         else:
             result = _chiplet_cost_arrays(model, n, lam_axis, kk, cache,
                                           out)
     if obs_on:
-        _metrics.inc("batch.chiplet.calls")
-        _metrics.inc("batch.chiplet.cells", int(n.size))
-        _metrics.observe("batch.chiplet.seconds", time.perf_counter() - t0)
+        _observed("chiplet", int(n.size), t0)
     return result
-
-
-def _chiplet_cost_points(model: "ChipletCostModel", n: np.ndarray,
-                         lam: np.ndarray, kk: np.ndarray,
-                         out: np.ndarray | None) -> ChipletBatchResult:
-    # A small batch is priced by the scalar reference itself, point by
-    # point (see SCALAR_MAX_POINTS), and fanned into the result arrays.
-    system_cost = model.system_cost
-    cells = [system_cost(int(k), n_i, lam_i) for n_i, lam_i, k in zip(
-        n.ravel().tolist(), lam.ravel().tolist(), kk.ravel().tolist())]
-
-    def column(name: str, dtype=np.float64) -> np.ndarray:
-        return np.array([getattr(c, name) for c in cells],
-                        dtype=dtype).reshape(n.shape)
-
-    return ChipletBatchResult(
-        feature_size_um=lam,
-        chiplet_count=kk,
-        transistors_per_chiplet=column("transistors_per_chiplet"),
-        chiplet_area_cm2=column("chiplet_area_cm2"),
-        wafer_cost_dollars=column("wafer_cost_dollars"),
-        dies_per_wafer=column("dies_per_wafer", np.int64),
-        die_yield=column("die_yield"),
-        assembly_yield=column("assembly_yield"),
-        effective_yield=column("effective_yield"),
-        packaging_cost_dollars=column("packaging_cost_dollars"),
-        silicon_cost_per_transistor_dollars=column(
-            "silicon_cost_per_transistor_dollars"),
-        overhead_cost_per_transistor_dollars=column(
-            "overhead_cost_per_transistor_dollars"),
-        cost_per_transistor_dollars=_deliver(
-            column("cost_per_transistor_dollars"), out),
-        feasible=column("feasible", bool))
 
 
 def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
@@ -1032,7 +1075,9 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
                          out: np.ndarray | None) -> ChipletBatchResult:
     # ``n`` and ``kk`` come broadcast to the result shape; ``lam_axis``
     # is the λ operand as given, so the λ-only factors (wafer cost,
-    # D / λ^p, their np.unique) run once per distinct λ.
+    # D / λ^p) run once per distinct λ.
+    _require_all_positive("n_transistors", n)
+    _require_all_positive("feature_sizes_um", lam_axis)
     fab = model.fab
     pk = model.packaging
     t = model.test
@@ -1044,28 +1089,10 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
     width, height, area_cm2 = _die_geometry(n_k, fab.design_density,
                                             lam_axis, 1.0)
     n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
-    c_w = _scalar_wafer_cost_batch(wafer_cost_model, lam_axis, cache)
-
-    def ykey() -> tuple:
-        return (fab.design_density, fab.defect_coefficient,
-                fab.size_exponent_p, array_fingerprint(n_k),
-                array_fingerprint(lam_axis))
-
-    def compute_yield() -> np.ndarray:
-        # scaled_poisson_yield's exact operation order: D₀ per unique
-        # λ through the scalar function, the area product vectorized
-        # (IEEE-exact), the exp per element.
-        uniq, inv = np.unique(lam_axis.ravel(), return_inverse=True)
-        p = fab.size_exponent_p
-        coeff = fab.defect_coefficient
-        d0_u = np.fromiter((scaled_defect_density(coeff, l, p)
-                            for l in uniq.tolist()),
-                           dtype=np.float64, count=uniq.size)
-        area_y = n_k * fab.design_density * (lam_axis * lam_axis) * 1.0e-8
-        exponent = area_y * d0_u[inv].reshape(lam_axis.shape)
-        return _exp_neg_clamped(exponent)
-
-    y = _cached(cache, "chiplet_die_yield", n_k.size, ykey, compute_yield)
+    y = _scaled_poisson_yield(n_k, fab.design_density,
+                              fab.defect_coefficient, lam_axis,
+                              fab.size_exponent_p)
+    c_w = wafer_cost_batch(wafer_cost_model, lam_axis, cache=cache)
     pc = model.probe_coverage
     pass_rate = np.float_power(y, pc)
     q = np.float_power(y, 1.0 - pc)

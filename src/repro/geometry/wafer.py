@@ -56,6 +56,16 @@ ROW_FIT_SLACK = 1e-9
 #: stay below 500 rows.
 MAX_WAFER_ROWS = 1_000_000
 
+#: Most candidate grid cells, ``(2R/a + 4)·(2R/b + 4)`` for die pitches
+#: a × b, that one grid placement may scan (:func:`check_grid_cells`).
+#: The placement loop costs ~0.2 µs per cell (Python 3.11 on a 2-vCPU
+#: x86-64 VM) and :func:`best_grid_offset` scans 64 phases, so a die
+#: at the bound takes ~1.3 s there: the worst one admitted call can
+#: cost.  A 0.048 cm die pitch on a 7.5 cm wafer reaches it; the
+#: paper's figures and tables, the benches, the examples and perfbench
+#: scan at most 2,196 cells (a 0.35 cm die on a 7.5 cm wafer).
+MAX_GRID_CELLS = 100_000
+
 
 @dataclass(frozen=True)
 class Wafer:
@@ -136,6 +146,20 @@ def check_row_count(rows: float) -> None:
             f"{MAX_WAFER_ROWS} an eq.-(4) count allows")
 
 
+def check_grid_cells(radius: float, pitch_x: float, pitch_y: float) -> None:
+    """Refuse a grid placement over more than :data:`MAX_GRID_CELLS` cells.
+
+    Called by :func:`dies_per_wafer_exact` and :func:`best_grid_offset`
+    before they scan, so a tiny die raises :class:`ParameterError` at
+    once instead of looping for minutes.
+    """
+    cells = (2.0 * radius / pitch_x + 4.0) * (2.0 * radius / pitch_y + 4.0)
+    if cells > MAX_GRID_CELLS:
+        raise ParameterError(
+            f"the die implies {cells:.3g} grid cells, more than the "
+            f"{MAX_GRID_CELLS} a grid placement allows")
+
+
 def dies_per_wafer_maly(wafer: Wafer, die: Die) -> int:
     """Eq. (4): row-by-row die count.
 
@@ -192,13 +216,16 @@ def dies_per_wafer_exact(wafer: Wafer, die: Die, *,
     usable radius is counted.  With ``optimize_offset=True`` the phase
     is searched on an ``offset_steps × offset_steps`` sub-pitch lattice
     and the best count returned — this is how steppers actually place
-    reticle grids, and it upper-bounds the fixed-phase counts.
+    reticle grids, and it upper-bounds the fixed-phase counts.  A die
+    implying more than :data:`MAX_GRID_CELLS` cells raises
+    :class:`ParameterError` (see :func:`check_grid_cells`).
     """
     radius = wafer.usable_radius_cm
     px, py = die.pitch_x_cm, die.pitch_y_cm
     w, h = die.width_cm, die.height_cm
     if math.hypot(w, h) > 2 * radius:
         return 0
+    check_grid_cells(radius, px, py)
 
     def count(ox: float, oy: float) -> int:
         # Candidate cell indices: cells whose x-span may intersect the circle.
@@ -263,8 +290,10 @@ def best_grid_offset(wafer: Wafer, die: Die, *, steps: int = 8) -> tuple[float, 
 
     Exposed separately from :func:`dies_per_wafer_exact` for callers
     that want the winning placement itself (e.g. to draw a wafer map).
+    Refuses a die past :data:`MAX_GRID_CELLS` before the first phase.
     """
     px, py = die.pitch_x_cm, die.pitch_y_cm
+    check_grid_cells(wafer.usable_radius_cm, px, py)
     best = (0.0, 0.0, -1)
     for si in range(steps):
         for sj in range(steps):

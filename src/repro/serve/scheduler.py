@@ -18,7 +18,9 @@ as the traffic allows:
 3. **Execute** — each group is priced inline on the flusher thread by
    :meth:`~repro.serve.backend.ThreadBackend.run_group`, which runs
    :func:`repro.serve.executor.execute_group` against the shared
-   :class:`~repro.batch.cache.BatchCache`.
+   :class:`~repro.batch.cache.BatchCache`.  A group of several unique
+   points that raises is priced again point by point, so each request
+   gets its own point's cost or its own point's exception.
 4. **Fan out** — tickets are completed under one condition broadcast
    per flush (no per-request locks on the hot path), and registered
    callbacks (the asyncio bridge) fire after completion.
@@ -448,24 +450,26 @@ class MicroBatchScheduler:
         with _span("serve.flush", requests=len(tickets), unique=unique,
                    groups=len(groups)) as sp:
             for sig, group in groups.items():
-                error: str | None = None
                 try:
                     result = backend.run_group(
                         group.exemplar, group.points, self.cache)
-                except BaseException as exc:  # propagate to every waiter
-                    error = type(exc).__name__
-                    result = None
-                    self._complete(group.members, None, exc)
+                except BaseException as exc:  # propagate to the waiters
+                    if isinstance(exc, Exception) and len(group.points) > 1:
+                        self._run_pointwise(group)
+                    else:
+                        self._complete(group.members, None, exc)
                 else:
                     self._complete(group.members, result, None)
                 if recorder is not None:
                     sig_key = signature_key(sig)
                     for ticket in group.members:
-                        cost = result.cost(ticket._slot) \
-                            if result is not None else None
+                        exc = ticket._exc
                         record_entries.append(
                             (ticket._t_submit, ticket.query, sig_key,
-                             backend.name, cost, error))
+                             backend.name,
+                             ticket._group.cost(ticket._slot)
+                             if exc is None else None,
+                             None if exc is None else type(exc).__name__))
             sp.annotate(flush_id=flush_id)
         if recorder is not None:
             recorder.record_flush(flush_id, record_entries)
@@ -488,6 +492,24 @@ class MicroBatchScheduler:
                 _metrics.observe("serve.request.latency_seconds",
                                  now - ticket._t_submit)
             _metrics.set_gauge("serve.queue.depth", self.queue_depth)
+
+    def _run_pointwise(self, group: _Group) -> None:
+        # The group raised: price each unique point alone, so a refused
+        # point fails only the requests that asked for it and every
+        # other request still gets its own cost.
+        by_slot: list[list[CostTicket]] = [[] for _ in group.points]
+        for ticket in group.members:
+            by_slot[ticket._slot].append(ticket)
+        for point, members in zip(group.points, by_slot):
+            try:
+                result = self._backend.run_group(group.exemplar, [point],
+                                                 self.cache)
+            except BaseException as exc:  # propagate to the waiters
+                self._complete(members, None, exc)
+            else:
+                for ticket in members:
+                    ticket._slot = 0
+                self._complete(members, result, None)
 
     def _complete(self, tickets: list[CostTicket],
                   result: GroupResult | None,

@@ -443,16 +443,21 @@ def scaled_defect_density(defect_coefficient: float, feature_size_um: float,
                           p: float) -> float:
     """Eq. (7)'s defect density ``D₀ = D / λ^p`` in defects/cm².
 
-    A ``λ^p`` past the float range (λ above ~1e76 µm at p = 4.07)
-    counts as ``inf``, so ``D₀`` is 0, as NumPy's ``pow`` gives it in
-    the batch kernels; Python's ``**`` would raise
-    :class:`OverflowError` instead.  The true ``D₀`` lies below
-    ``D / 1.8e308`` there anyway.
+    The float limits are taken as the batch kernels take them: a
+    ``λ^p`` past the float range (λ above ~1e76 µm at p = 4.07) counts
+    as ``inf``, so ``D₀`` is 0, where Python's ``**`` would raise
+    :class:`OverflowError`; a ``λ^p`` that underflows to 0 (λ below
+    ~4e-80 µm) gives ``D₀ = inf``, where Python's ``/`` would raise
+    :class:`ZeroDivisionError`, except that a defect-free ``D = 0``
+    stays 0 at every λ.
     """
     try:
-        return defect_coefficient / feature_size_um ** p
+        power = feature_size_um ** p
     except OverflowError:
-        return defect_coefficient / math.inf
+        power = math.inf
+    if power == 0.0:
+        return math.inf if defect_coefficient else defect_coefficient
+    return defect_coefficient / power
 
 
 def scaled_poisson_yield(n_transistors: float, design_density: float,

@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.batch.engine` — each primitive against its
-scalar reference, plus the composed eq.-(1) calls."""
+scalar reference, plus the composed eq.-(1) calls.  Every comparison
+with a scalar reference is bitwise (``float.hex``): the engine's one
+parity contract."""
 
 import math
 import tracemalloc
@@ -22,7 +24,6 @@ from repro.batch.engine import (
     _ROW_CHUNK_BUDGET,
     SCALAR_MAX_POINTS,
     _exp_neg_clamped,
-    generations_batch,
     poisson_yield_batch,
     scenario1_cost_batch,
     scenario2_cost_batch,
@@ -59,7 +60,11 @@ from repro.yieldsim.models import (
 )
 
 LAMS = np.array([0.35, 0.5, 0.8, 1.0, 1.5, 2.0])
-RTOL = 1e-12
+
+
+def _bits(value) -> str:
+    """A float's exact bits, as ``float.hex`` spells them."""
+    return float(value).hex()
 
 
 def _model(**kwargs) -> TransistorCostModel:
@@ -70,20 +75,25 @@ def _model(**kwargs) -> TransistorCostModel:
 
 
 class TestGenerationsBatch:
+    """The four g(λ) laws, through the batch wafer cost that reads
+    them (the scalar ``WaferCostModel`` per unique λ)."""
+
     @pytest.mark.parametrize("law", list(GenerationModel))
     def test_matches_scalar_law(self, law):
-        g = generations_batch(LAMS, 1.0, model=law)
+        model = WaferCostModel(reference_cost_dollars=700.0,
+                               cost_growth_rate=1.8, generation_model=law)
+        costs = wafer_cost_batch(model, LAMS, cache=None)
         for k, lam in enumerate(LAMS):
-            assert math.isclose(float(g[k]), law.generations(float(lam), 1.0),
-                                rel_tol=RTOL, abs_tol=1e-15)
+            assert _bits(costs[k]) == _bits(model.pure_cost(float(lam)))
 
     def test_rejects_bad_shrink(self):
         with pytest.raises(ParameterError):
-            generations_batch(LAMS, 1.0, shrink=1.5)
+            wafer_cost_batch(WaferCostModel(shrink=1.5), LAMS, cache=None)
 
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(ParameterError):
-            generations_batch(np.array([0.5, -1.0]))
+            wafer_cost_batch(WaferCostModel(), np.array([0.5, -1.0]),
+                             cache=None)
 
 
 class TestWaferCostBatch:
@@ -92,8 +102,7 @@ class TestWaferCostBatch:
                                cost_growth_rate=1.8)
         costs = wafer_cost_batch(model, LAMS, cache=None)
         for k, lam in enumerate(LAMS):
-            assert math.isclose(float(costs[k]), model.pure_cost(float(lam)),
-                                rel_tol=RTOL)
+            assert _bits(costs[k]) == _bits(model.pure_cost(float(lam)))
 
     def test_volume_cost_parity(self):
         model = WaferCostModel(reference_cost_dollars=700.0,
@@ -102,9 +111,17 @@ class TestWaferCostBatch:
         costs = wafer_cost_batch(model, LAMS, volume_wafers=2500.0,
                                  cache=None)
         for k, lam in enumerate(LAMS):
-            assert math.isclose(
-                float(costs[k]), model.cost_at_volume(float(lam), 2500.0),
-                rel_tol=RTOL)
+            assert _bits(costs[k]) \
+                == _bits(model.cost_at_volume(float(lam), 2500.0))
+
+    def test_overflowing_growth_raises_the_scalar_error(self):
+        # X**g past the float range: the scalar ** raises OverflowError,
+        # and so does the batch, which prices λ through it.
+        model = WaferCostModel(cost_growth_rate=2.5)
+        with pytest.raises(OverflowError):
+            model.pure_cost(1e-160)
+        with pytest.raises(OverflowError):
+            wafer_cost_batch(model, [0.8, 1e-160], cache=None)
 
 
 class TestDiesPerWaferBatch:
@@ -247,16 +264,34 @@ class TestYieldBatches:
         areas = np.array([0.0, 0.3, 1.0, 4.0])
         got = poisson_yield_batch(areas, 0.8)
         for k, a in enumerate(areas):
-            assert math.isclose(float(got[k]), poisson_yield(float(a), 0.8),
-                                rel_tol=RTOL)
+            assert _bits(got[k]) == _bits(poisson_yield(float(a), 0.8))
 
     def test_scaled_poisson_parity(self):
         got = scaled_poisson_yield_batch(2e6, 152.0, 1.72, LAMS, 4.07)
         for k, lam in enumerate(LAMS):
-            assert math.isclose(
-                float(got[k]),
-                scaled_poisson_yield(2e6, 152.0, 1.72, float(lam), 4.07),
-                rel_tol=RTOL)
+            assert _bits(got[k]) == _bits(
+                scaled_poisson_yield(2e6, 152.0, 1.72, float(lam), 4.07))
+
+    @pytest.mark.parametrize("coeff", [1.72, 0.0])
+    def test_lambda_power_underflow_matches_scalar(self, coeff):
+        # λ^p underflows to 0 at λ = 1e-100: D₀ is inf for D > 0 (the
+        # yield clamps to 5e-324) and 0 for D = 0, on both paths; the
+        # scalar D / 0.0 used to raise ZeroDivisionError.
+        want = scaled_poisson_yield(1e300, 152.0, coeff, 1e-100, 4.07)
+        assert want == (5e-324 if coeff else 1.0)
+        got = scaled_poisson_yield_batch([1e300, 2e300], 152.0, coeff,
+                                         1e-100, 4.07)
+        assert [_bits(v) for v in got] == [_bits(want)] * 2
+
+    def test_zero_dimensional_inputs(self):
+        # Scalars in, 0-d arrays out, with the scalar functions' bits.
+        got = yield_for_area_batch(PoissonYield(), 0.5, 1.3)
+        assert got.shape == ()
+        assert _bits(got) == _bits(PoissonYield().yield_for_area(0.5, 1.3))
+        got = scaled_poisson_yield_batch(2e6, 152.0, 1.72, 0.35, 4.07)
+        assert got.shape == ()
+        assert _bits(got) == _bits(
+            scaled_poisson_yield(2e6, 152.0, 1.72, 0.35, 4.07))
 
     def test_underflow_clamps_to_denormal(self):
         got = scaled_poisson_yield_batch(1e12, 152.0, 1.72,
@@ -274,9 +309,15 @@ class TestYieldBatches:
         areas = np.array([0.0, 0.2, 1.0, 3.0])
         got = yield_for_area_batch(model, areas, 0.9)
         for k, a in enumerate(areas):
-            assert math.isclose(
-                float(got[k]), model.yield_for_area(float(a), 0.9),
-                rel_tol=RTOL)
+            assert _bits(got[k]) == _bits(model.yield_for_area(float(a), 0.9))
+
+    def test_overflowing_fault_expectation_raises(self):
+        # m = A·D past the float range: the scalar yield_from_expectation
+        # refuses a non-finite m, and so does the batch.
+        with pytest.raises(ParameterError):
+            PoissonYield().yield_for_area(1e200, 1e200)
+        with pytest.raises(ParameterError):
+            yield_for_area_batch(PoissonYield(), [1.0, 1e200], 1e200)
 
     def test_unknown_model_falls_back_elementwise(self):
         class Halved(YieldModel):
@@ -320,9 +361,8 @@ class TestYieldBatches:
                     == scalar.yield_value
                 assert int(result.dies_per_wafer[i, j]) \
                     == scalar.dies_per_wafer
-                assert math.isclose(
-                    float(result.cost_per_transistor_dollars[i, j]),
-                    scalar.cost_per_transistor_dollars, rel_tol=RTOL)
+                assert _bits(result.cost_per_transistor_dollars[i, j]) \
+                    == _bits(scalar.cost_per_transistor_dollars)
 
 
 class TestTransistorCostBatch:
@@ -335,11 +375,8 @@ class TestTransistorCostBatch:
         for i, n_tr in enumerate(counts):
             for j, lam in enumerate(lams):
                 scalar = transistor_cost_full(float(n_tr), float(lam))
-                batch = float(result.cost_per_transistor_dollars[i, j])
-                if math.isinf(scalar):
-                    assert math.isinf(batch)
-                else:
-                    assert math.isclose(scalar, batch, rel_tol=RTOL)
+                assert _bits(result.cost_per_transistor_dollars[i, j]) \
+                    == _bits(scalar)
 
     def test_infeasible_cells_masked_not_raised(self):
         # 1e10 transistors at 2 µm is a die far larger than the wafer.
@@ -358,9 +395,8 @@ class TestTransistorCostBatch:
         good = float(result.good_dies_per_wafer[0])
         assert good == float(result.dies_per_wafer[0]) \
             * float(result.yield_value[0])
-        assert math.isclose(float(result.cost_per_good_die_dollars[0]),
-                            float(result.wafer_cost_dollars[0]) / good,
-                            rel_tol=RTOL)
+        assert float(result.cost_per_good_die_dollars[0]) \
+            == float(result.wafer_cost_dollars[0]) / good
 
     def test_cost_per_good_die_inf_where_no_dies(self):
         result = transistor_cost_batch(np.array([1e10]), np.array([2.0]),
@@ -393,8 +429,8 @@ class TestEvaluateBatch:
                                 design_density=152.0, yield_value=0.6)
         assert int(result.dies_per_wafer[0]) == scalar.dies_per_wafer
         assert float(result.die_area_cm2[0]) == scalar.die_area_cm2
-        assert math.isclose(float(result.cost_per_transistor_dollars[0]),
-                            scalar.cost_per_transistor_dollars, rel_tol=RTOL)
+        assert _bits(result.cost_per_transistor_dollars[0]) \
+            == _bits(scalar.cost_per_transistor_dollars)
 
     def test_reference_area_yield_mode(self):
         model = _model()
@@ -405,10 +441,9 @@ class TestEvaluateBatch:
                                 cache=None)
         scalar = model.evaluate(n_transistors=2e6, feature_size_um=0.8,
                                 design_density=152.0, yield_model=law)
-        assert math.isclose(float(result.yield_value[0]),
-                            scalar.yield_value, rel_tol=RTOL)
-        assert math.isclose(float(result.cost_per_transistor_dollars[0]),
-                            scalar.cost_per_transistor_dollars, rel_tol=RTOL)
+        assert _bits(result.yield_value[0]) == _bits(scalar.yield_value)
+        assert _bits(result.cost_per_transistor_dollars[0]) \
+            == _bits(scalar.cost_per_transistor_dollars)
 
     def test_density_yield_mode(self):
         model = _model()
@@ -421,8 +456,8 @@ class TestEvaluateBatch:
                                 design_density=152.0,
                                 yield_model=MurphyYield(),
                                 defect_density_per_cm2=0.9)
-        assert math.isclose(float(result.cost_per_transistor_dollars[0]),
-                            scalar.cost_per_transistor_dollars, rel_tol=RTOL)
+        assert _bits(result.cost_per_transistor_dollars[0]) \
+            == _bits(scalar.cost_per_transistor_dollars)
 
     def test_infeasible_masked_where_scalar_raises(self):
         model = _model()
@@ -455,9 +490,8 @@ class TestScenarioBatches:
         model = _model()
         got = scenario1_cost_batch(model, LAMS, 30.0, cache=None)
         for k, lam in enumerate(LAMS):
-            assert math.isclose(float(got[k]),
-                                model.scenario1_cost(float(lam), 30.0),
-                                rel_tol=RTOL)
+            assert _bits(got[k]) == _bits(model.scenario1_cost(float(lam),
+                                                               30.0))
 
     def test_scenario2_parity_with_default_trend(self):
         model = _model()
@@ -468,7 +502,7 @@ class TestScenarioBatches:
                 float(lam), 200.0, reference_yield=0.7,
                 reference_area_cm2=1.0,
                 die_area_cm2=die_area_trend_cm2(float(lam)))
-            assert math.isclose(float(got[k]), expected, rel_tol=RTOL)
+            assert _bits(got[k]) == _bits(expected)
 
     def test_scenario2_with_explicit_areas(self):
         model = _model()
@@ -480,7 +514,7 @@ class TestScenarioBatches:
             expected = model.scenario2_cost(
                 float(lam), 200.0, reference_yield=0.7,
                 reference_area_cm2=1.0, die_area_cm2=0.8)
-            assert math.isclose(float(got[k]), expected, rel_tol=RTOL)
+            assert _bits(got[k]) == _bits(expected)
 
 
 class TestArrayOut:
@@ -594,12 +628,14 @@ class TestCacheAdmission:
         n, lam = self._flat(32)
         self._calls(n, lam, cache)
         first = cache.stats
-        assert first.misses >= 3 and first.hits == 0
+        # One wafer-cost path: the chiplet kernel (same fab, same λ)
+        # reads the entry the fab kernel stored; nothing else repeats.
+        assert first.misses >= 3 and first.hits == 1
         assert len(cache) == first.misses
         self._calls(n, lam, cache)
         again = cache.stats
         assert again.misses == first.misses
-        assert again.hits == first.misses
+        assert again.hits - first.hits == first.misses + first.hits
 
     def test_admission_bound_is_inclusive(self):
         cache = BatchCache()
@@ -662,7 +698,9 @@ class TestChipletClamp:
 #: Every batch kernel with one array argument replaced by ``bad``; the
 #: other arguments are valid.
 _KERNEL_CALLS = {
-    "generations": lambda bad: generations_batch([0.8, bad]),
+    "generations": lambda bad: wafer_cost_batch(
+        WaferCostModel(generation_model=GenerationModel.INVERSE),
+        [0.8, bad], cache=None),
     "wafer_cost": lambda bad: wafer_cost_batch(
         _model().wafer_cost, [0.8, bad], cache=None),
     "dies_per_wafer_width": lambda bad: dies_per_wafer_batch(

@@ -1,6 +1,7 @@
 """Dies-per-wafer: eq. (4), exact grid, and area approximations."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from repro.geometry import (
     dies_per_wafer_exact,
     dies_per_wafer_maly,
 )
-from repro.geometry.wafer import ROW_FIT_SLACK
+from repro.geometry.wafer import MAX_GRID_CELLS, ROW_FIT_SLACK
 
 
 @pytest.fixture
@@ -198,6 +199,30 @@ class TestExactGrid:
         recount = dies_per_wafer_exact(paper_wafer, die,
                                        offset_x=ox, offset_y=oy)
         assert recount == n
+
+    def test_tiny_die_refused_before_the_scan(self, paper_wafer):
+        # A 10 µm die implies ~2.3e8 cells per phase; scanning 64
+        # phases of them would take hours.  All three entry points
+        # refuse it at once.
+        die = Die.square(0.001)
+        t0 = time.perf_counter()
+        for scan in (lambda: best_grid_offset(paper_wafer, die),
+                     lambda: dies_per_wafer_exact(paper_wafer, die),
+                     lambda: dies_per_wafer_exact(paper_wafer, die,
+                                                  optimize_offset=True)):
+            with pytest.raises(ParameterError, match="grid cells"):
+                scan()
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_cell_bound_is_the_same_on_both_sides_of_it(self, paper_wafer):
+        span = 2.0 * paper_wafer.usable_radius_cm
+        pitch = span / (math.sqrt(MAX_GRID_CELLS) - 4.0)
+        under = Die.square(pitch * (1.0 + 1e-9))
+        over = Die.square(pitch * (1.0 - 1e-9))
+        assert dies_per_wafer_exact(paper_wafer, under) \
+            >= dies_per_wafer_maly(paper_wafer, under) * 0.9
+        with pytest.raises(ParameterError):
+            dies_per_wafer_exact(paper_wafer, over)
 
 
 class TestAreaApproximations:

@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.batch import BatchCache, evaluate_batch, transistor_cost_batch
+from repro.batch.engine import SCALAR_MAX_POINTS
 from repro.core import CostLandscape, TransistorCostModel, WaferCostModel
 from repro.core.optimization import optimal_feature_size
 from repro.geometry import Wafer
@@ -21,6 +22,12 @@ def _counters():
     return obs.metrics.snapshot()["counters"]
 
 
+#: Enough points for the vectorized kernels: at most SCALAR_MAX_POINTS
+#: are priced by the scalar reference, which neither caches nor
+#: records compute spans.
+COUNTS = np.geomspace(1e6, 2e6, SCALAR_MAX_POINTS + 1)
+
+
 @pytest.fixture
 def model():
     return TransistorCostModel(
@@ -31,19 +38,19 @@ def model():
 
 class TestBatchEngineHooks:
     def test_transistor_cost_batch_span_and_metrics(self, obs_on):
-        transistor_cost_batch([1e6, 2e6], [0.8, 0.8], cache=BatchCache())
+        transistor_cost_batch(COUNTS, 0.8, cache=BatchCache())
         names = _names()
         assert "batch.transistor_cost" in names
         assert "batch.compute.dies_per_wafer" in names
         assert "batch.compute.wafer_cost" in names
         counters = _counters()
         assert counters["batch.evaluate.calls"] == 1
-        assert counters["batch.evaluate.cells"] == 2
+        assert counters["batch.evaluate.cells"] == COUNTS.size
         hist = obs.metrics.snapshot()["histograms"]
         assert hist["batch.evaluate.seconds"]["count"] == 1
 
     def test_compute_spans_nest_under_evaluation(self, obs_on):
-        transistor_cost_batch(1e6, 0.8, cache=BatchCache())
+        transistor_cost_batch(COUNTS, 0.8, cache=BatchCache())
         recs = {r.name: r for r in obs.get_trace()}
         outer = recs["batch.transistor_cost"]
         assert recs["batch.compute.dies_per_wafer"].parent_id \
@@ -52,9 +59,9 @@ class TestBatchEngineHooks:
 
     def test_cache_hits_skip_compute_spans(self, obs_on):
         cache = BatchCache()
-        transistor_cost_batch(1e6, 0.8, cache=cache)
+        transistor_cost_batch(COUNTS, 0.8, cache=cache)
         obs.clear_trace()
-        transistor_cost_batch(1e6, 0.8, cache=cache)
+        transistor_cost_batch(COUNTS, 0.8, cache=cache)
         names = _names()
         assert "batch.transistor_cost" in names
         assert not any(n.startswith("batch.compute.") for n in names)

@@ -1,12 +1,11 @@
 """The executor's small-group path: the scalar references themselves.
 
-A fab or model group of at most ``SCALAR_MAX_POINTS`` unique points is
-priced point by point through its kind's scalar reference, and
-``chiplet_cost_batch`` does the same for small batches; larger groups
-stay on the vectorized kernels.  Every served field must be identical
-either way — infeasible points and every model yield form included —
-and the routing itself is pinned: small groups never reach the eq.-(4)
-kernel, larger ones do.
+Each group is one call of its kind's batch kernel, and a kernel prices
+a batch of at most ``SCALAR_MAX_POINTS`` points point by point through
+its kind's scalar reference; larger groups run vectorized.  Every
+served field must be identical either way — infeasible points and
+every model yield form included — and the routing itself is pinned:
+small groups never reach the eq.-(4) kernel, larger ones do.
 """
 
 import math
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch import engine
 from repro.batch.engine import (
     SCALAR_MAX_POINTS,
     chiplet_cost_batch,
@@ -33,7 +33,6 @@ from repro.core.wafer_cost import WaferCostModel
 from repro.errors import ParameterError
 from repro.geometry import Die, Wafer, dies_per_wafer_maly
 from repro.serve import ChipletCostQuery, FabCostQuery, ModelCostQuery
-from repro.serve import executor
 from repro.serve.backend import ThreadBackend
 from repro.serve.executor import execute_group
 from repro.system.chiplet import (
@@ -260,7 +259,7 @@ class TestRouting:
     def no_kernel(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dies_per_wafer_batch called")
-        monkeypatch.setattr(executor, "dies_per_wafer_batch", refuse)
+        monkeypatch.setattr(engine, "dies_per_wafer_batch", refuse)
 
     @pytest.fixture(params=["fab", "model"])
     def exemplar(self, request):
@@ -268,6 +267,12 @@ class TestRouting:
             return FabCostQuery(1e6, 0.8)
         return ModelCostQuery(1e6, 0.8, model=_model(),
                               design_density=150.0, yield_value=0.7)
+
+    def test_chiplet_groups_route_the_same_way(self, no_kernel):
+        exemplar = ChipletCostQuery(1e6, 0.8, chiplets=2)
+        assert len(execute_group(exemplar, _PADDING[:K], cache=None)) == K
+        with pytest.raises(AssertionError, match="dies_per_wafer_batch"):
+            execute_group(exemplar, _PADDING + [(5e6, 1.2)], cache=None)
 
     def test_small_group_skips_the_kernel(self, exemplar, no_kernel):
         points = _PADDING[:K]

@@ -181,3 +181,33 @@ class TestInFlightBackpressure:
                                      FIG8_FAB) for q in queries]
         assert got == want
         assert extra == transistor_cost_full(5e6, 0.8, FIG8_FAB)
+
+
+class TestOneRefusedPoint:
+    """A point the model refuses fails only the requests that asked for
+    it, not the rest of its coalesced group."""
+
+    def test_neighbour_still_prices_and_the_log_says_who_failed(
+            self, tmp_path):
+        import json
+
+        from repro.errors import ParameterError
+        from repro.serve.http import point_to_query
+        from repro.serve.query import scalar_reference_cost
+
+        good = point_to_query({"transistors": 2e6, "feature_size": 0.7})
+        tiny = point_to_query({"transistors": 1, "feature_size": 1e-9})
+        assert good.signature() == tiny.signature()  # one group
+        log = tmp_path / "traffic.jsonl"
+        with CostService(cache=None, record=log) as svc:
+            tickets = svc.submit_many([good, tiny, good])
+            assert tickets[0].cost(timeout=5.0).hex() \
+                == scalar_reference_cost(good).hex()
+            assert tickets[2].cost(timeout=5.0) == tickets[0].cost()
+            with pytest.raises(ParameterError, match="wafer rows"):
+                tickets[1].result(timeout=5.0)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r.get("error") for r in records] \
+            == [None, "ParameterError", None]
+        assert [r["cost"] for r in records] \
+            == [tickets[0].cost(), None, tickets[0].cost()]

@@ -139,6 +139,15 @@ class TestCommands:
         assert rc == 0
         assert "closed-form yield" in capsys.readouterr().out
 
+    def test_simulate_tiny_die_errors_at_once(self, capsys):
+        import time
+        t0 = time.perf_counter()
+        main(["simulate", "--lot-size", "1", "--die-side", "0.001",
+              "--seed", "1"])
+        assert time.perf_counter() - t0 < 5.0
+        captured = capsys.readouterr()
+        assert "grid cells" in captured.out + captured.err
+
     def test_simulate_command_bad_workers_exit_2(self, capsys):
         rc = main(["simulate", "--lot-size", "2", "--workers", "0"])
         assert rc == 2
