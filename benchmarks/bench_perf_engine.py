@@ -8,13 +8,23 @@ bit for bit: the cost grid and the eq.-(4) die counts byte for byte,
 and a cell's yield and wafer cost by their bits (the engine makes the
 scalar code's libm calls on every SIMD target).
 
-Results land in ``benchmarks/BENCH_engine.json``.
+The speedup is timed in interleaved (scalar, batch) pairs, alternating
+which runs first, and the gate reads the median of the per-pair
+ratios: a pair sees one stretch of host noise, so a slow patch of the
+host that stretches both of its grids cancels in its ratio, and the
+median ignores the pairs it splits.  Best-of-3 scalar against
+best-of-10 batch timings read 20.6–30.9× within one hour on one
+2-vCPU host, with no code change.
+
+Results land in ``benchmarks/BENCH_engine.json``, with the spread of
+the per-pair ratios.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import statistics
 import time
 from pathlib import Path
 
@@ -31,6 +41,8 @@ LAM = np.linspace(0.3, 2.0, 36)
 NTR = np.geomspace(1e5, 1e7, 36)
 
 MIN_SPEEDUP = 20.0
+#: Interleaved (scalar, batch) timing pairs behind the gated median.
+PAIRS = 21
 _BENCH_ENGINE_JSON = Path(__file__).resolve().parent / "BENCH_engine.json"
 
 
@@ -62,6 +74,25 @@ def _time_best_of(fn, reps: int) -> float:
     return best
 
 
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _paired_speedups(pairs: int) -> tuple[list[float], list[float]]:
+    """Per-pair (scalar s, batch s); odd pairs run the batch first."""
+    t_scalar, t_batch = [], []
+    for i in range(pairs):
+        if i % 2:
+            batch = _timed(_batch_grid)
+        t_scalar.append(_timed(_scalar_grid))
+        if i % 2 == 0:
+            batch = _timed(_batch_grid)
+        t_batch.append(batch)
+    return t_scalar, t_batch
+
+
 def test_perf_engine_equivalence_and_speedup(benchmark):
     scalar_costs, scalar_dies = _scalar_grid()
     result = benchmark(_batch_grid)
@@ -86,12 +117,16 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
     assert c_w.hex() == float(result.wafer_cost_dollars[i, j]).hex()
 
     # --- speedup ------------------------------------------------------
-    t_scalar = _time_best_of(lambda: transistor_cost_full(1e6, 1.0), 3)  # warm
-    t_scalar = _time_best_of(_scalar_grid, 3)
-    t_batch = _time_best_of(_batch_grid, 10)
-    speedup = t_scalar / t_batch
+    _scalar_grid()  # warm
+    _batch_grid()
+    scalar_times, batch_times = _paired_speedups(PAIRS)
+    ratios = [s / b for s, b in zip(scalar_times, batch_times)]
+    speedup = statistics.median(ratios)
+    t_scalar = statistics.median(scalar_times)
+    t_batch = statistics.median(batch_times)
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
     assert speedup >= MIN_SPEEDUP, \
-        f"batch speedup {speedup:.1f}x < required {MIN_SPEEDUP}x"
+        f"median pair speedup {speedup:.1f}x < required {MIN_SPEEDUP}x"
 
     # Warm-cache replay: dies-per-wafer and wafer-cost sub-results are
     # memoized, so a repeated sweep over the same grid is cheaper still.
@@ -109,6 +144,11 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
         "batch_s": t_batch,
         "batch_warm_cache_s": t_warm,
         "speedup": speedup,
+        "pairs": PAIRS,
+        "estimator": "median of per-pair scalar/batch ratios; times "
+                     "are medians",
+        "pair_speedups": {"min": min(ratios), "q1": q1, "q3": q3,
+                          "max": max(ratios)},
         "warm_speedup": t_scalar / t_warm,
         "parity": "bitwise",
         "min_required_speedup": MIN_SPEEDUP,
@@ -123,7 +163,8 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
          f"({result.n_feasible} feasible cells)\n"
          f"scalar loop        : {t_scalar * 1e3:9.2f} ms\n"
          f"batch (cold cache) : {t_batch * 1e3:9.2f} ms   "
-         f"({speedup:7.1f}x)\n"
+         f"({speedup:7.1f}x, median of {PAIRS} pairs; "
+         f"{min(ratios):.1f}-{max(ratios):.1f}x)\n"
          f"batch (warm cache) : {t_warm * 1e3:9.2f} ms   "
          f"({t_scalar / t_warm:7.1f}x)\n"
          f"parity             : bitwise (cost grid and die counts "

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from operator import attrgetter
@@ -124,6 +123,15 @@ SCALAR_MAX_POINTS = 6
 #: fresh 32 MiB temporaries: higher peak RSS and about a fifth of the
 #: sweep's CPU in the kernel (docs/performance.md).
 _ROW_CHUNK_BUDGET = 1 << 16
+
+#: Padding elements past which a run of dies starts a chunk of its own
+#: in the row reduction rather than joining a chunk of fewer rows.  At
+#: 2,048 the extra chunks cost 32-point chiplet groups more than the
+#: padding they saved (eq. (4) 59 → 70 µs); at 8,192 those groups keep
+#: one chunk while the 36 × 36 Fig.-8 grid, padded 3.2× in two
+#: budget-bound chunks, runs in half the time (docs/performance.md,
+#: "Padding bound").
+_CHUNK_PAD_CELLS = 1 << 13
 
 #: Sub-results with more cells than this are computed without the
 #: cache: no key is built (a key copies its input arrays), nothing is
@@ -235,12 +243,21 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
     """
     lam = _as_float_array("feature_sizes_um", feature_sizes_um)
     _require_all_positive("feature_sizes_um", lam)
+    if volume_wafers is not None:
+        require_positive("volume_wafers", volume_wafers)
+    return _deliver(_wafer_cost(model, lam, volume_wafers,
+                                _resolve_cache(cache)), out)
+
+
+def _wafer_cost(model: WaferCostModel, lam: np.ndarray,
+                volume_wafers: float | None,
+                cache: BatchCache | None) -> np.ndarray:
+    # wafer_cost_batch on checked operands: the composed kernels call
+    # it after their own λ check.
     if volume_wafers is None:
         price = model.pure_cost
     else:
-        require_positive("volume_wafers", volume_wafers)
         price = partial(model.cost_at_volume, volume_wafers=volume_wafers)
-    cache = _resolve_cache(cache)
 
     def key() -> tuple:
         return (model.reference_cost_dollars, model.cost_growth_rate,
@@ -254,8 +271,7 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
         return np.fromiter(map(by_lam.__getitem__, flat), dtype=np.float64,
                            count=len(flat)).reshape(lam.shape)
 
-    return _deliver(_cached(cache, "wafer_cost", lam.size, key, compute),
-                    out)
+    return _cached(cache, "wafer_cost", lam.size, key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +297,7 @@ def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
     """
     w = _as_float_array("width_cm", width_cm)
     h = _as_float_array("height_cm", height_cm)
-    w, h = np.broadcast_arrays(w, h)
+    w, h = _broadcast(w, h)
     _require_all_positive("width_cm", w)
     _require_all_positive("height_cm", h)
     require_nonnegative("scribe_cm", scribe_cm)
@@ -386,28 +402,33 @@ def _row_floors(radius: float, j: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 def _plan_row_chunks(key: np.ndarray) -> list[tuple[int, int, int]]:
     # Greedy chunks (lo, hi, r) over dies sorted by row count (all
-    # >= 1): a chunk [lo, hi) takes the next die while its
-    # (r + 1) × dies chord matrix fits the element budget, r being its
-    # last die's count.  Dies of equal row count form runs; a chunk
-    # starting at ``lo`` can end inside run i only if lo >= first[i] =
-    # start_i + 1 − cap_i, with cap_i = budget // (rows_i + 1) dies, so
-    # the division runs once per run, not per die.  ``first`` strictly
-    # increases (starts do, caps never grow), so one bisect finds a
-    # chunk's last run.  A die whose chords alone exceed the budget
-    # (cap 0) is a chunk by itself.
+    # >= 1), built from runs of equal count.  Every die of a chunk is
+    # padded to its last die's count r, and its (r + 1) × dies chord
+    # matrix must fit the element budget, so a run may be cut across
+    # chunks.  A run starts a new chunk when joining the open one
+    # would take that chunk's padding past _CHUNK_PAD_CELLS elements.
+    # A die whose chords alone exceed the budget is a chunk by itself.
     m = key.size
-    starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    run_rows = key[np.concatenate(([0], starts))].astype(np.int64)
-    caps = (_ROW_CHUNK_BUDGET // (run_rows + 1)).tolist()
-    first = [s + 1 - c for s, c in zip([0] + starts.tolist(), caps)]
-    ends = starts.tolist() + [m]
+    last = int(key[-1])
+    if (last + 1) * m <= _ROW_CHUNK_BUDGET \
+            and last * m - int(key.sum()) <= _CHUNK_PAD_CELLS:
+        return [(0, m, last)]  # what the loop below gives, at less cost
+    bounds = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist() + [m]
     chunks = []
-    lo = 0
-    while lo < m:
-        i = bisect_right(first, lo) - 1
-        hi = lo + 1 if i < 0 else max(lo + 1, min(ends[i], lo + caps[i]))
-        chunks.append((lo, hi, int(key[hi - 1])))
-        lo = hi
+    lo = top = pad = 0  # open chunk: dies [lo, start), top rows, padding
+    for start, end, r in zip(bounds, bounds[1:],
+                             key[bounds[:-1]].tolist()):
+        cap = max(_ROW_CHUNK_BUDGET // (r + 1), 1)
+        pad += (start - lo) * (r - top)
+        if lo < start and (pad > _CHUNK_PAD_CELLS or start - lo >= cap):
+            chunks.append((lo, start, top))
+            lo, pad = start, 0
+        while end - lo > cap:
+            chunks.append((lo, lo + cap, r))
+            lo, pad = lo + cap, 0
+        top = r
+    if lo < m:
+        chunks.append((lo, m, top))
     return chunks
 
 
@@ -772,16 +793,13 @@ def _transistor_cost_arrays(fab: "FabCharacterization", n: np.ndarray,
                             cache: BatchCache | None) -> BatchCostResult:
     _require_all_positive("n_transistors", n)
     _require_all_positive("feature_sizes_um", lam_axis)
-    wafer = Wafer(radius_cm=fab.wafer_radius_cm)
-    wafer_cost_model = WaferCostModel(
-        reference_cost_dollars=fab.reference_cost_dollars,
-        cost_growth_rate=fab.cost_growth_rate)
+    wafer_cost_model = fab.wafer_cost
     width, height, area_cm2 = _die_geometry(n, fab.design_density,
                                             lam_axis, 1.0)
-    n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
+    n_ch = dies_per_wafer_batch(fab.wafer, width, height, cache=cache)
     y = _scaled_poisson_yield(n, fab.design_density, fab.defect_coefficient,
                               lam_axis, fab.size_exponent_p)
-    c_w = wafer_cost_batch(wafer_cost_model, lam_axis, cache=cache)
+    c_w = _wafer_cost(wafer_cost_model, lam_axis, None, cache)
     feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
     cost = _masked_cost(c_w, n_ch, n, y, feasible)
     return BatchCostResult(
@@ -864,8 +882,7 @@ def _evaluate_arrays(model: TransistorCostModel, n: np.ndarray,
     n_ch = dies_per_wafer_batch(model.wafer, width, height, cache=cache)
     y = _resolve_yield_batch(area_cm2, yield_model, defect_density_per_cm2,
                              yield_values)
-    c_w = wafer_cost_batch(model.wafer_cost, lam_axis,
-                           volume_wafers=model.volume_wafers, cache=cache)
+    c_w = _wafer_cost(model.wafer_cost, lam_axis, model.volume_wafers, cache)
     feasible = n_ch >= 1
     cost = _masked_cost(c_w, n_ch, n, y, feasible)
     return BatchCostResult(
@@ -1081,18 +1098,15 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
     fab = model.fab
     pk = model.packaging
     t = model.test
-    wafer = Wafer(radius_cm=fab.wafer_radius_cm)
-    wafer_cost_model = WaferCostModel(
-        reference_cost_dollars=fab.reference_cost_dollars,
-        cost_growth_rate=fab.cost_growth_rate)
+    wafer_cost_model = fab.wafer_cost
     n_k = n / kk
     width, height, area_cm2 = _die_geometry(n_k, fab.design_density,
                                             lam_axis, 1.0)
-    n_ch = dies_per_wafer_batch(wafer, width, height, cache=cache)
+    n_ch = dies_per_wafer_batch(fab.wafer, width, height, cache=cache)
     y = _scaled_poisson_yield(n_k, fab.design_density,
                               fab.defect_coefficient, lam_axis,
                               fab.size_exponent_p)
-    c_w = wafer_cost_batch(wafer_cost_model, lam_axis, cache=cache)
+    c_w = _wafer_cost(wafer_cost_model, lam_axis, None, cache)
     pc = model.probe_coverage
     pass_rate = np.float_power(y, pc)
     q = np.float_power(y, 1.0 - pc)

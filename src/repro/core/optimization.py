@@ -59,6 +59,31 @@ class FabCharacterization:
         require_positive("defect_coefficient", self.defect_coefficient)
         require_positive("size_exponent_p", self.size_exponent_p)
 
+    # The fab's wafer and eq.-(3) model are built (and checked) once per
+    # fab, not per priced point or kernel call, and memoized in
+    # ``__dict__`` (a frozen dataclass still owns a plain instance
+    # dict).  An X below 1, which WaferCostModel refuses, raises on
+    # every use, as nothing is stored then.
+
+    @property
+    def wafer(self) -> Wafer:
+        """The fab's wafer, radius ``wafer_radius_cm``."""
+        wafer = self.__dict__.get("_wafer")
+        if wafer is None:
+            wafer = self.__dict__["_wafer"] = Wafer(
+                radius_cm=self.wafer_radius_cm)
+        return wafer
+
+    @property
+    def wafer_cost(self) -> WaferCostModel:
+        """The fab's eq.-(3) wafer cost model (C₀, X)."""
+        model = self.__dict__.get("_wafer_cost")
+        if model is None:
+            model = self.__dict__["_wafer_cost"] = WaferCostModel(
+                reference_cost_dollars=self.reference_cost_dollars,
+                cost_growth_rate=self.cost_growth_rate)
+        return model
+
 
 #: The exact parameter set quoted for Fig. 8.
 FIG8_FAB = FabCharacterization()
@@ -77,13 +102,10 @@ def transistor_cost_breakdown(n_transistors: float, feature_size_um: float,
     """
     require_positive("n_transistors", n_transistors)
     require_positive("feature_size_um", feature_size_um)
-    wafer_cost = WaferCostModel(
-        reference_cost_dollars=fab.reference_cost_dollars,
-        cost_growth_rate=fab.cost_growth_rate)
-    wafer = Wafer(radius_cm=fab.wafer_radius_cm)
+    wafer_cost = fab.wafer_cost
     die = Die.from_transistor_count(n_transistors, fab.design_density,
                                     feature_size_um)
-    n_ch = dies_per_wafer_maly(wafer, die)
+    n_ch = dies_per_wafer_maly(fab.wafer, die)
     y = scaled_poisson_yield(n_transistors, fab.design_density,
                              fab.defect_coefficient, feature_size_um,
                              fab.size_exponent_p)

@@ -68,19 +68,50 @@ class GenerationModel(enum.Enum):
         """Evaluate g(λ); negative for λ coarser than the reference."""
         require_positive("feature_size_um", feature_size_um)
         require_positive("reference_um", reference_um)
-        ratio = reference_um / feature_size_um
+        count, step = self._law(shrink, linear_step_um)
+        return count(feature_size_um, reference_um, step)
+
+    def _law(self, shrink: float, linear_step_um: float
+             ) -> tuple[Callable[[float, float, float], float], float]:
+        # g(λ) as ``count(λ, λ₀, step)``, with the law's constant
+        # checked and worked out: ln(1/s) per SHRINK_LOG generation,
+        # the LINEAR step, and 1.0 (unused) for the other two laws.
         if self is GenerationModel.SHRINK_LOG:
             if not 0.0 < shrink < 1.0:
                 raise ParameterError(f"shrink must be in (0, 1), got {shrink}")
-            return math.log(ratio) / math.log(1.0 / shrink)
+            return _shrink_log_count, math.log(1.0 / shrink)
         if self is GenerationModel.LINEAR:
-            require_positive("linear_step_um", linear_step_um)
-            return (reference_um - feature_size_um) / linear_step_um
+            return _linear_count, require_positive("linear_step_um",
+                                                   linear_step_um)
         if self is GenerationModel.INVERSE:
-            return 2.0 * (ratio - 1.0)
+            return _inverse_count, 1.0
         if self is GenerationModel.PRINTED:
-            return 0.5 * (1.0 - feature_size_um / reference_um)
+            return _printed_count, 1.0
         raise ParameterError(f"unknown generation model {self!r}")
+
+
+# g(λ) under each law, on checked operands (GenerationModel._law).
+# Module-level, so a model holding one in its memo still pickles to
+# pool workers.
+
+def _shrink_log_count(feature_size_um: float, reference_um: float,
+                      step: float) -> float:
+    return math.log(reference_um / feature_size_um) / step
+
+
+def _linear_count(feature_size_um: float, reference_um: float,
+                  step: float) -> float:
+    return (reference_um - feature_size_um) / step
+
+
+def _inverse_count(feature_size_um: float, reference_um: float,
+                   step: float) -> float:
+    return 2.0 * (reference_um / feature_size_um - 1.0)
+
+
+def _printed_count(feature_size_um: float, reference_um: float,
+                   step: float) -> float:
+    return 0.5 * (1.0 - feature_size_um / reference_um)
 
 
 @dataclass(frozen=True)
@@ -122,9 +153,19 @@ class WaferCostModel:
 
     def generations(self, feature_size_um: float) -> float:
         """g(λ) under this model's law and constants."""
-        return self.generation_model.generations(
-            feature_size_um, self.reference_feature_um,
-            shrink=self.shrink, linear_step_um=self.linear_step_um)
+        require_positive("feature_size_um", feature_size_um)
+        # The law and its constant are checked and worked out once per
+        # model, not per λ: the checks, ln(1/s) and the law's dispatch
+        # (each enum member lookup ~0.1 µs) cost more than the rest of
+        # a pure_cost call.  Memoized in ``__dict__`` (a frozen
+        # dataclass still owns a plain instance dict); a bad constant
+        # raises on every call, as nothing is stored then.
+        law = self.__dict__.get("_law")
+        if law is None:
+            law = self.__dict__["_law"] = self.generation_model._law(
+                self.shrink, self.linear_step_um)
+        count, step = law
+        return count(feature_size_um, self.reference_feature_um, step)
 
     def pure_cost(self, feature_size_um: float) -> float:
         """Eq. (3): C'_w(λ) = C₀ · X^g(λ), in dollars."""

@@ -24,10 +24,22 @@ through :func:`run`:
 Every task runs inside the :mod:`repro.obs.capture` bracket — in a
 worker, in the fallback and in-process alike — so its spans and metrics
 reach the caller's trace the same way however the batch was scheduled.
+
+Each worker starts by telling glibc's allocator to keep the memory a
+task frees (:func:`_keep_freed_memory`).  A 65,536-cell sweep tile
+allocates and frees ~20 temporaries of 0.5–1 MiB; by default glibc
+trims them from the heap top or unmaps them on ``free``, and the next
+tile faults the same pages back in: 9–11k minor faults and 20–27 ms of
+sys CPU per worker per perfbench ``offline`` job, against ~10 and ~1 ms
+with the memory kept (docs/performance.md, "Pool workers keep freed
+memory").  Only the pool's own workers change.  ``workers <= 1``, the
+in-process fallback and the caller's process keep their allocator as
+it is, and so do hosts whose C library has no ``mallopt``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import warnings
@@ -48,6 +60,25 @@ FAULT_ENV = "REPRO_SWEEP_WORKER_FAULT"
 #: Failures of the pool itself; anything else a task raises propagates.
 _POOL_ERRORS = (OSError, RuntimeError, ImportError, pickle.PicklingError,
                 TypeError)
+
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: A worker's requests of at least this many bytes bypass the heap and
+#: are mapped and unmapped per call.  A tile's largest temporary is the
+#: 1 MiB complex128 buffer of the bitwise ``exp`` (65,536 cells); 2 MiB
+#: is the smallest power of two that keeps it, with its chunk header,
+#: on the heap.
+_WORKER_MMAP_THRESHOLD = 2 << 20
+
+#: Free memory at a worker's heap top beyond this many bytes goes back
+#: to the kernel.  A 65,536-cell chiplet tile peaks at ~10 MiB of live
+#: temporaries, which fall free together when it returns.  16 MiB is
+#: the smallest power of two above that: at 8 MiB every repeat of the
+#: tile still faulted ~2.8k pages, and 12 MiB, which faulted none,
+#: leaves under 2 MiB to spare.
+_WORKER_TRIM_THRESHOLD = 16 << 20
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 # A forked child (pool workers included) must never drive its parent's
@@ -81,13 +112,32 @@ def _task(fn: Callable, args: tuple, flags: tuple[bool, bool] | None,
     return result, payload
 
 
+def _keep_freed_memory() -> None:
+    # The pool's worker initializer.  Fixed thresholds also switch off
+    # glibc's dynamic mmap threshold, which would otherwise re-tune
+    # both from the sizes freed so far.  A raising initializer breaks
+    # the pool for every task, so where the process has no C library
+    # to load (OSError; TypeError on Windows, which takes no None) or
+    # its C library has no mallopt (AttributeError), the allocator is
+    # left as it is.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
 def _executor(workers: int) -> ProcessPoolExecutor:
     pool = _POOLS.get(workers)
     if pool is not None and getattr(pool, "_broken", False):
         shutdown(workers)
         pool = None
     if pool is None:
-        pool = _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
+        pool = _POOLS[workers] = ProcessPoolExecutor(
+            max_workers=workers, initializer=_keep_freed_memory)
     return pool
 
 

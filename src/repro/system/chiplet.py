@@ -39,9 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 from ..core.optimization import FIG8_FAB, FabCharacterization
-from ..core.wafer_cost import WaferCostModel
 from ..errors import ParameterError
-from ..geometry import Die, Wafer, dies_per_wafer_maly
+from ..geometry import Die, dies_per_wafer_maly
 from ..manufacturing.test_cost import TestCostModel
 from ..units import require_fraction, require_nonnegative, require_positive
 from ..yieldsim.models import YIELD_CUTOFF, scaled_poisson_yield
@@ -213,13 +212,10 @@ class ChipletCostModel:
         require_positive("feature_size_um", feature_size_um)
         fab = self.fab
         n_k = n_transistors / k
-        wafer = Wafer(radius_cm=fab.wafer_radius_cm)
-        wafer_cost = WaferCostModel(
-            reference_cost_dollars=fab.reference_cost_dollars,
-            cost_growth_rate=fab.cost_growth_rate)
+        wafer_cost = fab.wafer_cost
         die = Die.from_transistor_count(n_k, fab.design_density,
                                         feature_size_um)
-        n_ch = dies_per_wafer_maly(wafer, die)
+        n_ch = dies_per_wafer_maly(fab.wafer, die)
         y_die = scaled_poisson_yield(n_k, fab.design_density,
                                      fab.defect_coefficient,
                                      feature_size_um, fab.size_exponent_p)

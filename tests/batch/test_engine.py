@@ -21,9 +21,11 @@ from repro.batch import (
 )
 from repro.batch.engine import (
     _CACHE_MAX_CELLS,
+    _CHUNK_PAD_CELLS,
     _ROW_CHUNK_BUDGET,
     SCALAR_MAX_POINTS,
     _exp_neg_clamped,
+    _plan_row_chunks,
     poisson_yield_batch,
     scenario1_cost_batch,
     scenario2_cost_batch,
@@ -203,6 +205,26 @@ class TestDiesPerWaferBatch:
             dies_per_wafer_maly(wafer, Die(width_cm=float(w),
                                            height_cm=float(h)))
             for w, h in zip(widths, heights)]
+
+    @pytest.mark.parametrize("max_rows, dies", [
+        (1, 1), (39, 32), (129, 1296), (599, 3000), (4999, 700),
+        (1 << 17, 40)])
+    def test_chunk_plan_bounds_budget_and_padding(self, max_rows, dies):
+        # From one die to a whole 36 x 36 Fig.-8 grid, and row counts up
+        # to past the budget, keyed as the kernel keys them: the chunks
+        # cover the sorted dies in order, each fits the budget (or is
+        # one die), and none pads its dies by more than
+        # _CHUNK_PAD_CELLS elements.
+        rng = np.random.default_rng(dies)
+        key = np.sort(rng.integers(1, max_rows + 1, size=dies))
+        key = key.astype(np.uint16 if key[-1] < 1 << 16 else np.int64)
+        chunks = _plan_row_chunks(key)
+        assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+        assert chunks[-1][1] == key.size
+        for lo, hi, r in chunks:
+            assert r == key[hi - 1]
+            assert (r + 1) * (hi - lo) <= _ROW_CHUNK_BUDGET or hi - lo == 1
+            assert int((r - key[lo:hi]).sum()) <= _CHUNK_PAD_CELLS
 
     def test_absurd_row_count_refused(self):
         # One guard for both paths: the scalar loop raises the batch

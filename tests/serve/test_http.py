@@ -14,6 +14,7 @@ from repro.errors import ParameterError
 from repro.obs.recording import load_recorded_log, query_to_record
 from repro.serve import (
     AsyncCostService,
+    ChipletCostQuery,
     CostService,
     FabCostQuery,
     scalar_reference_cost,
@@ -376,6 +377,69 @@ class TestHostilePoints:
         result = json.loads(body)
         assert result["feasible"] is False
         assert result["cost_per_transistor_dollars"] == math.inf
+
+
+#: The float64 edge values of ``TestOnePointOneResult``
+#: (tests/property_based/test_batch_parity.py), with 1e-9 and -inf,
+#: plus one ordinary value.
+_EDGE_VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                1e-150, 1e-100, 1e-9, 1e150, 1e300, 1.7976931348623157e308,
+                -1.0, math.inf, -math.inf, math.nan, 0.8)
+_FAB_RECORD = query_to_record(FabCostQuery(1e6, 0.8))["fab"]
+#: Per kind of one-point body: its route, the body of a point, and the
+#: query whose scalar reference the answer must match.
+_EDGE_BODIES = {
+    "bare_cost": (
+        "/v1/cost",
+        lambda n, lam: {"transistors": n, "feature_size": lam},
+        lambda n, lam: point_to_query({"transistors": n,
+                                       "feature_size": lam})),
+    "recorded_fab": (
+        "/v1/cost",
+        lambda n, lam: {"q": {"n": n, "lam": lam, "fab": _FAB_RECORD}},
+        FabCostQuery),
+    "bare_chiplet": (
+        "/v1/chiplet",
+        lambda n, lam: {"transistors": n, "feature_size": lam},
+        ChipletCostQuery),
+}
+
+
+class TestEdgeValueStatus:
+    """Every pair of edge values, served as one point: a 200 with the
+    scalar reference's bits, or a 400 where the reference raises
+    ParameterError.  Never a 5xx."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        with ServerThread(cache=None) as srv:
+            yield srv
+
+    @pytest.mark.parametrize("kind", sorted(_EDGE_BODIES))
+    def test_every_pair_of_edge_values(self, server, kind):
+        route, body, query = _EDGE_BODIES[kind]
+        statuses = set()
+        for n in _EDGE_VALUES:
+            # One connection per N_tr with every λ pipelined: the
+            # requests dispatch concurrently and share flushes.
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30) as sock:
+                sock.sendall(b"".join(
+                    _request_bytes("POST", route, json.dumps(body(n, lam)))
+                    for lam in _EDGE_VALUES))
+                buf = bytearray()
+                replies = [_read_response(sock, buf) for _ in _EDGE_VALUES]
+            for lam, (status, _, raw) in zip(_EDGE_VALUES, replies):
+                statuses.add(status)
+                try:
+                    want = scalar_reference_cost(query(n, lam))
+                except ParameterError:
+                    assert status == 400, (n, lam, status, raw)
+                    continue
+                assert status == 200, (n, lam, status, raw)
+                got = json.loads(raw)["cost_per_transistor_dollars"]
+                assert got.hex() == want.hex(), (n, lam)
+        assert statuses == {200, 400}
 
 
 class TestBackpressure:
