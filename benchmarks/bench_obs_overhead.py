@@ -49,9 +49,9 @@ _BENCH_OBS_JSON = Path(__file__).resolve().parent / "BENCH_obs.json"
 class _NullSpan:
     """Yielded span surface with every call a no-op.
 
-    Must yield an object (not None): the scheduler's flush loop calls
+    Must yield an object (not None): the scheduler's flush calls
     ``sp.annotate(...)`` on whatever the span context yields, and a
-    crashed flusher thread leaves every waiter hanging forever.
+    flush that raises there fails every waiter of its slice.
     """
 
     @staticmethod
@@ -113,8 +113,7 @@ def _serve_workload():
     queries = [FabCostQuery(10 ** (5 + 2.0 * (i % 40) / 39),
                             0.4 + 1.0 * (i // 40) / 14)
                for i in range(600)]
-    svc = CostService(max_batch_size=256, max_wait_s=0.002,
-                      cache=BatchCache()).start()
+    svc = CostService(max_batch_size=256, cache=BatchCache())
 
     def run():
         # One pass is ~1 ms — too short to time reliably, so each
@@ -196,8 +195,8 @@ def test_disabled_observability_overhead(monkeypatch):
     batch_inst, batch_base, batch_ratio = timed(batch)
     mc_inst, mc_base, mc_ratio = timed(mc)
 
-    # The service is created only for its own leg so its flusher and
-    # worker threads cannot perturb the other timings.
+    # The service is created only for its own leg so its state cannot
+    # perturb the other timings.
     serve, svc = _serve_workload()
     try:
         serve()  # warm the shared BatchCache so both legs replay hits

@@ -104,7 +104,7 @@ def test_recorded_workload_replays_bitwise():
         log_path = tmp / "traffic.jsonl"
 
         # Record the live pass.
-        with CostService(max_batch_size=256, max_wait_s=0.002,
+        with CostService(max_batch_size=256,
                          record=log_path) as svc:
             svc.costs(queries)
         log = load_recorded_log(log_path)

@@ -152,7 +152,7 @@ def test_serve_throughput_vs_scalar_loop():
     # Served: one long-lived service; the first pass is the cold
     # number (fresh cache), later passes the steady state.
     t_serve = []
-    with CostService(max_batch_size=256, max_wait_s=0.002,
+    with CostService(max_batch_size=256,
                      flush_history=4096, cache=BatchCache()) as svc:
         for _ in range(REPS):
             t0 = time.perf_counter()

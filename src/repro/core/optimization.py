@@ -298,6 +298,14 @@ def _golden_refine(f, lams: np.ndarray, k: int, tol_um: float) -> float:
     return 0.5 * (a + b)
 
 
+def _require_lam_bounds(lam_lo_um: float, lam_hi_um: float) -> None:
+    # The scanned λ range: both ends finite and > 0, low below high.
+    require_positive("lam_lo_um", lam_lo_um)
+    require_positive("lam_hi_um", lam_hi_um)
+    if not lam_lo_um < lam_hi_um:
+        raise ParameterError("lam_lo_um must be < lam_hi_um")
+
+
 def optimal_feature_size(n_transistors: float,
                          fab: FabCharacterization = FIG8_FAB,
                          lam_lo_um: float = 0.25, lam_hi_um: float = 1.5,
@@ -310,8 +318,7 @@ def optimal_feature_size(n_transistors: float,
     scan to avoid landing in a secondary valley.
     """
     require_positive("n_transistors", n_transistors)
-    if not lam_lo_um < lam_hi_um:
-        raise ParameterError("lam_lo_um must be < lam_hi_um")
+    _require_lam_bounds(lam_lo_um, lam_hi_um)
 
     def f(lam: float) -> float:
         return transistor_cost_full(n_transistors, lam, fab)
@@ -351,8 +358,7 @@ def optimal_feature_sizes(n_transistors,
     if counts.size < 1:
         raise ParameterError("n_transistors must be non-empty")
     _require_all_positive("n_transistors", counts)
-    if not lam_lo_um < lam_hi_um:
-        raise ParameterError("lam_lo_um must be < lam_hi_um")
+    _require_lam_bounds(lam_lo_um, lam_hi_um)
 
     lams = np.linspace(lam_lo_um, lam_hi_um, _OPT_SCAN_POINTS)
     out = np.empty(counts.size, dtype=np.float64)
@@ -386,6 +392,7 @@ def optimal_feature_size_for_die_area(die_area_cm2: float,
     per transistor."
     """
     require_positive("die_area_cm2", die_area_cm2)
+    _require_lam_bounds(lam_lo_um, lam_hi_um)
 
     lams = np.linspace(lam_lo_um, lam_hi_um, _DIE_AREA_SCAN_POINTS)
     n_tr = die_area_cm2 * 1.0e8 / (fab.design_density * lams * lams)
@@ -419,6 +426,7 @@ def optimal_feature_size_for_die_areas(
     if areas.size < 1:
         raise ParameterError("die_areas_cm2 must be non-empty")
     _require_all_positive("die_areas_cm2", areas)
+    _require_lam_bounds(lam_lo_um, lam_hi_um)
 
     lams = np.linspace(lam_lo_um, lam_hi_um, _DIE_AREA_SCAN_POINTS)
     lam_opt = np.empty(areas.size, dtype=np.float64)

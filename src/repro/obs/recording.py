@@ -366,13 +366,13 @@ class QueryRecorder:
     """Append-only JSONL writer for served traffic.
 
     Attached to a scheduler via ``MicroBatchScheduler(record=PATH)``;
-    the flusher calls :meth:`record_flush` once per flush with every
+    the scheduler calls :meth:`record_flush` once per flush with every
     ticket it completed.  The file is opened in append mode (recording
     across restarts accumulates into one log) and flushed to the OS
     after each scheduler flush, so a crash loses at most the final
     line — the tolerance :func:`load_recorded_log` is built around.
 
-    The recorder must never take the flusher thread down: per-query
+    The recorder must never take a flush down: per-query
     serialization failures degrade to ``"q": null`` lines (counted in
     :attr:`unreplayable`), and an I/O failure disables further writes
     (:attr:`failed`) instead of raising into the flush loop.

@@ -20,7 +20,9 @@ Two drive modes:
 * ``mode="open"`` (open-loop) replays the recorded inter-arrival
   gaps — each query is submitted at its original offset divided by
   ``speed`` (``speed=2.0`` → twice as fast) — measuring latency under
-  the recorded arrival process.
+  the recorded arrival process.  The replaying thread drives the
+  scheduler itself: it prices what is pending whenever its next
+  arrival lies in the future.
 * ``mode="closed"`` submits everything at once through the bulk path
   and drains — the maximum-pressure shape, measuring throughput and
   coalescing with arrival timing factored out.
@@ -190,12 +192,16 @@ def replay_log(log: RecordedLog | str | os.PathLike
         max_depth = 0
         tickets = []
         try:
-            scheduler.start()
             t_wall0 = time.perf_counter()
             if mode == "open":
                 epoch = time.perf_counter()
                 for rec in replayable:
                     target = epoch + rec.t / speed
+                    # Price what is pending while the next arrival is
+                    # still in the future, one slice at a time.
+                    while time.perf_counter() < target \
+                            and scheduler.flush_once():
+                        pass
                     delay = target - time.perf_counter()
                     if delay > 0:
                         time.sleep(delay)

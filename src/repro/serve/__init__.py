@@ -5,8 +5,10 @@ Design-space explorers built on Maly-style cost models issue floods of
 The vectorized :mod:`repro.batch` engine is 55–300× faster than the
 scalar path, but only for callers that hand-assemble arrays.  This
 package closes that gap with a service: callers submit scalar queries
-from any number of threads or asyncio tasks, and a tick-based
-scheduler coalesces them into few large vectorized evaluations.
+from any number of threads or asyncio tasks, and a scheduler coalesces
+them into few large vectorized evaluations.  The scheduler and its
+front-ends start no thread: the event loop flushes the queue once per
+loop iteration, and a synchronous caller flushes it while it waits.
 
 Pieces:
 
@@ -19,15 +21,16 @@ Pieces:
   the scheduler sliced the traffic (the batch-boundary invariance
   contract, enforced by ``tests/property_based/test_serve_parity.py``).
 * :class:`~repro.serve.scheduler.MicroBatchScheduler` — bounded queue
-  with explicit backpressure, flush on max-batch-size or max-wait
-  (whichever first), signature coalescing + point dedup, inline
-  pricing of each group on the flusher thread
-  (:class:`~repro.serve.backend.ThreadBackend`, sharing the
-  :class:`~repro.batch.cache.BatchCache`), and :mod:`repro.obs`
-  spans/metrics per flush.
+  with explicit backpressure, driven flushes of at most
+  ``max_batch_size`` requests with one flusher at a time, signature
+  coalescing + point dedup, inline pricing of each group on the
+  flushing thread (:class:`~repro.serve.backend.ThreadBackend`,
+  sharing the :class:`~repro.batch.cache.BatchCache`), and
+  :mod:`repro.obs` spans/metrics per flush.
 * :class:`~repro.serve.service.CostService` — the thread-safe
-  synchronous client; :class:`~repro.serve.aio.AsyncCostService` —
-  the asyncio front-end over the same scheduler.
+  synchronous client, whose waits flush inline;
+  :class:`~repro.serve.aio.AsyncCostService` — the asyncio front-end
+  over the same scheduler, flushed by its event loop.
 * :mod:`repro.serve.io` — point-file loading and served-array
   serialization behind ``python -m repro cost --input``.
 

@@ -1,32 +1,41 @@
 """asyncio front-end over the same micro-batch scheduler.
 
 :class:`AsyncCostService` gives coroutine code the service's batching
-without a second scheduler: awaiting tasks submit into the *same*
-queue as threads, their completions are bridged back to the event
-loop with ``call_soon_threadsafe``, and concurrent ``await``-ers
-coalesce into the same flushes as everyone else.
+without a second scheduler and without a thread: awaiting tasks submit
+into the *same* queue as threads, and the event loop itself prices
+them.  The first submit in a loop iteration schedules one
+``loop.call_soon`` callback; it runs after the loop has handled every
+other ready callback of that iteration, prices one ``max_batch_size``
+slice with :meth:`~repro.serve.scheduler.MicroBatchScheduler.flush_once`
+and reschedules itself while requests remain.  Concurrent
+``await``-ers (and pipelined HTTP requests) therefore coalesce into
+one flush per loop iteration, and no callback runs longer than one
+slice.  Completions come back to the loop with
+``call_soon_threadsafe``, which is also the right hop when a
+synchronous thread flushes a scheduler shared through
+``AsyncCostService(service=...)``.
 
 Usage::
 
     from repro.serve import AsyncCostService, FabCostQuery
 
     async def price_designs(points):
-        async with AsyncCostService(max_wait_s=0.001) as svc:
+        async with AsyncCostService() as svc:
             return await asyncio.gather(
                 *(svc.cost(FabCostQuery(n, lam)) for n, lam in points))
 
-Backpressure in the async world: submits first try without blocking;
-when the queue is full the blocking wait is pushed to the default
-executor so the event loop never stalls, and the same
-:class:`~repro.errors.BackpressureError` surfaces on timeout.
+Backpressure in the async world: submits first try without blocking.
+When the queue is full, ``timeout=0`` surfaces
+:class:`~repro.errors.BackpressureError` at once (the HTTP server's
+default); any other timeout makes room by pricing pending work on the
+loop, waiting out a synchronous thread's flush for up to ``timeout``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import threading
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from ..batch.engine import USE_DEFAULT_CACHE
 from ..errors import BackpressureError
@@ -35,6 +44,8 @@ from .scheduler import CostTicket, MicroBatchScheduler
 from .service import CostService
 
 __all__ = ["AsyncCostService"]
+
+_T = TypeVar("_T")
 
 
 class AsyncCostService:
@@ -55,7 +66,6 @@ class AsyncCostService:
 
     def __init__(self, *, service: CostService | None = None,
                  max_batch_size: int = 256,
-                 max_wait_s: float = 0.002,
                  max_queue_depth: int = 10_000,
                  flush_history: int = 0,
                  record: Any = None,
@@ -65,25 +75,58 @@ class AsyncCostService:
             self._owns_scheduler = False
         else:
             self.scheduler = MicroBatchScheduler(
-                max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+                max_batch_size=max_batch_size,
                 max_queue_depth=max_queue_depth,
                 flush_history=flush_history, record=record, cache=cache)
             self._owns_scheduler = True
+        # The loop whose flush callback is scheduled and has not run.
+        self._flush_loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle -------------------------------------------------------
 
     async def __aenter__(self) -> "AsyncCostService":
-        self.scheduler.start()
         return self
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
 
     async def close(self) -> None:
-        """Close the owned scheduler off-loop (no-op when wrapping)."""
+        """Close the owned scheduler, pricing what is pending on the
+        loop (no-op when wrapping)."""
         if self._owns_scheduler:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self.scheduler.close)
+            self.scheduler.close()
+
+    # -- flushing on the loop --------------------------------------------
+
+    def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
+        if self._flush_loop is not loop:
+            self._flush_loop = loop
+            loop.call_soon(self._flush_slice, loop)
+
+    def _flush_slice(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._flush_loop = None
+        if self.scheduler.flush_once():
+            self._schedule_flush(loop)
+
+    def _enqueue(self, loop: asyncio.AbstractEventLoop,
+                 submit: Callable[..., _T], queries: Any,
+                 timeout: float | None) -> _T:
+        try:
+            try:
+                return submit(queries, timeout=0)
+            except BackpressureError as exc:
+                if timeout is not None and timeout <= 0:
+                    raise
+                # Make room on the loop; a bulk submit resumes after
+                # the tickets it already issued.
+                issued = exc.tickets
+                if issued:
+                    return issued + submit(queries[len(issued):],
+                                           timeout=timeout)
+                return submit(queries, timeout=timeout)
+        finally:
+            # Even a refused submit may have queued part of a bulk.
+            self._schedule_flush(loop)
 
     # -- submission ------------------------------------------------------
 
@@ -94,19 +137,12 @@ class AsyncCostService:
 
         Returns an :class:`asyncio.Future` whose result is the
         completed :class:`~repro.serve.scheduler.CostTicket`.  The
-        fast path never blocks the loop; a full queue falls back to a
-        blocking submit in the default executor, honoring ``timeout``
-        as the backpressure bound.
+        fast path never blocks the loop; a full queue is handled as
+        described in the module docstring, with ``timeout`` as the
+        backpressure bound.
         """
         loop = asyncio.get_running_loop()
-        try:
-            ticket = self.scheduler.submit(query, timeout=0)
-        except BackpressureError:
-            if timeout is not None and timeout <= 0:
-                raise
-            ticket = await loop.run_in_executor(
-                None, functools.partial(self.scheduler.submit, query,
-                                        timeout=timeout))
+        ticket = self._enqueue(loop, self.scheduler.submit, query, timeout)
         future: "asyncio.Future[CostTicket]" = loop.create_future()
 
         def _resolve(done: CostTicket) -> None:
@@ -154,36 +190,27 @@ class AsyncCostService:
         :meth:`~repro.serve.service.CostService.submit_many`: all
         queries enter the queue in one
         :meth:`~repro.serve.scheduler.MicroBatchScheduler.submit_many`
-        call — so a bulk request is drained as one pre-coalesced flush
-        (no tick wait) instead of fanning out per-point ``await``\\ s
-        and futures like :meth:`map` does.  Resolves once **every**
-        ticket's flush has landed; returns the completed tickets in
-        submission order.  Backpressure behaves like :meth:`submit`:
-        the fast path never blocks the loop, a full queue falls back
-        to a blocking bulk submit in the default executor, and
-        ``timeout <= 0`` surfaces
-        :class:`~repro.errors.BackpressureError` immediately.  A
-        failed flush raises its exception here (all-or-nothing, like
-        the sync bulk path's first failing ticket).
+        call — so a bulk request is priced in as few flushes as
+        ``max_batch_size`` allows, instead of fanning out per-point
+        ``await``\\ s and futures like :meth:`map` does.  Resolves once
+        **every** ticket's flush has landed; returns the completed
+        tickets in submission order.  Backpressure behaves like
+        :meth:`submit`.  A failed flush raises its exception here
+        (all-or-nothing, like the sync bulk path's first failing
+        ticket).
         """
         queries = list(queries)
         if not queries:
             return []
         loop = asyncio.get_running_loop()
-        try:
-            tickets = self.scheduler.submit_many(queries, timeout=0)
-        except BackpressureError:
-            if timeout is not None and timeout <= 0:
-                raise
-            tickets = await loop.run_in_executor(
-                None, functools.partial(self.scheduler.submit_many,
-                                        queries, timeout=timeout))
+        tickets = self._enqueue(loop, self.scheduler.submit_many, queries,
+                                timeout)
         future: "asyncio.Future[None]" = loop.create_future()
         lock = threading.Lock()
         remaining = len(tickets)
 
         def _resolve(done: CostTicket) -> None:
-            # Runs on the flusher thread, or on this one for a ticket
+            # Runs on the flushing thread, or on this one for a ticket
             # that landed before its callback was added.  The request
             # crosses to the loop once: after its last ticket, or at
             # its first failed one.

@@ -2,7 +2,8 @@
 
 The scheduler (:mod:`repro.serve.scheduler`) coalesces traffic into
 signature groups and prices each one with a single positional call,
-:meth:`ThreadBackend.run_group`, on its flusher thread.  The call runs
+:meth:`ThreadBackend.run_group`, on whichever thread holds the flusher
+role (the event loop's, or a synchronous caller's).  The call runs
 :func:`~repro.serve.executor.execute_group` inline and shares the
 scheduler's :class:`~repro.batch.cache.BatchCache`; results are
 bitwise equal to the scalar reference (see

@@ -38,9 +38,11 @@ Endpoints
     also ride in ``POST /v1/cost/bulk`` ``"queries"`` payloads.
 ``POST /v1/optimize``
     Fixed-die-size λ optimization (paper Fig. 8 framing): ``
-    {"die_area": x}`` or ``{"die_areas": [...]}`` with optional
-    ``lam_lo`` / ``lam_hi`` bounds; runs in the default executor so
-    the scan never blocks the loop.
+    {"die_area": x}`` or ``{"die_areas": [...]}`` (a flat list of at
+    most :data:`MAX_OPTIMIZE_AREAS` numbers) with optional ``lam_lo``
+    / ``lam_hi`` bounds (finite, above 0, low below high); anything
+    else is a 400.  The scan runs inline on the event loop, and the
+    cap bounds how long one request can hold the other connections.
 ``GET /healthz``
     ``200 {"status": "ok", "queue_depth": n}`` — ``503`` once
     draining.
@@ -53,7 +55,10 @@ Protocol behavior
 Keep-alive is the HTTP/1.1 default; pipelined requests on one
 connection are parsed as a batch, dispatched **concurrently** (so a
 pipelined burst of singles coalesces into one flush exactly like a
-bulk body), and answered strictly in order.  Backpressure surfaces as
+bulk body), and answered strictly in order.  Everything runs on the
+event loop's thread: the scheduler is flushed by a loop callback (see
+:mod:`repro.serve.aio`), and the server starts no thread and no
+executor.  Backpressure surfaces as
 ``429`` with a ``Retry-After`` header and the structured body of
 :mod:`repro.serve.codec`; all error bodies use that codec.  ``inf``
 costs serialize as JSON ``Infinity`` (the Python ``json`` dialect —
@@ -72,7 +77,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import json
 import signal
 import threading
@@ -97,6 +101,7 @@ from .query import ChipletCostQuery, CostQuery, ModelCostQuery, ServedCost
 
 __all__ = [
     "DEFAULT_MODEL_PARAMS",
+    "MAX_OPTIMIZE_AREAS",
     "CostHttpServer",
     "HttpParseError",
     "HttpRequest",
@@ -117,6 +122,13 @@ DEFAULT_MODEL_PARAMS = {
     "x": 1.8,            # wafer-cost growth rate (--x)
     "wafer_radius": 7.5,  # cm                   (--wafer-radius)
 }
+
+#: Most die areas one ``POST /v1/optimize`` body may ask for.  The scan
+#: runs inline on the event loop: warm, on a 2-vCPU Xeon VM (Python
+#: 3.11), 64 areas take ~2.3 ms, 256 take ~19 ms and 1,024 ~80 ms,
+#: which would stall every other connection past perfbench
+#: ``http_single``'s 50 ms p99 SLO.
+MAX_OPTIMIZE_AREAS = 64
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -353,8 +365,8 @@ class CostHttpServer:
     ``submit_timeout`` is the backpressure bound handed to every
     submit: the default ``0`` turns a full queue into an immediate
     ``429`` (the open-loop contract — the server never queues hidden
-    latency on the socket); ``None`` would block in the executor
-    instead.
+    latency on the socket); ``None`` would price pending work on the
+    loop to make room instead.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -393,8 +405,7 @@ class CostHttpServer:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the scheduler and bind the listener."""
-        self.service.scheduler.start()
+        """Bind the listener."""
         self._idle = asyncio.Event()
         self._idle.set()
         self._done = asyncio.Event()
@@ -674,21 +685,20 @@ class CostHttpServer:
             raise ParameterError(
                 "POST /v1/optimize: body needs exactly one of 'die_area' "
                 "or 'die_areas'")
-        bounds = {}
-        if "lam_lo" in body:
-            bounds["lam_lo_um"] = body["lam_lo"]
-        if "lam_hi" in body:
-            bounds["lam_hi_um"] = body["lam_hi"]
         unknown = set(body) - {"die_area", "die_areas", "lam_lo", "lam_hi"}
         if unknown:
             raise ParameterError(
                 f"POST /v1/optimize: unknown fields {sorted(unknown)}")
-        loop = asyncio.get_running_loop()
+        bounds = {}
+        if "lam_lo" in body:
+            bounds["lam_lo_um"] = _optimize_number(body["lam_lo"], "lam_lo")
+        if "lam_hi" in body:
+            bounds["lam_hi_um"] = _optimize_number(body["lam_hi"], "lam_hi")
+        # The scans below run inline on the loop (bounded by the cap).
         if "die_area" in body:
             area = body["die_area"]
-            lam, cost = await loop.run_in_executor(
-                None, functools.partial(optimal_feature_size_for_die_area,
-                                        area, **bounds))
+            lam, cost = optimal_feature_size_for_die_area(
+                _optimize_number(area, "die_area"), **bounds)
             return 200, {"die_area_cm2": area,
                          "optimal_feature_size_um": lam,
                          "cost_per_transistor_dollars": cost}, {}
@@ -696,12 +706,32 @@ class CostHttpServer:
         if not isinstance(areas, list) or not areas:
             raise ParameterError(
                 "POST /v1/optimize: 'die_areas' must be a non-empty list")
-        lams, costs = await loop.run_in_executor(
-            None, functools.partial(optimal_feature_size_for_die_areas,
-                                    areas, **bounds))
+        if len(areas) > MAX_OPTIMIZE_AREAS:
+            raise ParameterError(
+                f"POST /v1/optimize: 'die_areas' holds {len(areas)} areas; "
+                f"at most {MAX_OPTIMIZE_AREAS} per request")
+        lams, costs = optimal_feature_size_for_die_areas(
+            [_optimize_number(a, "die_areas[]") for a in areas], **bounds)
         return 200, {"die_area_cm2": areas,
                      "optimal_feature_size_um": lams.tolist(),
                      "cost_per_transistor_dollars": costs.tolist()}, {}
+
+
+def _optimize_number(value: Any, field: str) -> float:
+    """One number of a ``POST /v1/optimize`` body, as a float.
+
+    Only JSON numbers pass (``true`` is an ``int`` to Python): a
+    string, ``null`` or nested list would otherwise fail inside the
+    scan as a ``TypeError`` or ``ValueError`` and answer 500.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(
+            f"POST /v1/optimize: {field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(
+            f"POST /v1/optimize: {field} is out of range") from None
 
 
 def run_server(*, host: str = "127.0.0.1", port: int = 8787,

@@ -148,7 +148,7 @@ class FabCostQuery(CostQuery):
         """All six fitted fab parameters (floats, so exactly hashable).
 
         Computed once per query and memoized in ``__dict__`` (a frozen
-        dataclass still owns a plain instance dict): the flusher reads
+        dataclass still owns a plain instance dict): the scheduler reads
         the signature on every coalescing pass, and rebuilding the
         tuple per request is pure overhead on the hot path.
         """

@@ -1,34 +1,45 @@
-"""Tick-based micro-batch scheduler: queue, coalesce, flush, fan out.
+"""Micro-batch scheduler: queue, coalesce, flush, fan out.
 
 :class:`MicroBatchScheduler` is the heart of :mod:`repro.serve`.  Many
 callers (threads or asyncio tasks) submit small independent cost
-queries; a single background *flusher* thread drains them in
-micro-batches and prices each batch with as few vectorized evaluations
-as the traffic allows:
+queries into one bounded queue, and whoever drives the scheduler
+prices them in micro-batches with as few vectorized evaluations as the
+traffic allows.  The scheduler starts no thread of its own:
 
-1. **Tick** — a flush fires when ``max_batch_size`` requests are
-   pending *or* the oldest pending request has waited ``max_wait_s``,
-   whichever comes first.  An idle scheduler sleeps on a condition
-   variable; the first submit after idle starts the tick clock.
+1. **Drive** — :meth:`MicroBatchScheduler.flush_once` drains one
+   ``max_batch_size`` slice of the queue and prices it on the calling
+   thread.  One thread at a time holds the flusher role; a caller that
+   finds it held returns at once, and the holder keeps going until the
+   queue is empty.  :class:`~repro.serve.aio.AsyncCostService` calls it
+   from one ``loop.call_soon`` callback per loop iteration, so
+   requests coalesce per loop iteration; synchronous callers drive it
+   themselves — a wait on a pending :class:`CostTicket`, a blocking
+   submit into a full queue and :meth:`~MicroBatchScheduler.close`
+   each flush on the calling thread until the queue is empty.
 2. **Coalesce** — drained requests are grouped by model
    :meth:`~repro.serve.query.CostQuery.signature`; identical
    ``(N_tr, λ)`` points within a group are deduplicated, and every
    waiter receives its own result view (dedup is invisible to
    callers).
-3. **Execute** — each group is priced inline on the flusher thread by
+3. **Execute** — each group is priced inline by
    :meth:`~repro.serve.backend.ThreadBackend.run_group`, which runs
    :func:`repro.serve.executor.execute_group` against the shared
    :class:`~repro.batch.cache.BatchCache`.  A group of several unique
    points that raises is priced again point by point, so each request
    gets its own point's cost or its own point's exception.
 4. **Fan out** — tickets are completed under one condition broadcast
-   per flush (no per-request locks on the hot path), and registered
-   callbacks (the asyncio bridge) fire after completion.
+   per group (no per-request locks on the hot path), and registered
+   callbacks (the asyncio bridge) fire after completion, on the
+   flushing thread.  A callback must not wait on a pending ticket: it
+   runs inside a flush, so the wait raises
+   :class:`~repro.errors.ServiceError` rather than hang.
 
 Backpressure is explicit: the pending queue is bounded by
-``max_queue_depth`` and :meth:`submit` either blocks for space (up to
-a timeout) or raises :class:`~repro.errors.BackpressureError`
-immediately when ``timeout=0`` (the error carries ``queue_depth``).
+``max_queue_depth`` and :meth:`~MicroBatchScheduler.submit` either
+raises :class:`~repro.errors.BackpressureError` immediately when
+``timeout=0`` (the error carries ``queue_depth``) or makes room by
+flushing on the calling thread, waiting out another thread's flush up
+to ``timeout``.
 
 Observability (:mod:`repro.obs`, off by default): a ``serve.flush``
 span per flush; counters ``serve.requests`` / ``serve.flushes`` /
@@ -53,6 +64,7 @@ from ..errors import (
     BackpressureError,
     ParameterError,
     ServiceClosedError,
+    ServiceError,
 )
 from ..obs import metrics as _metrics, span as _span
 from ..obs.recording import QueryRecorder, signature_key
@@ -71,12 +83,13 @@ _FAILED = 2
 class CostTicket:
     """A claim on one submitted query's future result.
 
-    Created by :meth:`MicroBatchScheduler.submit`; completed by the
-    flusher.  :meth:`result` / :meth:`cost` block until the owning
-    flush lands (all waiters share one scheduler-level condition, so a
-    ticket costs an object and two attribute writes, not a lock and an
+    Created by :meth:`MicroBatchScheduler.submit`; completed by
+    whichever thread flushes it.  :meth:`result` / :meth:`cost` price
+    the pending queue on the waiting thread, or wait on the
+    scheduler's condition while another thread is flushing (a ticket
+    costs an object and two attribute writes, not a lock and an
     event).  ``add_done_callback`` is the asyncio bridge: callbacks
-    run on the flusher thread right after completion.
+    run on the flushing thread right after completion.
     """
 
     __slots__ = ("query", "_scheduler", "_state", "_group", "_slot",
@@ -100,10 +113,19 @@ class CostTicket:
     def _wait(self, timeout: float | None) -> None:
         if self._state != _PENDING:
             return
-        cond = self._scheduler._done_cond
+        sched = self._scheduler
+        sched._refuse_reentry("wait on a pending ticket")
         deadline = None if timeout is None else time.monotonic() + timeout
-        with cond:
-            while self._state == _PENDING:
+        cond = sched._cond
+        while True:
+            sched._flush_all()
+            with cond:
+                if self._state != _PENDING:
+                    return
+                if sched._pending and sched._flusher is None:
+                    continue  # refilled since our flush: price it too
+                # Another thread is flushing this ticket, or nothing
+                # will (a ticket that never entered the queue).
                 remaining = None if deadline is None \
                     else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -112,7 +134,7 @@ class CostTicket:
                 cond.wait(remaining)
 
     def result(self, timeout: float | None = None) -> ServedCost:
-        """The full served breakdown (blocks until the flush lands)."""
+        """The full served breakdown (flushes or waits until it lands)."""
         self._wait(timeout)
         if self._state == _FAILED:
             assert self._exc is not None
@@ -121,7 +143,7 @@ class CostTicket:
         return self._group.served(self._slot)
 
     def cost(self, timeout: float | None = None) -> float:
-        """Just C_tr in dollars (blocks until the flush lands)."""
+        """Just C_tr in dollars (flushes or waits until it lands)."""
         self._wait(timeout)
         if self._state == _FAILED:
             assert self._exc is not None
@@ -133,8 +155,8 @@ class CostTicket:
                   ) -> BaseException | None:
         """The failed flush's exception, or ``None`` on success.
 
-        Blocks until the flush lands, like :meth:`result`, but builds
-        no result.
+        Flushes or waits until the flush lands, like :meth:`result`,
+        but builds no result.
         """
         self._wait(timeout)
         return self._exc
@@ -142,7 +164,7 @@ class CostTicket:
     def add_done_callback(self,
                           fn: Callable[["CostTicket"], None]) -> None:
         """Run ``fn(ticket)`` once completed (immediately if already)."""
-        with self._scheduler._done_cond:
+        with self._scheduler._cond:
             if self._state == _PENDING:
                 if self._callbacks is None:
                     self._callbacks = []
@@ -183,13 +205,10 @@ class MicroBatchScheduler:
     Parameters
     ----------
     max_batch_size:
-        Flush as soon as this many requests are pending.
-    max_wait_s:
-        Flush when the oldest pending request has waited this long,
-        even if the batch is not full — bounds added latency.
+        The most requests one flush prices (one slice of the queue).
     max_queue_depth:
-        Bound on pending requests; beyond it submits block or raise
-        :class:`~repro.errors.BackpressureError`.
+        Bound on pending requests; beyond it submits flush to make
+        room or raise :class:`~repro.errors.BackpressureError`.
     flush_history:
         Keep the last N :class:`FlushRecord` shapes in
         :attr:`recent_flushes` (0 disables; benches and replay read
@@ -208,7 +227,6 @@ class MicroBatchScheduler:
     """
 
     def __init__(self, *, max_batch_size: int = 256,
-                 max_wait_s: float = 0.002,
                  max_queue_depth: int = 10_000,
                  flush_history: int = 0,
                  record: str | os.PathLike | None = None,
@@ -216,9 +234,6 @@ class MicroBatchScheduler:
         if max_batch_size < 1:
             raise ParameterError(
                 f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ParameterError(
-                f"max_wait_s must be >= 0, got {max_wait_s}")
         if max_queue_depth < max_batch_size:
             raise ParameterError(
                 f"max_queue_depth ({max_queue_depth}) must be >= "
@@ -227,7 +242,6 @@ class MicroBatchScheduler:
             raise ParameterError(
                 f"flush_history must be >= 0, got {flush_history}")
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self.max_queue_depth = max_queue_depth
         self._recorder: QueryRecorder | None = \
             QueryRecorder(record) if record is not None else None
@@ -236,55 +250,43 @@ class MicroBatchScheduler:
         self._backend = ThreadBackend()
         self._history: deque[FlushRecord] | None = \
             deque(maxlen=flush_history) if flush_history else None
-        # Appends happen on the flusher thread while any thread may
-        # snapshot recent_flushes; iterating a deque during a mutation
-        # raises, so both sides take this (tiny, once-per-flush) lock.
-        self._history_lock = threading.Lock()
 
+        # One lock guards the queue, the flusher role, ticket states
+        # and the flush history; its condition is notified whenever
+        # tickets complete or the flusher role is released.
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
-        self._done_cond = threading.Condition(threading.Lock())
+        self._cond = threading.Condition(self._lock)
         self._pending: list[CostTicket] = []
-        self._oldest_enqueued = 0.0
+        #: ``threading.get_ident()`` of the thread holding the flusher
+        #: role, or ``None``.
+        self._flusher: int | None = None
         self._closing = False
-        self._started = False
-        self._thread: threading.Thread | None = None
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self) -> "MicroBatchScheduler":
-        """Start the flusher thread (idempotent)."""
-        with self._lock:
-            if self._closing:
-                raise ServiceClosedError("scheduler already closed")
-            if self._started:
-                return self
-            self._started = True
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-serve-flusher",
-                                        daemon=True)
-        self._thread.start()
-        return self
-
     def close(self) -> None:
-        """Stop accepting, flush every pending request, join (idempotent)."""
-        with self._lock:
-            if self._closing:
-                thread = None
-            else:
-                self._closing = True
-                thread = self._thread
-            self._work.notify_all()
-            self._space.notify_all()
-        if thread is not None:
-            thread.join()
+        """Stop accepting, price every pending request (idempotent).
+
+        Flushes on the calling thread, waiting out another thread's
+        flush, and closes the recorder once the queue is empty.
+        """
+        self._refuse_reentry("close the scheduler")
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()  # blocked submitters now refuse
+        while True:
+            self._flush_all()
+            with self._cond:
+                if not self._pending and self._flusher is None:
+                    break
+                if self._flusher is not None:
+                    self._cond.wait()
         if self._recorder is not None:
-            # After the join: every pending flush has been recorded.
+            # After the drain: every pending flush has been recorded.
             self._recorder.close()
 
     def __enter__(self) -> "MicroBatchScheduler":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
@@ -300,7 +302,7 @@ class MicroBatchScheduler:
         """The last ``flush_history`` flush shapes, oldest first."""
         if self._history is None:
             return []
-        with self._history_lock:
+        with self._lock:
             return list(self._history)
 
     @property
@@ -314,112 +316,112 @@ class MicroBatchScheduler:
                timeout: float | None = None) -> CostTicket:
         """Enqueue one query; returns its :class:`CostTicket`.
 
-        Blocks while the queue is full: forever with ``timeout=None``,
-        up to ``timeout`` seconds otherwise (``timeout=0`` never
-        blocks).  Raises :class:`~repro.errors.BackpressureError` when
-        space does not free up in time, and
+        Nothing is priced until someone drives the scheduler (see
+        :meth:`flush_once`).  When the queue is full, ``timeout=0``
+        raises :class:`~repro.errors.BackpressureError` at once;
+        otherwise the call flushes on this thread to make room,
+        waiting out another thread's flush for up to ``timeout``
+        seconds (forever with ``None``).  Raises
         :class:`~repro.errors.ServiceClosedError` after :meth:`close`.
         """
         return self._submit_all((query,), timeout)[0]
 
     def submit_many(self, queries: Iterable[CostQuery], *,
                     timeout: float | None = None) -> list[CostTicket]:
-        """Enqueue many queries with one lock acquisition per space wait.
+        """Enqueue many queries under one lock while they fit.
 
         The bulk analog of :meth:`submit` — the fast path for
         sweep-shaped callers.  Queries are enqueued in order; if the
-        queue fills mid-way the call blocks for space (the flusher is
-        draining on the other side), so a partial enqueue only remains
-        on timeout, in which case the raised
-        :class:`~repro.errors.BackpressureError` carries the already
-        issued tickets in its ``tickets`` attribute.
-
-        Bulk submissions skip the ``max_wait_s`` tick: the grace
-        period exists so independent single submits can coalesce, and
-        a sweep arrives pre-coalesced, so the flusher drains it
-        immediately rather than idling out the deadline.
+        queue fills mid-way the call makes room like :meth:`submit`,
+        so a partial enqueue only remains on timeout, in which case
+        the raised :class:`~repro.errors.BackpressureError` carries
+        the already issued tickets in its ``tickets`` attribute.
         """
         return self._submit_all(tuple(queries), timeout)
 
     def _submit_all(self, queries: Sequence[CostQuery],
                     timeout: float | None) -> list[CostTicket]:
-        if not self._started:
-            self.start()
         obs_on = _obs_enabled()
-        now = time.monotonic()
         t_submit = time.perf_counter() \
             if (obs_on or self._recorder is not None) else 0.0
         tickets: list[CostTicket] = []
-        deadline = None if timeout is None else now + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         i = 0
-        with self._lock:
-            while i < len(queries):
+        while True:
+            with self._cond:
                 if self._closing:
                     raise ServiceClosedError(
                         "scheduler is closed to new queries")
-                free = self.max_queue_depth - len(self._pending)
-                if free <= 0:
-                    remaining = None if deadline is None \
-                        else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        exc = BackpressureError(
-                            f"queue full ({self.max_queue_depth} pending); "
-                            f"enqueued {i} of {len(queries)} queries")
-                        exc.tickets = tickets
-                        exc.queue_depth = len(self._pending)
-                        raise exc
-                    self._space.wait(remaining)
-                    continue
-                was_empty = not self._pending
+                free = max(0, self.max_queue_depth - len(self._pending))
                 for query in queries[i:i + free]:
                     ticket = CostTicket(query, self, t_submit)
                     self._pending.append(ticket)
                     tickets.append(ticket)
-                    i += 1
-                if len(queries) > 1:
-                    # A bulk submission is already coalesced — the tick
-                    # grace period exists to let *independent* single
-                    # submits pile up, so a sweep's deadline is born
-                    # expired and the flusher drains it immediately.
-                    self._oldest_enqueued = now - self.max_wait_s
-                    self._work.notify()
-                elif was_empty:
-                    self._oldest_enqueued = time.monotonic()
-                    self._work.notify()
-                elif len(self._pending) >= self.max_batch_size:
-                    self._work.notify()
+                i = len(tickets)
+                if i == len(queries):
+                    break
+                remaining = None if deadline is None \
+                    else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    exc = BackpressureError(
+                        f"queue full ({self.max_queue_depth} pending); "
+                        f"enqueued {i} of {len(queries)} queries")
+                    exc.tickets = tickets
+                    exc.queue_depth = len(self._pending)
+                    raise exc
+                if self._flusher is not None \
+                        and self._flusher != threading.get_ident():
+                    # Another thread is draining: wait for it to let go.
+                    self._cond.wait(remaining)
+                    continue
+            self._refuse_reentry("submit into a full queue")
+            self._flush_all()  # make room on this thread
         if obs_on:
             _metrics.inc("serve.requests", len(tickets))
             _metrics.set_gauge("serve.queue.depth", len(self._pending))
         return tickets
 
-    # -- the flusher -----------------------------------------------------
+    # -- flushing --------------------------------------------------------
 
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                while not self._pending and not self._closing:
-                    self._work.wait()
-                if not self._pending and self._closing:
-                    return
-                # Tick: wait out the remainder of the oldest request's
-                # grace period unless the batch is already full.
-                if not self._closing:
-                    deadline = self._oldest_enqueued + self.max_wait_s
-                    while len(self._pending) < self.max_batch_size \
-                            and not self._closing:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._work.wait(remaining)
-                drained = self._pending[:self.max_batch_size]
-                del self._pending[:self.max_batch_size]
-                # Leftover requests keep the old tick timestamp: they
-                # were enqueued before this flush, so their grace
-                # period has already elapsed and the next iteration
-                # drains them without another wait.
-                self._space.notify_all()
+    def flush_once(self) -> bool:
+        """Price one ``max_batch_size`` slice of the queue on this thread.
+
+        Returns ``True`` when this call priced a slice and requests
+        remain pending, so the caller should call again (the event
+        loop reschedules; a synchronous caller loops).  Returns
+        ``False`` when the queue is empty, or at once when another
+        thread holds the flusher role: that thread sees every request
+        still pending before it lets go, because the role is released
+        under the same lock as the emptiness check.
+        """
+        with self._lock:
+            if self._flusher is not None or not self._pending:
+                return False
+            self._flusher = threading.get_ident()
+            drained = self._pending[:self.max_batch_size]
+            del self._pending[:self.max_batch_size]
+        try:
             self._flush(drained)
+        finally:
+            with self._cond:
+                self._flusher = None
+                more = bool(self._pending)
+                self._cond.notify_all()
+        return more
+
+    def _flush_all(self) -> None:
+        # The synchronous drivers' loop: price until the queue is empty
+        # or another thread holds the role (it then empties the queue).
+        while self.flush_once():
+            pass
+
+    def _refuse_reentry(self, what: str) -> None:
+        # A done-callback runs inside a flush on the flushing thread;
+        # waiting there for another flush would wait for itself.
+        if self._flusher == threading.get_ident():
+            raise ServiceError(
+                f"cannot {what} from inside a flush (a ticket "
+                f"done-callback); it would wait on itself")
 
     def _flush(self, tickets: list[CostTicket]) -> None:
         obs_on = _obs_enabled()
@@ -478,7 +480,7 @@ class MicroBatchScheduler:
             record = FlushRecord(
                 requests=len(tickets), unique=unique, groups=len(groups),
                 duration_s=time.perf_counter() - t0, flush_id=flush_id)
-            with self._history_lock:
+            with self._lock:
                 self._history.append(record)
         if obs_on:
             now = time.perf_counter()
@@ -515,7 +517,7 @@ class MicroBatchScheduler:
                   result: GroupResult | None,
                   exc: BaseException | None) -> None:
         callbacks: list[tuple[Callable[[CostTicket], None], CostTicket]] = []
-        with self._done_cond:
+        with self._cond:
             for ticket in tickets:
                 if exc is not None:
                     ticket._exc = exc
@@ -527,6 +529,6 @@ class MicroBatchScheduler:
                     callbacks.extend(
                         (fn, ticket) for fn in ticket._callbacks)
                     ticket._callbacks = None
-            self._done_cond.notify_all()
+            self._cond.notify_all()
         for fn, ticket in callbacks:
             fn(ticket)

@@ -6,13 +6,15 @@ submit/wait in a handful of shapes, and cleans up on ``close()`` /
 ``with``.  Any number of threads may share one service — the
 scheduler's queue is the serialization point, and concurrent callers
 are exactly what micro-batching feeds on (their queries coalesce into
-the same flushes).
+the same flushes).  No thread runs behind it: a wait on a pending
+ticket prices the queue on the waiting thread (or waits while another
+thread does), so a lone caller flushes inline.
 
 Usage::
 
     from repro.serve import CostService, FabCostQuery
 
-    with CostService(max_batch_size=256, max_wait_s=0.002) as svc:
+    with CostService(max_batch_size=256) as svc:
         one = svc.cost(FabCostQuery(3.1e6, 0.8))        # blocking single
         many = svc.map([FabCostQuery(n, 0.8)            # bulk sweep
                         for n in (1e5, 1e6, 1e7)])
@@ -40,36 +42,28 @@ class CostService:
 
     Keyword arguments are forwarded verbatim to
     :class:`~repro.serve.scheduler.MicroBatchScheduler` — see it for
-    the tuning surface (``max_batch_size``, ``max_wait_s``,
-    ``max_queue_depth``, ``flush_history``, ``record``, ``cache``).  The
-    flusher thread starts lazily on first submit (or explicitly via
-    :meth:`start` / ``with``).
+    the tuning surface (``max_batch_size``, ``max_queue_depth``,
+    ``flush_history``, ``record``, ``cache``).
     """
 
     def __init__(self, *, max_batch_size: int = 256,
-                 max_wait_s: float = 0.002,
                  max_queue_depth: int = 10_000,
                  flush_history: int = 0,
                  record: Any = None,
                  cache: Any = USE_DEFAULT_CACHE) -> None:
         self.scheduler = MicroBatchScheduler(
-            max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+            max_batch_size=max_batch_size,
             max_queue_depth=max_queue_depth,
             flush_history=flush_history, record=record, cache=cache)
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self) -> "CostService":
-        """Start the flusher thread now instead of on first submit."""
-        self.scheduler.start()
-        return self
-
     def close(self) -> None:
-        """Flush pending queries and stop the flusher (idempotent)."""
+        """Price pending queries and refuse new ones (idempotent)."""
         self.scheduler.close()
 
     def __enter__(self) -> "CostService":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
@@ -88,7 +82,7 @@ class CostService:
 
     def submit_many(self, queries: Iterable[CostQuery], *,
                     timeout: float | None = None) -> list[CostTicket]:
-        """Bulk :meth:`submit` with one lock acquisition per space wait."""
+        """Bulk :meth:`submit` under one lock while the queries fit."""
         return self.scheduler.submit_many(queries, timeout=timeout)
 
     # -- blocking conveniences ------------------------------------------

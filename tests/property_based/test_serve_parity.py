@@ -36,7 +36,6 @@ point_strategy = st.tuples(ntr_strategy, lam_strategy)
 
 
 def _serve(queries, **service_kwargs):
-    service_kwargs.setdefault("max_wait_s", 0.001)
     service_kwargs.setdefault("cache", BatchCache())
     with CostService(**service_kwargs) as svc:
         return svc.map(queries)
@@ -180,7 +179,6 @@ class TestAsyncParity:
 
         async def run():
             async with AsyncCostService(max_batch_size=6,
-                                        max_wait_s=0.001,
                                         cache=BatchCache()) as svc:
                 return await svc.map(queries)
 

@@ -152,7 +152,6 @@ class TestBatchedVsScalar:
 
 
 def _serve(queries, **service_kwargs):
-    service_kwargs.setdefault("max_wait_s", 0.001)
     service_kwargs.setdefault("cache", BatchCache())
     with CostService(**service_kwargs) as svc:
         return svc.map(queries)

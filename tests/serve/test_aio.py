@@ -24,7 +24,6 @@ class TestAsyncQueries:
 
         async def run():
             async with AsyncCostService(max_batch_size=64,
-                                        max_wait_s=0.002,
                                         cache=None) as svc:
                 return await asyncio.gather(
                     *(svc.cost(q) for q in queries))
@@ -59,7 +58,7 @@ class TestAsyncQueries:
 
 class TestSharedScheduler:
     def test_wrapping_shares_the_sync_scheduler(self):
-        svc = CostService(cache=None).start()
+        svc = CostService(cache=None)
         try:
             async_svc = AsyncCostService(service=svc)
             assert async_svc.scheduler is svc.scheduler
@@ -75,13 +74,16 @@ class TestSharedScheduler:
             svc.close()
 
 
+def _full_service() -> CostService:
+    # A full queue: nothing drains it until someone drives it.
+    svc = CostService(max_queue_depth=2, max_batch_size=2, cache=None)
+    svc.submit_many([FabCostQuery(1e6, 0.6), FabCostQuery(2e6, 0.6)])
+    return svc
+
+
 class TestAsyncBackpressure:
     def test_zero_timeout_surfaces_backpressure(self):
-        svc = CostService(max_queue_depth=2, max_batch_size=2,
-                          max_wait_s=60.0, cache=None)
-        sched = svc.scheduler
-        sched._started = True  # freeze the queue: nothing drains it
-        sched._pending = [object()] * 2
+        svc = _full_service()
 
         async def run():
             async_svc = AsyncCostService(service=svc)
@@ -89,6 +91,26 @@ class TestAsyncBackpressure:
                 await async_svc.submit(FabCostQuery(1e6, 0.8), timeout=0)
 
         asyncio.run(run())
+
+
+    def test_blocking_bulk_makes_room_and_queues_each_query_once(self):
+        # Four of six slots are taken when an 8-query bulk with no
+        # timeout arrives: two fit, then pending work is priced on the
+        # loop to make room, and the bulk resumes after the tickets it
+        # already issued — so every query is queued exactly once.
+        svc = CostService(max_queue_depth=6, max_batch_size=2,
+                          flush_history=16, cache=None)
+        svc.submit_many([FabCostQuery(1e6 * (i + 1), 0.6) for i in range(4)])
+        queries = [FabCostQuery(1e5 * (i + 1), 0.7) for i in range(8)]
+
+        async def run():
+            return await AsyncCostService(service=svc).costs_bulk(queries)
+
+        costs = asyncio.run(run())
+        svc.close()
+        assert costs == [transistor_cost_full(q.n_transistors, 0.7, FIG8_FAB)
+                         for q in queries]
+        assert sum(r.requests for r in svc.scheduler.recent_flushes) == 12
 
 
 class TestSubmitBulk:
@@ -110,7 +132,6 @@ class TestSubmitBulk:
 
         async def run():
             async with AsyncCostService(max_batch_size=1000,
-                                        max_wait_s=60.0,  # bulk skips tick
                                         cache=None) as svc:
                 return await svc.map_bulk(queries)
 
@@ -122,20 +143,15 @@ class TestSubmitBulk:
 
     def test_bulk_is_one_flush(self):
         # submit_bulk enters the queue in one submit_many call and the
-        # whole request drains as one flush — no per-point tick waits.
+        # whole request drains as one flush.
         queries = [FabCostQuery(2e5 * (i + 1), 0.6) for i in range(32)]
 
         async def run():
             async with AsyncCostService(max_batch_size=1000,
-                                        max_wait_s=60.0,
                                         flush_history=8,
                                         cache=None) as svc:
                 await svc.map_bulk(queries)
-                scheduler = svc.scheduler
-            # Read history only after close: the tickets resolve before
-            # the flusher appends its FlushRecord, so an immediate read
-            # races with the history append.
-            return scheduler.recent_flushes
+                return svc.scheduler.recent_flushes
 
         flushes = asyncio.run(run())
         assert len(flushes) == 1
@@ -161,11 +177,7 @@ class TestSubmitBulk:
         assert costs == [s.cost_per_transistor_dollars for s in served]
 
     def test_zero_timeout_surfaces_backpressure(self):
-        svc = CostService(max_queue_depth=2, max_batch_size=2,
-                          max_wait_s=60.0, cache=None)
-        sched = svc.scheduler
-        sched._started = True  # freeze the queue: nothing drains it
-        sched._pending = [object()] * 2
+        svc = _full_service()
 
         async def run():
             async_svc = AsyncCostService(service=svc)
@@ -176,8 +188,8 @@ class TestSubmitBulk:
         asyncio.run(run())
 
     def test_one_loop_crossing_per_bulk_request(self):
-        # 32 points over two signatures and four flushes: the flusher
-        # hands the request back to the loop once, not once per point.
+        # 32 points over two signatures and four flushes: the flushes
+        # hand the request back to the loop once, not once per point.
         import dataclasses
 
         other_fab = dataclasses.replace(FIG8_FAB, cost_growth_rate=2.0)
@@ -229,27 +241,36 @@ class TestSubmitBulk:
 
 class TestCancellation:
     def test_cancelled_waiter_neither_leaks_nor_wedges(self):
-        # A caller that gives up (asyncio.wait_for timeout) cancels its
-        # future while the ticket is still pending.  The scheduler must
-        # still complete the ticket (no leak in the flush loop), the
-        # cancelled future must stay cancelled (no InvalidStateError on
-        # the loop), and the service must keep serving afterwards.
+        # A caller that gives up cancels its future while the ticket is
+        # still pending.  The scheduler must still complete the ticket
+        # (no leak in the queue), the cancelled future must stay
+        # cancelled (no InvalidStateError on the loop), and the service
+        # must keep serving afterwards.
         async def run():
+            loop = asyncio.get_running_loop()
+            loop_errors = []
+            loop.set_exception_handler(
+                lambda _loop, context: loop_errors.append(context))
             async with AsyncCostService(max_batch_size=1000,
-                                        max_wait_s=0.2,
+                                        flush_history=4,
                                         cache=None) as svc:
-                with pytest.raises(asyncio.TimeoutError):
-                    # The tick (200 ms) far exceeds the caller's
-                    # patience (5 ms): the wait is cancelled mid-flight.
-                    await asyncio.wait_for(
-                        svc.evaluate(FabCostQuery(1e6, 0.8)),
-                        timeout=0.005)
+                waiter = asyncio.ensure_future(
+                    svc.evaluate(FabCostQuery(1e6, 0.8)))
+                await asyncio.sleep(0)  # submitted; its flush is queued
+                assert svc.scheduler.queue_depth == 1
+                waiter.cancel()  # mid-flight: before the flush runs
+                with pytest.raises(asyncio.CancelledError):
+                    await waiter
                 # The flush loop is alive: later traffic is served.
                 got = await asyncio.wait_for(
                     svc.cost(FabCostQuery(2e6, 0.6)), timeout=10.0)
                 # ...and the abandoned ticket was flushed, not leaked.
                 assert svc.scheduler.queue_depth == 0
-                return got
+                assert sum(r.requests
+                           for r in svc.scheduler.recent_flushes) == 2
+            await asyncio.sleep(0)  # let every landing run
+            assert loop_errors == []
+            return got
 
         got = asyncio.run(run())
         assert got == transistor_cost_full(2e6, 0.6, FIG8_FAB)
@@ -259,11 +280,10 @@ class TestCancellation:
 
         async def run():
             async with AsyncCostService(max_batch_size=1000,
-                                        max_wait_s=0.2,
                                         cache=None) as svc:
                 futures = [await svc.submit(q) for q in queries]
                 for future in futures:
-                    future.cancel()
+                    future.cancel()  # before their flush callback runs
                 # The cancelled wave must not poison the next one.
                 return await asyncio.wait_for(svc.map(queries),
                                               timeout=10.0)
@@ -272,3 +292,55 @@ class TestCancellation:
         want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
                                      FIG8_FAB) for q in queries]
         assert [s.cost_per_transistor_dollars for s in served] == want
+
+
+class TestLoopFlushing:
+    """The event loop drives the scheduler: one flush callback per loop
+    iteration, one ``max_batch_size`` slice per callback."""
+
+    def test_gathered_awaiters_share_one_flush(self):
+        queries = [FabCostQuery(2e5 * (i + 1), 0.5 + 0.01 * i)
+                   for i in range(30)]
+
+        async def run():
+            async with AsyncCostService(max_batch_size=64, flush_history=8,
+                                        cache=None) as svc:
+                costs = await asyncio.gather(
+                    *(svc.cost(q) for q in queries))
+                return costs, svc.scheduler.recent_flushes
+
+        costs, flushes = asyncio.run(run())
+        assert [f.requests for f in flushes] == [30]
+        assert costs == [transistor_cost_full(q.n_transistors,
+                                              q.feature_size_um, FIG8_FAB)
+                         for q in queries]
+
+    def test_each_callback_prices_one_slice(self, monkeypatch):
+        # 12 pending requests at max_batch_size 4: three callbacks of
+        # one slice each, and a callback queued behind the first runs
+        # between the first and second slices.
+        from repro.serve.backend import ThreadBackend
+        events = []
+        original = ThreadBackend.run_group
+
+        def spy(self, exemplar, points, cache):
+            events.append(("flush", len(points)))
+            return original(self, exemplar, points, cache)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", spy)
+        queries = [FabCostQuery(1e5 * (i + 1), 0.7) for i in range(12)]
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with AsyncCostService(max_batch_size=4,
+                                        cache=None) as svc:
+                futures = [await svc.submit(q) for q in queries]
+                loop.call_soon(events.append, ("other", 0))
+                tickets = await asyncio.gather(*futures)
+                return [t.cost(timeout=0) for t in tickets]
+
+        costs = asyncio.run(run())
+        assert events == [("flush", 4), ("other", 0), ("flush", 4),
+                          ("flush", 4)]
+        assert costs == [transistor_cost_full(q.n_transistors, 0.7,
+                                              FIG8_FAB) for q in queries]

@@ -20,6 +20,7 @@ from repro.serve import (
     scalar_reference_cost,
 )
 from repro.serve.http import (
+    MAX_OPTIMIZE_AREAS,
     CostHttpServer,
     HttpParseError,
     HttpRequest,
@@ -74,6 +75,14 @@ def _http(port: int, method: str, target: str, body: str = ""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
         sock.sendall(_request_bytes(method, target, body))
         return _read_response(sock)
+
+
+def _poll(predicate, timeout: float = 10.0) -> None:
+    """Wait until ``predicate()`` holds; fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
 
 
 class TestRequestParser:
@@ -312,9 +321,70 @@ class TestEndpoints:
                 assert json.loads(body)["n_transistors"] == n
 
 
+#: ``POST /v1/optimize`` bodies that must answer 400, never 5xx.
+_BAD_OPTIMIZE_BODIES = {
+    "too_many_areas": json.dumps(
+        {"die_areas": [1.0] * (MAX_OPTIMIZE_AREAS + 1)}),
+    "area_not_a_number": '{"die_areas": ["a"]}',
+    "nested_areas": '{"die_areas": [[1.0]]}',
+    "bool_area": '{"die_areas": [true]}',
+    "string_area": '{"die_area": "1"}',
+    "null_area": '{"die_area": null}',
+    "huge_int_area": '{"die_area": 1' + "0" * 400 + '}',
+    "lam_lo_not_a_number": '{"die_area": 1, "lam_lo": "a"}',
+    "lam_lo_null": '{"die_area": 1, "lam_lo": null}',
+    "lam_hi_below_default_lo": '{"die_area": 1, "lam_hi": 0.1}',
+    "inverted_bounds": '{"die_areas": [1], "lam_lo": 2, "lam_hi": 1}',
+    "equal_bounds": '{"die_area": 1, "lam_lo": 1, "lam_hi": 1}',
+    "lam_lo_zero": '{"die_area": 1, "lam_lo": 0}',
+    "lam_lo_negative": '{"die_areas": [1], "lam_lo": -1}',
+    "lam_hi_infinite": '{"die_area": 1, "lam_hi": Infinity}',
+    "lam_lo_nan": '{"die_area": 1, "lam_lo": NaN}',
+    "empty_areas": '{"die_areas": []}',
+    "areas_not_a_list": '{"die_areas": {"a": 1}}',
+}
+
+
+class TestOptimizeBodies:
+    """``/v1/optimize`` scans inline on the event loop, so its body is
+    bounded and checked before the scan: a bad body is a 400, never a
+    500, and an accepted one carries the scalar optimizer's bits."""
+
+    @pytest.fixture(scope="class")
+    def server(self):
+        with ServerThread(cache=None) as srv:
+            yield srv
+
+    @pytest.mark.parametrize("name", sorted(_BAD_OPTIMIZE_BODIES))
+    def test_bad_body_is_400(self, server, name):
+        status, _, reply = _http(server.port, "POST", "/v1/optimize",
+                                 _BAD_OPTIMIZE_BODIES[name])
+        assert status == 400, (name, reply)
+        assert json.loads(reply)["error"] == "bad_request"
+
+    @pytest.mark.parametrize("n_areas", [1, MAX_OPTIMIZE_AREAS])
+    def test_areas_up_to_the_cap_match_the_scalar_optimizer(
+            self, server, n_areas):
+        from repro.core.optimization import optimal_feature_size_for_die_area
+        areas = [0.25 + 0.05 * i for i in range(n_areas)]
+        status, _, reply = _http(
+            server.port, "POST", "/v1/optimize",
+            json.dumps({"die_areas": areas, "lam_lo": 0.3, "lam_hi": 1.4}))
+        assert status == 200, reply
+        got = json.loads(reply)
+        assert got["die_area_cm2"] == areas
+        want = [optimal_feature_size_for_die_area(a, lam_lo_um=0.3,
+                                                  lam_hi_um=1.4)
+                for a in areas]
+        assert [v.hex() for v in got["optimal_feature_size_um"]] \
+            == [lam.hex() for lam, _ in want]
+        assert [v.hex() for v in got["cost_per_transistor_dollars"]] \
+            == [cost.hex() for _, cost in want]
+
+
 class TestHostilePoints:
     """Points far outside the paper's range get a prompt 400 or an
-    infeasible 200, never a 500 or a stuck flusher thread."""
+    infeasible 200, never a 500 or a stuck flush."""
 
     @pytest.fixture(scope="class")
     def server(self):
@@ -323,8 +393,8 @@ class TestHostilePoints:
 
     def test_tiny_die_refused_fast_while_others_are_served(self, server):
         # One transistor at λ = 1e-9 µm implies ~1.2e13 eq.-(4) rows.
-        # The row guard refuses it at once, so the single flusher
-        # thread stays free for the request sent alongside.  That one
+        # The row guard refuses it at once, so the event loop that
+        # flushes stays free for the request sent alongside.  That one
         # is a fab query: it never shares the tiny die's group, whose
         # error would fail every member of the group.
         ordinary = FabCostQuery(3.1e6, 0.8)
@@ -444,12 +514,11 @@ class TestEdgeValueStatus:
 
 class TestBackpressure:
     def _frozen_server(self) -> CostHttpServer:
-        # A queue that is full and never drains: submits with the
-        # server's zero timeout must 429 immediately.
-        svc = CostService(max_queue_depth=2, max_batch_size=2,
-                          max_wait_s=60.0, cache=None)
-        svc.scheduler._started = True
-        svc.scheduler._pending = [object()] * 2
+        # A full queue that nothing has flushed yet: submits with the
+        # server's zero timeout must 429 immediately, without pricing
+        # anything to make room.
+        svc = CostService(max_queue_depth=2, max_batch_size=2, cache=None)
+        svc.submit_many([FabCostQuery(1e6, 0.6), FabCostQuery(2e6, 0.6)])
         return CostHttpServer(service=AsyncCostService(service=svc))
 
     def test_cost_429_with_retry_after(self):
@@ -476,24 +545,50 @@ class TestBackpressure:
 
 
 class TestGracefulDrain:
-    def test_drain_completes_inflight_rejects_new_and_records(self, tmp_path):
+    def test_drain_completes_inflight_rejects_new_and_records(
+            self, tmp_path, monkeypatch):
+        from repro.serve.backend import ThreadBackend
+
         log = tmp_path / "traffic.jsonl"
-        # A long tick (no flush for 500 ms) holds the first request
-        # in flight while the drain starts around it.
-        with ServerThread(record=log, max_wait_s=0.5,
-                          max_batch_size=1000, cache=None) as srv:
+        # A helper thread holds the scheduler's flusher role, parked
+        # inside a flush, so the loop's flush callback stands aside and
+        # the first HTTP request stays in flight while the drain starts
+        # around it.
+        holder_ids, parked, release = set(), threading.Event(), \
+            threading.Event()
+        original = ThreadBackend.run_group
+
+        def gated(self, exemplar, points, cache):
+            if threading.get_ident() in holder_ids:
+                parked.set()
+                assert release.wait(timeout=30)
+            return original(self, exemplar, points, cache)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", gated)
+        with ServerThread(record=log, max_batch_size=1000,
+                          cache=None) as srv:
+            assert srv.server is not None and srv._loop is not None
+            sched = srv.server.service.scheduler
+
+            def hold_the_flusher():
+                holder_ids.add(threading.get_ident())
+                sched.submit(FabCostQuery(1e6, 0.7)).cost(timeout=30)
+
+            holder = threading.Thread(target=hold_the_flusher)
+            holder.start()
+            assert parked.wait(timeout=10)
+
             slow = socket.create_connection(("127.0.0.1", srv.port),
                                             timeout=30)
             slow.sendall(_request_bytes(
                 "POST", "/v1/cost",
                 json.dumps({"q": query_to_record(
                     FabCostQuery(3.1e6, 0.8))})))
-            time.sleep(0.1)  # request is parsed and awaiting its flush
+            _poll(lambda: sched.queue_depth == 1)  # parsed and queued
 
-            assert srv.server is not None and srv._loop is not None
             drain_future = asyncio.run_coroutine_threadsafe(
                 srv.server.drain(), srv._loop)
-            time.sleep(0.05)  # drain is now waiting on in-flight work
+            _poll(lambda: srv.server._draining)  # waits on in-flight work
 
             # A request arriving during the drain gets a clean 503.
             with socket.create_connection(("127.0.0.1", srv.port),
@@ -503,13 +598,19 @@ class TestGracefulDrain:
                 assert status == 503
                 assert json.loads(body)["error"] == "service_closed"
                 assert headers["connection"] == "close"
+            assert not drain_future.done()
 
-            # The in-flight request still completes, bitwise correct.
+            # Released, the holder prices the queued request on its own
+            # thread and the loop lands it: it completes, bitwise
+            # correct.
+            release.set()
             status, _, body = _read_response(slow)
             assert status == 200
             assert json.loads(body)["cost_per_transistor_dollars"] \
                 == transistor_cost_full(3.1e6, 0.8, FIG8_FAB)
             slow.close()
+            holder.join(timeout=30)
+            assert not holder.is_alive()
 
             drain_future.result(timeout=30)
             # After the drain the listener is gone: connection refused.
@@ -519,11 +620,13 @@ class TestGracefulDrain:
 
         # After a direct drain, the exit still stops the thread.
         assert srv._thread is not None and not srv._thread.is_alive()
-        # The in-flight query landed in the recorded log with its cost.
-        recorded = load_recorded_log(log)
-        assert len(recorded.records) == 1
-        assert recorded.records[0].cost \
-            == transistor_cost_full(3.1e6, 0.8, FIG8_FAB)
+        # The in-flight query landed in the recorded log with its cost,
+        # beside the holder's own query.
+        recorded = {r.query.point(): r.cost
+                    for r in load_recorded_log(log).records}
+        assert recorded == {
+            (3.1e6, 0.8): transistor_cost_full(3.1e6, 0.8, FIG8_FAB),
+            (1e6, 0.7): transistor_cost_full(1e6, 0.7, FIG8_FAB)}
 
     def test_drain_is_idempotent_and_server_thread_exits(self):
         # A second drain that lands while asyncio.run is closing the
@@ -539,6 +642,111 @@ class TestGracefulDrain:
                 srv.drain(timeout=10)  # second drain: immediate no-op
             assert srv._thread is not None
             assert not srv._thread.is_alive()
+
+
+class TestLoopFlushing:
+    """The server flushes on its event loop: one flush per loop
+    iteration, one ``max_batch_size`` slice per callback, no thread."""
+
+    def test_pipelined_burst_is_one_flush(self):
+        counts = [1e5 * (i + 1) for i in range(12)]
+        with ServerThread(flush_history=8, cache=None) as srv:
+            with socket.create_connection(("127.0.0.1", srv.port),
+                                          timeout=30) as sock:
+                sock.sendall(b"".join(_request_bytes(
+                    "POST", "/v1/cost", json.dumps(
+                        {"q": query_to_record(FabCostQuery(n, 0.8))}))
+                    for n in counts))
+                buf = bytearray()
+                replies = [_read_response(sock, buf) for _ in counts]
+            flushes = srv.server.service.scheduler.recent_flushes
+        assert [status for status, _, _ in replies] == [200] * 12
+        assert [json.loads(body)["cost_per_transistor_dollars"]
+                for _, _, body in replies] \
+            == [transistor_cost_full(n, 0.8, FIG8_FAB) for n in counts]
+        assert [f.requests for f in flushes] == [12]
+
+    def test_second_connection_is_answered_between_slices(
+            self, monkeypatch):
+        # 16 pipelined singles at max_batch_size 2 take eight flush
+        # callbacks.  A /healthz sent on a second connection while the
+        # first slice is priced is answered while requests are still
+        # queued: the loop serves other connections between slices.
+        from repro.serve.backend import ThreadBackend
+
+        second = socket.socket()
+        flushes = []
+        original = ThreadBackend.run_group
+
+        def spy(self, exemplar, points, cache):
+            if not flushes:
+                second.sendall(_request_bytes("GET", "/healthz"))
+            flushes.append(len(points))
+            return original(self, exemplar, points, cache)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", spy)
+        counts = [1e5 * (i + 1) for i in range(16)]
+        with ServerThread(max_batch_size=2, cache=None) as srv:
+            second.settimeout(30)
+            second.connect(("127.0.0.1", srv.port))
+            try:
+                with socket.create_connection(("127.0.0.1", srv.port),
+                                              timeout=30) as first:
+                    first.sendall(b"".join(_request_bytes(
+                        "POST", "/v1/cost", json.dumps(
+                            {"q": query_to_record(FabCostQuery(n, 0.8))}))
+                        for n in counts))
+                    status, _, body = _read_response(second)
+                    buf = bytearray()
+                    replies = [_read_response(first, buf) for _ in counts]
+            finally:
+                second.close()
+        assert status == 200
+        assert 0 < json.loads(body)["queue_depth"] < len(counts)
+        assert [s for s, _, _ in replies] == [200] * len(counts)
+        assert flushes == [2] * 8
+
+    def test_serving_every_route_starts_no_thread(self):
+        # The server runs on this thread's loop; pricing singles,
+        # chiplets, bulk bodies and optimize scans must not start a
+        # flusher or executor thread beside it.
+        bodies = [
+            ("/v1/cost", {"transistors": 2e6, "feature_size": 0.7}),
+            ("/v1/chiplet", {"transistors": 2e6, "feature_size": 0.7,
+                             "chiplets": 2}),
+            ("/v1/cost/bulk", {"points": [
+                {"transistors": 1e6 * (i + 1), "feature_size": 0.6}
+                for i in range(8)]}),
+            ("/v1/optimize", {"die_areas": [0.5, 1.0]}),
+            ("/v1/optimize", {"die_area": 1.0}),
+        ]
+        before = set(threading.enumerate())
+
+        async def run():
+            async with CostHttpServer(cache=None) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"".join(
+                    _request_bytes("POST", route, json.dumps(body))
+                    for route, body in bodies))
+                await writer.drain()
+                statuses = []
+                for _ in bodies:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    lines = head.decode().split("\r\n")
+                    length = next(int(line.split(":")[1]) for line in lines
+                                  if line.lower().startswith(
+                                      "content-length"))
+                    await reader.readexactly(length)
+                    statuses.append(int(lines[0].split(" ")[1]))
+                during = set(threading.enumerate())
+                writer.close()
+                await writer.wait_closed()
+            return statuses, during
+
+        statuses, during = asyncio.run(run())
+        assert statuses == [200] * len(bodies)
+        assert during == before
 
 
 class TestServerConstruction:

@@ -1,7 +1,7 @@
-"""MicroBatchScheduler: ticks, coalescing, dedup, backpressure, close."""
+"""MicroBatchScheduler: driven flushes, coalescing, dedup, backpressure,
+close."""
 
 import threading
-import time
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.errors import (
     BackpressureError,
     ParameterError,
     ServiceClosedError,
+    ServiceError,
 )
 from repro.serve import FabCostQuery, MicroBatchScheduler
 from repro.serve.scheduler import CostTicket
@@ -22,7 +23,6 @@ def _queries(n, lam=0.8):
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(max_batch_size=0),
-        dict(max_wait_s=-0.1),
         dict(max_queue_depth=4, max_batch_size=8),
     ])
     def test_bad_parameters(self, kwargs):
@@ -43,30 +43,51 @@ class TestNewValidation:
 
 
 class TestFlushing:
-    def test_flush_on_batch_size_before_deadline(self):
-        # A full batch must not wait out a (deliberately huge) tick.
-        with MicroBatchScheduler(max_batch_size=8, max_wait_s=60.0,
+    def test_flush_once_prices_one_slice_per_call(self):
+        # Nothing is priced until a caller drives the scheduler; each
+        # flush_once call drains at most max_batch_size requests and
+        # says whether more remain.
+        with MicroBatchScheduler(max_batch_size=8, flush_history=8,
                                  cache=None) as sched:
-            tickets = [sched.submit(q) for q in _queries(8)]
-            results = [t.result(timeout=5.0) for t in tickets]
-        assert all(r.feasible for r in results)
+            tickets = sched.submit_many(_queries(20))
+            assert sched.queue_depth == 20
+            assert not any(t.done() for t in tickets)
+            assert sched.flush_once() is True
+            assert sched.queue_depth == 12
+            assert [t.done() for t in tickets] == [True] * 8 + [False] * 12
+            assert sched.flush_once() is True
+            assert sched.flush_once() is False
+            assert sched.flush_once() is False  # empty: nothing to do
+            assert all(t.done() for t in tickets)
+        assert [r.requests for r in sched.recent_flushes] == [8, 8, 4]
 
-    def test_flush_on_deadline_for_partial_batch(self):
-        with MicroBatchScheduler(max_batch_size=1000, max_wait_s=0.005,
-                                 cache=None) as sched:
+    def test_wait_on_partial_batch_flushes_on_the_waiting_thread(
+            self, monkeypatch):
+        # No timer holds a partial batch back: the wait prices it at
+        # once, on the thread that waits.
+        from repro.serve.backend import ThreadBackend
+        threads = []
+        original = ThreadBackend.run_group
+
+        def spy(self, *args):
+            threads.append(threading.get_ident())
+            return original(self, *args)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", spy)
+        with MicroBatchScheduler(max_batch_size=1000, cache=None) as sched:
             ticket = sched.submit(FabCostQuery(1e6, 0.8))
             assert ticket.result(timeout=5.0).feasible
+        assert threads == [threading.get_ident()]
 
-    def test_bulk_submission_skips_the_tick(self):
-        # submit_many is pre-coalesced: even with a huge max_wait and a
-        # batch that never fills, the flusher drains it immediately.
-        with MicroBatchScheduler(max_batch_size=1000, max_wait_s=60.0,
+    def test_bulk_submission_is_one_flush(self):
+        # submit_many is pre-coalesced: one wait prices the whole bulk
+        # in one flush when it fits max_batch_size.
+        with MicroBatchScheduler(max_batch_size=1000, flush_history=4,
                                  cache=None) as sched:
-            t0 = time.monotonic()
             tickets = sched.submit_many(_queries(16))
-            for ticket in tickets:
-                ticket.result(timeout=5.0)
-            assert time.monotonic() - t0 < 5.0
+            tickets[0].result(timeout=5.0)
+            assert all(t.done() for t in tickets)
+            assert [r.requests for r in sched.recent_flushes] == [16]
 
     def test_results_match_scalar_reference(self):
         queries = _queries(32, lam=0.7)
@@ -110,35 +131,51 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_nonblocking_submit_raises_when_full(self):
+        # Nothing drains the queue until someone drives it, so four
+        # submits fill it, and a fifth with timeout=0 is refused
+        # without flushing anything to make room.
         sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4,
-                                    max_wait_s=60.0, cache=None)
-        # Pretend the flusher is running but never drains: with
-        # _started set, submit skips auto-start and the fake pending
-        # entries stay put, so the queue is genuinely full.
-        sched._started = True
-        sched._pending = [object()] * 4
+                                    cache=None)
+        sched.submit_many(_queries(4))
         with pytest.raises(BackpressureError):
             sched._submit_all((FabCostQuery(1e6, 0.8),), timeout=0)
+        assert sched.queue_depth == 4
+        sched.close()
 
     def test_partial_bulk_carries_issued_tickets(self):
         sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4,
-                                    max_wait_s=60.0, cache=None)
-        sched._started = True  # see above: freeze the queue
-        sched._pending = [object()] * 2
+                                    cache=None)
+        sched.submit_many(_queries(2, lam=0.6))
         try:
             sched._submit_all(tuple(_queries(4)), timeout=0)
         except BackpressureError as exc:
             assert len(exc.tickets) == 2
         else:  # pragma: no cover - the raise is the test
             pytest.fail("expected BackpressureError")
+        sched.close()
 
-    def test_blocked_submit_proceeds_when_space_frees(self):
+    def test_blocked_submit_proceeds_when_space_frees(self, monkeypatch):
+        # A blocking submit into a full queue prices pending work on
+        # the submitting thread, slice by slice, until all 12 fit.
+        from repro.serve.backend import ThreadBackend
+        threads = []
+        original = ThreadBackend.run_group
+
+        def spy(self, *args):
+            threads.append(threading.get_ident())
+            return original(self, *args)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", spy)
         with MicroBatchScheduler(max_batch_size=2, max_queue_depth=2,
-                                 max_wait_s=0.001, cache=None) as sched:
+                                 cache=None) as sched:
             tickets = sched.submit_many(_queries(12), timeout=10.0)
             assert len(tickets) == 12
+            assert sum(t.done() for t in tickets) == 10
+            assert sched.queue_depth == 2
             for ticket in tickets:
                 ticket.result(timeout=5.0)
+        assert set(threads) == {threading.get_ident()}
+        assert len(threads) == 6
 
 
 class TestFailureFanOut:
@@ -197,6 +234,28 @@ class TestTickets:
             ticket.result(timeout=5.0)
             assert landed.wait(timeout=5.0)
 
+    def test_wait_inside_a_done_callback_raises(self):
+        # A done-callback runs inside a flush on the flushing thread;
+        # waiting there on a pending ticket would wait on itself, so it
+        # raises instead of hanging.
+        errors = []
+        with MicroBatchScheduler(max_batch_size=1, cache=None) as sched:
+            first, second = sched.submit_many(_queries(2))
+
+            def wait_on_second(_ticket):
+                try:
+                    second.cost(timeout=5.0)
+                except ServiceError as exc:
+                    errors.append(exc)
+
+            first.add_done_callback(wait_on_second)
+            first.result(timeout=5.0)
+            assert len(errors) == 1
+            # The scheduler is not wedged: the waiting thread went on
+            # to price the second ticket too.
+            assert second.cost(timeout=5.0) == transistor_cost_full(
+                2e5, 0.8, FIG8_FAB)
+
     def test_done_callback_immediate_when_already_done(self):
         with MicroBatchScheduler(max_batch_size=1, cache=None) as sched:
             ticket = sched.submit(FabCostQuery(1e6, 0.8))
@@ -208,25 +267,25 @@ class TestTickets:
 
 class TestClose:
     def test_close_drains_pending(self):
-        sched = MicroBatchScheduler(max_batch_size=1000, max_wait_s=60.0,
-                                    cache=None)
-        sched.start()
-        ticket = sched.submit(FabCostQuery(1e6, 0.8))
+        sched = MicroBatchScheduler(max_batch_size=4, cache=None)
+        tickets = sched.submit_many(_queries(10))
+        assert not any(t.done() for t in tickets)
         sched.close()
-        assert ticket.result(timeout=0).feasible
+        assert sched.queue_depth == 0
+        assert [t.cost(timeout=0) for t in tickets] == [
+            transistor_cost_full(t.query.n_transistors, 0.8, FIG8_FAB)
+            for t in tickets]
 
     def test_submit_after_close_raises(self):
         sched = MicroBatchScheduler(cache=None)
-        sched.start()
         sched.close()
         with pytest.raises(ServiceClosedError):
             sched.submit(FabCostQuery(1e6, 0.8))
         with pytest.raises(ServiceClosedError):
-            sched.start()
+            sched.submit_many(_queries(2))
 
     def test_close_is_idempotent(self):
         sched = MicroBatchScheduler(cache=None)
-        sched.start()
         sched.close()
         sched.close()
 
@@ -268,7 +327,7 @@ class TestFlushHistory:
         assert sched.recent_flushes == []
 
     def test_records_flush_shapes(self):
-        with MicroBatchScheduler(max_batch_size=4, max_wait_s=0.001,
+        with MicroBatchScheduler(max_batch_size=4,
                                  flush_history=8, cache=None) as sched:
             query = FabCostQuery(1e6, 0.8)
             tickets = sched.submit_many([query, query] + _queries(2))
@@ -283,7 +342,7 @@ class TestFlushHistory:
         assert rec.duration_s > 0.0
 
     def test_history_is_bounded(self):
-        with MicroBatchScheduler(max_batch_size=2, max_wait_s=0.001,
+        with MicroBatchScheduler(max_batch_size=2,
                                  flush_history=3, cache=None) as sched:
             tickets = sched.submit_many(_queries(16))
             for ticket in tickets:
@@ -294,18 +353,18 @@ class TestFlushHistory:
 class TestBackpressureDiagnostics:
     def test_error_carries_queue_depth(self):
         sched = MicroBatchScheduler(max_batch_size=2, max_queue_depth=3,
-                                    max_wait_s=60.0, cache=None)
-        sched._started = True  # freeze: no flusher drains the queue
-        sched._pending = [object()] * 3
+                                    cache=None)
+        sched.submit_many(_queries(3))  # nothing drains until driven
         with pytest.raises(BackpressureError) as excinfo:
             sched.submit(FabCostQuery(1e6, 0.8), timeout=0)
         assert excinfo.value.queue_depth == 3
         assert excinfo.value.tickets == []
+        sched.close()
 
 
 class TestFlushHistoryDetail:
     def test_ring_evicts_oldest_flush_ids(self):
-        with MicroBatchScheduler(max_batch_size=2, max_wait_s=0.001,
+        with MicroBatchScheduler(max_batch_size=2,
                                  flush_history=3, cache=None) as sched:
             for t in sched.submit_many(_queries(16)):
                 t.result(timeout=5.0)
@@ -335,7 +394,7 @@ class TestFlushHistoryDetail:
                     errors.append(exc)
                     return
 
-        with MicroBatchScheduler(max_batch_size=2, max_wait_s=0.0,
+        with MicroBatchScheduler(max_batch_size=2,
                                  flush_history=4, cache=None) as sched:
             readers = [threading.Thread(target=read_loop, args=(sched,))
                        for _ in range(2)]
@@ -350,3 +409,120 @@ class TestFlushHistoryDetail:
                 for r in readers:
                     r.join(timeout=5.0)
         assert errors == []
+
+
+class TestContention:
+    """No flusher thread: threads and an event loop take turns holding
+    the flusher role of one shared scheduler."""
+
+    def test_threads_and_a_loop_share_one_scheduler(self, monkeypatch):
+        import asyncio
+        import os
+        import sys
+
+        from repro.serve import (
+            AsyncCostService,
+            CostService,
+            scalar_reference_cost,
+        )
+        from repro.serve.backend import ThreadBackend
+
+        # Two _flush calls must never overlap; every group they price
+        # passes through run_group, so count concurrent calls there.
+        guard = threading.Lock()
+        active, overlaps, calls = [0], [0], [0]
+        original = ThreadBackend.run_group
+
+        def counted(self, exemplar, points, cache):
+            with guard:
+                active[0] += 1
+                calls[0] += 1
+                if active[0] > 1:
+                    overlaps[0] += 1
+            try:
+                return original(self, exemplar, points, cache)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(ThreadBackend, "run_group", counted)
+        from repro.core.optimization import FabCharacterization
+        other = FabCharacterization(reference_cost_dollars=900.0)
+        svc = CostService(max_batch_size=8, max_queue_depth=32, cache=None)
+        asvc = AsyncCostService(service=svc)
+        cores = len(os.sched_getaffinity(0)) \
+            if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+        n_threads, rounds = cores + 3, 30
+        results: dict = {}
+        errors: list = []
+
+        def queries_for(worker, r):
+            # Six points per round over two signatures; neighbouring
+            # workers repeat points, so flushes dedup across callers.
+            return [FabCostQuery(1e5 * (1 + (worker + r + i) % 9),
+                                 0.4 + 0.1 * ((r + i) % 7),
+                                 FIG8_FAB if i % 2 else other)
+                    for i in range(6)]
+
+        def sync_worker(w):
+            try:
+                got = []
+                for r in range(rounds):
+                    qs = queries_for(w, r)
+                    if r % 3 == 0:
+                        costs = svc.costs(qs, timeout=60)
+                    elif r % 3 == 1:
+                        costs = [svc.cost(q, timeout=60) for q in qs]
+                    else:
+                        tickets = [svc.submit(q, timeout=60) for q in qs]
+                        costs = [t.cost(timeout=60)
+                                 for t in reversed(tickets)][::-1]
+                    got.extend(zip(qs, costs))
+                results[w] = got
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        def loop_worker():
+            async def main():
+                got = []
+                for r in range(rounds):
+                    qs = queries_for(n_threads, r)
+                    if r % 2:
+                        costs = await asvc.costs_bulk(qs, timeout=60)
+                    else:
+                        costs = await asyncio.gather(
+                            *(asvc.cost(q, timeout=60) for q in qs))
+                    got.extend(zip(qs, costs))
+                return got
+
+            try:
+                results["loop"] = asyncio.run(
+                    asyncio.wait_for(main(), timeout=60))
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sync_worker, args=(w,))
+                       for w in range(n_threads)]
+            threads.append(threading.Thread(target=loop_worker))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        svc.close()
+        assert errors == []
+        assert overlaps[0] == 0
+        assert calls[0] > 0
+        assert sorted(results, key=str) == sorted(
+            [*range(n_threads), "loop"], key=str)
+        assert sum(len(got) for got in results.values()) \
+            == (n_threads + 1) * rounds * 6
+        for got in results.values():
+            for query, cost in got:
+                assert cost.hex() == scalar_reference_cost(query).hex()
+        assert svc.queue_depth == 0

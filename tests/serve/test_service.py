@@ -77,17 +77,42 @@ class TestBulk:
         assert len(set(costs)) == 1
 
     def test_queue_depth_visible(self):
-        svc = CostService(max_wait_s=60.0, max_batch_size=1000,
-                          cache=None)
+        svc = CostService(max_batch_size=1000, cache=None)
+        assert svc.queue_depth == 0
+        tickets = svc.submit_many([FabCostQuery(1e6, 0.8)] * 3)
+        assert svc.queue_depth == 3  # pending until someone waits
+        tickets[0].result(timeout=5.0)
         assert svc.queue_depth == 0
         svc.close()
+
+
+class TestInlineFlushing:
+    def test_cost_on_a_thread_without_a_loop_flushes_inline(
+            self, monkeypatch):
+        from repro.serve.backend import ThreadBackend
+        threads = []
+        original = ThreadBackend.run_group
+
+        def spy(self, *args):
+            threads.append(threading.get_ident())
+            return original(self, *args)
+
+        monkeypatch.setattr(ThreadBackend, "run_group", spy)
+        before = threading.active_count()
+        with CostService(cache=None) as svc:
+            got = svc.cost(FabCostQuery(3.1e6, 0.8))
+            served = svc.map([FabCostQuery(1e6, 0.6)] * 3)
+            assert threading.active_count() == before
+        assert got == transistor_cost_full(3.1e6, 0.8, FIG8_FAB)
+        assert len(served) == 3
+        assert threads == [threading.get_ident()] * 2
 
 
 class TestConcurrentSubmitters:
     def test_many_threads_share_one_service(self):
         n_threads, per_thread = 8, 25
         errors = []
-        with CostService(max_batch_size=64, max_wait_s=0.001,
+        with CostService(max_batch_size=64,
                          cache=BatchCache()) as svc:
             def worker(tid):
                 try:
@@ -107,33 +132,33 @@ class TestConcurrentSubmitters:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+                assert not t.is_alive()
         assert not errors
 
 
 class TestConstructorForwarding:
     def test_knobs_reach_the_scheduler(self):
-        svc = CostService(max_batch_size=32, max_wait_s=0.004,
+        svc = CostService(max_batch_size=32,
                           max_queue_depth=64, flush_history=16, cache=None)
         sched = svc.scheduler
         assert sched.max_batch_size == 32
-        assert sched.max_wait_s == 0.004
         assert sched.max_queue_depth == 64
         assert sched.cache is None
         assert sched.recent_flushes == []  # history armed but empty
 
     def test_async_facade_forwards_the_same_knobs(self):
         from repro.serve import AsyncCostService
-        svc = AsyncCostService(max_batch_size=16, max_wait_s=0.003,
+        svc = AsyncCostService(max_batch_size=16, max_queue_depth=48,
                                flush_history=4)
         assert svc.scheduler.max_batch_size == 16
-        assert svc.scheduler.max_wait_s == 0.003
+        assert svc.scheduler.max_queue_depth == 48
 
     def test_constructors_accept_exactly_the_shipped_knobs(self):
         import inspect
 
         from repro.serve import AsyncCostService, MicroBatchScheduler
-        knobs = ["max_batch_size", "max_wait_s", "max_queue_depth",
+        knobs = ["max_batch_size", "max_queue_depth",
                  "flush_history", "record", "cache"]
         for cls, extra in ((MicroBatchScheduler, []), (CostService, []),
                            (AsyncCostService, ["service"])):
@@ -160,10 +185,13 @@ class TestInFlightBackpressure:
         monkeypatch.setattr(ThreadBackend, "run_group", gated)
         queries = [FabCostQuery(1e5 * (i + 1), 0.8) for i in range(4)]
         with CostService(max_batch_size=2, max_queue_depth=2,
-                         max_wait_s=0.001, cache=None) as svc:
-            # First pair drains into a flush that parks inside the
-            # (gated) executor...
+                         cache=None) as svc:
+            # First pair: a caller's wait drains it into a flush that
+            # parks inside the (gated) executor on the caller's thread.
             in_flight = svc.submit_many(queries[:2])
+            waiter = _threading.Thread(
+                target=lambda: in_flight[0].result(timeout=10.0))
+            waiter.start()
             assert started.wait(timeout=5.0)
             # ...so the next pair refills the bounded queue, and one
             # more non-blocking submit must surface backpressure with
@@ -172,10 +200,24 @@ class TestInFlightBackpressure:
             with pytest.raises(BackpressureError) as excinfo:
                 svc.submit(FabCostQuery(9e6, 0.7), timeout=0)
             assert excinfo.value.queue_depth == 2
+            # A blocking submit waits out the other thread's flush
+            # (it cannot flush while that thread holds the role).
+            late = []
+            blocked = _threading.Thread(target=lambda: late.append(
+                svc.submit(FabCostQuery(7e6, 0.7), timeout=10.0)))
+            blocked.start()
+            blocked.join(timeout=0.2)
+            assert blocked.is_alive() and not late
             release.set()
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+            blocked.join(timeout=10.0)
+            assert not blocked.is_alive()
             # Recovery: both waves land with correct numbers and the
             # service accepts new traffic.
             got = [t.cost(timeout=10.0) for t in in_flight + queued]
+            assert late[0].cost(timeout=10.0) \
+                == transistor_cost_full(7e6, 0.7, FIG8_FAB)
             extra = svc.cost(FabCostQuery(5e6, 0.8))
         want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
                                      FIG8_FAB) for q in queries]
