@@ -23,6 +23,7 @@ def _queries(n, lam=0.8):
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(max_batch_size=0),
+        dict(max_queue_depth=255),  # one short of the default batch
         dict(max_queue_depth=4, max_batch_size=8),
     ])
     def test_bad_parameters(self, kwargs):
