@@ -1,6 +1,6 @@
-"""Perf engine — batched Fig.-8 evaluation vs. the scalar reference.
+"""Perf engine — batched kernels vs. their scalar references.
 
-The claim under test: evaluating the full cost model — eqs. (1), (3),
+The first claim: evaluating the full cost model — eqs. (1), (3),
 (4) and (7) — over a 36×36 (λ, N_tr) grid with
 :func:`repro.batch.transistor_cost_batch` is at least **20× faster**
 than the cell-by-cell scalar loop, while producing the *same* grid,
@@ -16,25 +16,33 @@ median ignores the pairs it splits.  Best-of-3 scalar against
 best-of-10 batch timings read 20.6–30.9× within one hour on one
 2-vCPU host, with no code change.
 
-Results land in ``benchmarks/BENCH_engine.json``, with the spread of
-the per-pair ratios.
+The second claim: the chiplet kernel
+(:func:`repro.batch.engine.chiplet_cost_batch`) prices an 8 × 15,000
+(k, N_tr) crossover grid — 1.2 · 10⁵ cells — at least **10× faster**
+than the scalar :meth:`~repro.system.chiplet.ChipletCostModel
+.system_cost` loop, equal to it bit for bit on all 11 breakdown
+fields and ``feasible`` in every cell.  The loop is timed once and the
+kernel as the best of 2 calls after a warm-up.
+
+Results land in ``benchmarks/BENCH_engine.json``, one key per claim,
+the Fig.-8 record with the spread of the per-pair ratios.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import emit, emit_json
+from conftest import emit, emit_json, update_bench_json
 from repro.batch import BatchCache, transistor_cost_batch
+from repro.batch.engine import chiplet_cost_batch
 from repro.core.optimization import FIG8_FAB, transistor_cost_full
 from repro.core.wafer_cost import WaferCostModel
 from repro.geometry import Die, Wafer, dies_per_wafer_maly
+from repro.system.chiplet import ChipletCostModel
 from repro.yieldsim.models import scaled_poisson_yield
 
 LAM = np.linspace(0.3, 2.0, 36)
@@ -43,7 +51,18 @@ NTR = np.geomspace(1e5, 1e7, 36)
 MIN_SPEEDUP = 20.0
 #: Interleaved (scalar, batch) timing pairs behind the gated median.
 PAIRS = 21
-_BENCH_ENGINE_JSON = Path(__file__).resolve().parent / "BENCH_engine.json"
+
+CHIPLET_KS = np.arange(1, 9, dtype=float)
+CHIPLET_NTR = np.geomspace(1e5, 1e9, 15_000)
+CHIPLET_LAM = 0.8
+CHIPLET_MIN_SPEEDUP = 10.0
+#: Batch-result array field for each scalar-breakdown attribute.
+CHIPLET_FIELDS = (
+    "transistors_per_chiplet", "chiplet_area_cm2", "wafer_cost_dollars",
+    "dies_per_wafer", "die_yield", "assembly_yield", "effective_yield",
+    "packaging_cost_dollars", "silicon_cost_per_transistor_dollars",
+    "overhead_cost_per_transistor_dollars", "cost_per_transistor_dollars",
+)
 
 
 def _scalar_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +175,7 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
                         "misses": cache.stats.misses,
                         "entries": cache.stats.entries},
     }
-    _BENCH_ENGINE_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    update_bench_json("BENCH_engine.json", "fig8_grid", record)
     emit_json(record)
     emit("Perf engine — batched eq.-(1)/(3)/(4)/(7) grid vs scalar loop",
          f"grid               : {NTR.size} x {LAM.size} "
@@ -169,3 +188,74 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
          f"({t_scalar / t_warm:7.1f}x)\n"
          f"parity             : bitwise (cost grid and die counts "
          f"byte for byte)")
+
+
+def _chiplet_scalar_grid(model):
+    """The cell-by-cell reference loop: every breakdown field."""
+    shape = (CHIPLET_KS.size, CHIPLET_NTR.size)
+    grids = {name: np.empty(shape) for name in CHIPLET_FIELDS}
+    feasible = np.empty(shape, dtype=bool)
+    for i, k in enumerate(CHIPLET_KS):
+        for j, n in enumerate(CHIPLET_NTR):
+            b = model.system_cost(int(k), float(n), CHIPLET_LAM)
+            for name in CHIPLET_FIELDS:
+                grids[name][i, j] = float(getattr(b, name))
+            feasible[i, j] = b.feasible
+    return grids, feasible
+
+
+def test_chiplet_batch_vs_scalar_loop():
+    model = ChipletCostModel()
+    points = CHIPLET_KS.size * CHIPLET_NTR.size
+
+    t0 = time.perf_counter()
+    grids, feasible = _chiplet_scalar_grid(model)
+    t_scalar = time.perf_counter() - t0
+
+    chiplet_cost_batch(CHIPLET_NTR[None, :1], CHIPLET_LAM,
+                       CHIPLET_KS[:1, None], model, cache=None)  # warm-up
+    t_batch = math.inf
+    for _ in range(2):
+        t0 = time.perf_counter()
+        result = chiplet_cost_batch(CHIPLET_NTR[None, :], CHIPLET_LAM,
+                                    CHIPLET_KS[:, None], model, cache=None)
+        t_batch = min(t_batch, time.perf_counter() - t0)
+
+    mismatches = int(np.count_nonzero(
+        np.asarray(result.feasible) != feasible))
+    for name in CHIPLET_FIELDS:
+        got = np.asarray(getattr(result, name), dtype=float)
+        mismatches += int(np.count_nonzero(got != grids[name]))
+    speedup = t_scalar / t_batch
+
+    record = {
+        "kind": "chiplet_batch",
+        "points": points,
+        "shape": [CHIPLET_KS.size, CHIPLET_NTR.size],
+        "feature_size_um": CHIPLET_LAM,
+        "scalar_loop_s": t_scalar,
+        "batch_s": t_batch,
+        "estimator": "scalar loop timed once; batch best of 2 after a "
+                     "warm-up",
+        "speedup": speedup,
+        "min_required_speedup": CHIPLET_MIN_SPEEDUP,
+        "bitwise_mismatches": mismatches,
+        "fields_compared": len(CHIPLET_FIELDS) + 1,
+    }
+    update_bench_json("BENCH_engine.json", "chiplet_grid", record)
+    emit_json(record)
+    emit("Perf engine — batched chiplet crossover grid vs scalar loop",
+         f"grid          : {CHIPLET_KS.size} k-values x "
+         f"{CHIPLET_NTR.size:,} budgets = {points:,} cells at "
+         f"lambda = {CHIPLET_LAM} um\n"
+         f"scalar loop   : {t_scalar * 1e3:9.1f} ms "
+         f"({len(CHIPLET_FIELDS) + 1} fields per cell)\n"
+         f"batched       : {t_batch * 1e3:9.1f} ms (best of 2) "
+         f"-> {speedup:5.1f}x (>= {CHIPLET_MIN_SPEEDUP}x)\n"
+         f"mismatches    : {mismatches}")
+
+    assert mismatches == 0, \
+        f"{mismatches} batched cells differ bitwise from the scalar loop"
+    assert speedup >= CHIPLET_MIN_SPEEDUP, \
+        f"chiplet kernel is only {speedup:.1f}x over the scalar loop " \
+        f"(scalar {t_scalar * 1e3:.1f} ms, batch {t_batch * 1e3:.1f} ms)"

@@ -8,9 +8,7 @@ dir carries the full artifact chain (``raw/replay.json`` →
 
 Parity, artifact and latency-sanity asserts (replay percentiles are
 finite and ordered) always run; the timings are *recorded* in
-``BENCH_replay.json`` but not gated.  ``REPRO_BENCH_PARITY_ONLY=1``
-shrinks the workload to a smoke size for CI legs that only need the
-parity signal.
+``BENCH_replay.json`` but not gated.
 
 The record lands in ``benchmarks/BENCH_replay.json`` (one JSON object,
 one key per claim) and the shared ``BENCH_repro.json``.
@@ -18,12 +16,10 @@ one key per claim) and the shared ``BENCH_repro.json``.
 
 from __future__ import annotations
 
-import json
-import os
 import tempfile
 from pathlib import Path
 
-from conftest import emit, emit_json
+from conftest import emit, emit_json, update_bench_json
 from repro.core import TransistorCostModel, WaferCostModel
 from repro.core.optimization import FIG8_FAB, FabCharacterization
 from repro.geometry import Wafer
@@ -32,10 +28,7 @@ from repro.replay.rundir import run_all
 from repro.serve import CostService, FabCostQuery, ModelCostQuery
 from repro.yieldsim import ReferenceAreaYield
 
-PARITY_ONLY = bool(os.environ.get("REPRO_BENCH_PARITY_ONLY"))
-N_QUERIES = 200 if PARITY_ONLY else 1_000
-
-_BENCH_REPLAY_JSON = Path(__file__).resolve().parent / "BENCH_replay.json"
+N_QUERIES = 1_000
 
 _DERATED_FAB = FabCharacterization(
     cost_growth_rate=FIG8_FAB.cost_growth_rate,
@@ -83,20 +76,6 @@ def _mixed_workload(n_queries):
     return queries
 
 
-def _update_bench_json(key, record):
-    """Read-modify-write one claim's record into BENCH_replay.json."""
-    data = {}
-    if _BENCH_REPLAY_JSON.exists():
-        try:
-            data = json.loads(_BENCH_REPLAY_JSON.read_text())
-        except (OSError, ValueError):
-            data = {}
-    if not isinstance(data, dict) or "kind" in data:
-        data = {}
-    data[key] = record
-    _BENCH_REPLAY_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def test_recorded_workload_replays_bitwise():
     queries = _mixed_workload(N_QUERIES)
     with tempfile.TemporaryDirectory(prefix="bench_replay_") as tmp:
@@ -130,12 +109,11 @@ def test_recorded_workload_replays_bitwise():
     record = {
         "kind": "replay_parity",
         "queries": N_QUERIES,
-        "parity_only": PARITY_ONLY,
         "replay": stats,
         "mismatches": r.mismatches,
         "missing_artifacts": missing,
     }
-    _update_bench_json("replay_parity", record)
+    update_bench_json("BENCH_replay.json", "replay_parity", record)
     emit_json(record)
     emit("Traffic replay — recorded workload through the scheduler",
          f"workload      : {N_QUERIES} recorded mixed queries "

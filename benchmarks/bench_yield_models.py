@@ -11,9 +11,8 @@ Three acceptance claims live here:
    with its generating Monte Carlo configuration within the stated
    tolerance (pooled binomial + between-lot error bars).
 3. **Batched kernels** — the vectorized compound-family kernels are
-   bitwise identical to the scalar reference and faster than a scalar
-   loop; ``REPRO_BENCH_PARITY_ONLY=1`` shrinks the arrays and skips
-   the speedup assert (the parity asserts always run).
+   bitwise identical to the scalar reference and at least **1.3×**
+   faster than a scalar loop on 100,000 points.
 
 Records land in ``benchmarks/BENCH_yield.json`` (one JSON object, one
 key per claim) and the shared ``BENCH_repro.json``.
@@ -21,13 +20,10 @@ key per claim) and the shared ``BENCH_repro.json``.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import emit, emit_json
+from conftest import emit, emit_json, update_bench_json
 from repro.batch import cross_validate_model_suite
 from repro.batch.engine import yield_from_expectation_batch
 from repro.geometry import Die, Wafer
@@ -37,8 +33,6 @@ from repro.yieldsim import (
     SpotDefectSimulator,
     fit_yield_models,
 )
-
-PARITY_ONLY = bool(os.environ.get("REPRO_BENCH_PARITY_ONLY"))
 
 WAFER = Wafer(radius_cm=5.0)
 DIE = Die(1.0, 1.0)
@@ -53,25 +47,9 @@ TRUE_LOT_ALPHA = 1.5
 N_LOTS, N_WAFERS, FIT_SEED = 12, 6, 2024
 
 SUITE_LOTS, SUITE_WAFERS, SUITE_TOL = 60, 8, 0.03
-KERNEL_POINTS = 20_000 if PARITY_ONLY else 100_000
+KERNEL_POINTS = 100_000
 MIN_KERNEL_SPEEDUP = 1.3
 KERNEL_REPS = 3
-
-_BENCH_YIELD_JSON = Path(__file__).resolve().parent / "BENCH_yield.json"
-
-
-def _update_bench_json(key, record):
-    """Read-modify-write one claim's record into BENCH_yield.json."""
-    data = {}
-    if _BENCH_YIELD_JSON.exists():
-        try:
-            data = json.loads(_BENCH_YIELD_JSON.read_text())
-        except (OSError, ValueError):
-            data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data[key] = record
-    _BENCH_YIELD_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def test_model_selection_recovers_generating_model():
@@ -118,7 +96,7 @@ def test_model_selection_recovers_generating_model():
         "report": report.to_dict(),
     }
     emit_json(record)
-    _update_bench_json("model_selection", record)
+    update_bench_json("BENCH_yield.json", "model_selection", record)
 
 
 def test_crossval_suite_within_tolerance():
@@ -149,7 +127,7 @@ def test_crossval_suite_within_tolerance():
                   "n_dies": row.n_dies} for row in rows],
     }
     emit_json(record)
-    _update_bench_json("crossval_suite", record)
+    update_bench_json("BENCH_yield.json", "crossval_suite", record)
 
 
 def test_batched_kernels_bitwise_and_fast():
@@ -168,9 +146,8 @@ def test_batched_kernels_bitwise_and_fast():
         # The headline contract: bitwise, not approximately equal.
         assert (got == want).all(), f"{name} batched != scalar"
         speedup = t_scalar / t_batch
-        if not PARITY_ONLY:
-            assert speedup >= MIN_KERNEL_SPEEDUP, \
-                f"{name}: {speedup:.2f}x < {MIN_KERNEL_SPEEDUP}x"
+        assert speedup >= MIN_KERNEL_SPEEDUP, \
+            f"{name}: {speedup:.2f}x < {MIN_KERNEL_SPEEDUP}x"
         kernels[name] = {
             "points": KERNEL_POINTS,
             "batch_best_s": t_batch,
@@ -184,13 +161,10 @@ def test_batched_kernels_bitwise_and_fast():
              f"speedup={rec['speedup']:.1f}x  bitwise=yes"
              for name, rec in kernels.items()]
     emit("compound-family batched kernels — bitwise parity + throughput",
-         f"{KERNEL_POINTS} expectation points"
-         + (" (parity-only smoke)" if PARITY_ONLY else "")
-         + "\n" + "\n".join(lines))
-    record = {"kind": "kernel_parity", "parity_only": PARITY_ONLY,
-              "kernels": kernels}
+         f"{KERNEL_POINTS} expectation points\n" + "\n".join(lines))
+    record = {"kind": "kernel_parity", "kernels": kernels}
     emit_json(record)
-    _update_bench_json("kernel_parity", record)
+    update_bench_json("BENCH_yield.json", "kernel_parity", record)
 
 
 def _timed(fn, *args):

@@ -51,6 +51,23 @@ def emit_json(record: dict) -> None:
     _BENCH_JSON.write_text(json.dumps(records, indent=2) + "\n")
 
 
+def update_bench_json(name: str, key: str, record: dict) -> None:
+    """Read-modify-write one claim's record into ``benchmarks/<name>``.
+
+    The file holds one JSON object with one key per claim; a missing
+    or unreadable one starts fresh.
+    """
+    path = _BENCH_JSON.parent / name
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError):
+        data = {}
+    if not isinstance(data, dict):
+        data = {}
+    data[key] = record
+    path.write_text(json.dumps(data, indent=2) + "\n")
+
+
 def emit(title: str, body: str) -> None:
     """Print a reproduction block with a recognizable banner."""
     bar = "=" * 74

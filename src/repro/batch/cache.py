@@ -35,7 +35,6 @@ unless a call site supplies its own (or ``None`` to disable caching).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -128,66 +127,6 @@ class BatchCache:
         if evicted:
             _metrics.inc("batch.cache.evictions", evicted)
         return value
-
-    def prewarm(self, queries) -> int:
-        """Replay recorded cost queries into this cache; return uniques.
-
-        ``queries`` is any iterable of
-        :class:`repro.serve.query.CostQuery` — typically rebuilt from
-        a recorded traffic file (``python -m repro cost --prewarm
-        FILE``) — or a path: a recorder JSONL log
-        (:mod:`repro.obs.recording`, auto-detected by
-        :func:`~repro.obs.recording.is_recorded_log`) loads its
-        replayable queries directly, and any other file goes through
-        the caller's legacy loader first.  Queries are coalesced the
-        way one flush would (grouped by signature, deduplicated by
-        point), and each signature's unique points are priced as one
-        group through the serve executor with *this* cache.
-
-        The entries are keyed on that group's exact arrays, so a live
-        flush hits them only when its group for the signature holds
-        the same unique points in the same first-seen order: when the
-        recorded traffic arrives again as one flush (a replayed bulk
-        body or input file of at most ``max_batch_size`` points per
-        signature).  Traffic spread over several flushes misses them
-        all (see ``docs/serving.md``, "Cache prewarming").  Groups of
-        at most :data:`~repro.batch.engine.SCALAR_MAX_POINTS` points
-        warm nothing: the kernels price them through the scalar
-        references, which use no cache.  Nor does a group of more
-        than :data:`~repro.batch.engine._CACHE_MAX_CELLS` points: the
-        engine does not cache sub-results that large.
-
-        Returns the number of unique points evaluated.  The computed
-        group results are discarded — only the cache entries matter.
-        """
-        # Lazy import: repro.serve imports this module at load time.
-        from ..serve.executor import execute_group
-
-        if isinstance(queries, (str, os.PathLike)):
-            from ..obs.recording import (
-                is_recorded_log,
-                load_recorded_queries,
-            )
-            if not is_recorded_log(queries):
-                raise ParameterError(
-                    f"{queries}: not a recorded-traffic log (for legacy "
-                    f"point files, load the queries and pass them in)")
-            queries = load_recorded_queries(queries)
-
-        groups: dict[Hashable, tuple[Any, dict]] = {}
-        for query in queries:
-            sig = query.signature()
-            entry = groups.get(sig)
-            if entry is None:
-                entry = groups[sig] = (query, {})
-            entry[1][query.point()] = None
-        total = 0
-        for exemplar, points in groups.values():
-            unique = list(points)
-            execute_group(exemplar, unique, cache=self)
-            total += len(unique)
-        _metrics.inc("batch.cache.prewarm.points", total)
-        return total
 
     def clear(self) -> None:
         """Drop every stored entry; lifetime counters are preserved.

@@ -138,7 +138,7 @@ def _require_flag(value: object, flag: str, why: str) -> None:
 
 
 def _cost_queries_from_file(args: argparse.Namespace, path: str) -> list:
-    """Build ModelCostQuery objects from a point file (--input/--prewarm)."""
+    """Build ModelCostQuery objects from a point file (--input)."""
     from .serve import ModelCostQuery, load_points
     model = _build_cost_model(args)
     queries = []
@@ -171,28 +171,6 @@ def _cost_batch(args: argparse.Namespace) -> None:
     from .serve import CostService, format_served_csv, format_served_json
     service = CostService(record=args.record)
     with service:
-        if args.prewarm is not None:
-            from .obs.recording import (
-                is_recorded_log,
-                load_recorded_queries,
-            )
-            cache = service.scheduler.cache
-            if is_recorded_log(args.prewarm):
-                # A recorder JSONL log carries the full query spec.
-                warm_queries = load_recorded_queries(args.prewarm)
-            else:
-                warm_queries = _cost_queries_from_file(args, args.prewarm)
-            if cache is None:
-                print(f"prewarm skipped: caching disabled "
-                      f"({len(warm_queries)} queries ignored)",
-                      file=_sys.stderr)
-            else:
-                warmed = cache.prewarm(warm_queries)
-                print(f"prewarmed {warmed} unique points from "
-                      f"{len(warm_queries)} recorded queries",
-                      file=_sys.stderr)
-        if args.input is None:
-            return
         try:
             results = service.map(_cost_queries_from_file(args, args.input))
         except (BackpressureError, ServiceClosedError) as exc:
@@ -209,7 +187,7 @@ def _cost_batch(args: argparse.Namespace) -> None:
 
 
 def _cmd_cost(args: argparse.Namespace) -> None:
-    if args.input is not None or args.prewarm is not None:
+    if args.input is not None:
         _cost_batch(args)
         return
     _require_flag(args.transistors, "--transistors", "without --input")
@@ -664,12 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "micro-batching service")
     cost.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="batch output format (with --input)")
-    cost.add_argument("--prewarm", metavar="FILE", default=None,
-                      help="replay recorded queries into the batch cache "
-                           "before serving: a recorder JSONL traffic log "
-                           "(auto-detected) or a points file (CSV/JSON, "
-                           "same fields as --input); may be used without "
-                           "--input")
     cost.add_argument("--record", metavar="FILE", default=None,
                       help="append every served query to FILE as a JSONL "
                            "traffic log (replayable via 'repro replay')")

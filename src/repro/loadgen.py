@@ -21,7 +21,8 @@ the scalar references are computed once per unique grid point, so
 verification stays cheap even at thousands of requests.
 
 Use it from the CLI (``python -m repro loadgen --port ...``), from
-``benchmarks/bench_http.py``, or programmatically::
+``benchmarks/bench_parallel.py`` (the HTTP SLO leg), or
+programmatically::
 
     from repro.loadgen import build_workload, run_load
 

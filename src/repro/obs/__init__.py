@@ -18,8 +18,8 @@ A zero-dependency observability layer for the batch engine, the
   :func:`end_capture` / :func:`absorb`).
 * :mod:`~repro.obs.recording` — the recorded-traffic JSONL format:
   :class:`QueryRecorder` (attached via
-  ``MicroBatchScheduler(record=PATH)``) plus the loaders shared by
-  the replay harness (:mod:`repro.replay`) and cache prewarm.
+  ``MicroBatchScheduler(record=PATH)``) plus the loader the replay
+  harness (:mod:`repro.replay`) reads.
 
 Everything is **off by default** and near-zero-cost while off: every
 hook is guarded by the flags in :mod:`~repro.obs.state` (one attribute
@@ -62,9 +62,7 @@ from .recording import (
     QueryRecorder,
     RecordedLog,
     RecordedQuery,
-    is_recorded_log,
     load_recorded_log,
-    load_recorded_queries,
 )
 
 __all__ = [
@@ -95,7 +93,5 @@ __all__ = [
     "QueryRecorder",
     "RecordedLog",
     "RecordedQuery",
-    "is_recorded_log",
     "load_recorded_log",
-    "load_recorded_queries",
 ]

@@ -5,12 +5,8 @@ wants them back.  This module defines the **recorded-log format** — an
 append-only JSONL file where each line is one served query with its
 arrival offset, coalescing signature key, flush id, executing backend,
 and the served cost — plus the writer (:class:`QueryRecorder`, driven
-by ``MicroBatchScheduler(record=PATH)``) and the readers the rest of
-the toolchain shares: :func:`load_recorded_log` (the replay harness,
-:mod:`repro.replay`), :func:`load_recorded_queries` (cache prewarm via
-:meth:`repro.batch.cache.BatchCache.prewarm`), and
-:func:`is_recorded_log` (format auto-detection against the legacy
-points-file format of :func:`repro.serve.io.load_points`).
+by ``MicroBatchScheduler(record=PATH)``) and the reader the replay
+harness (:mod:`repro.replay`) uses, :func:`load_recorded_log`.
 
 Record schema (version 1), one JSON object per line::
 
@@ -67,9 +63,7 @@ __all__ = [
     "QueryRecorder",
     "RecordedLog",
     "RecordedQuery",
-    "is_recorded_log",
     "load_recorded_log",
-    "load_recorded_queries",
     "query_to_record",
     "record_to_query",
     "shared_model",
@@ -549,35 +543,3 @@ def load_recorded_log(path: str | os.PathLike) -> RecordedLog:
             error=data.get("error")))
     return RecordedLog(path=p, records=records, truncated_lines=truncated,
                        unreplayable=unreplayable)
-
-
-def load_recorded_queries(path: str | os.PathLike) -> list["CostQuery"]:
-    """The replayable queries of a recorded log, in recorded order.
-
-    The prewarm entry point:
-    :meth:`repro.batch.cache.BatchCache.prewarm` feeds these straight
-    back through the serve executor.
-    """
-    return [r.query for r in load_recorded_log(path).records
-            if r.query is not None]
-
-
-def is_recorded_log(path: str | os.PathLike) -> bool:
-    """Sniff whether a file is a recorder JSONL log.
-
-    Reads the first non-empty line and checks for the record shape (a
-    JSON object carrying ``"v"`` and ``"kind"``), distinguishing the
-    recorded format from the legacy points files of
-    :func:`repro.serve.io.load_points`.  Any read or parse failure
-    answers ``False`` — callers fall back to the legacy loader.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    data = json.loads(line)
-                    return (isinstance(data, dict) and "v" in data
-                            and "kind" in data)
-    except (OSError, ValueError):
-        return False
-    return False

@@ -35,9 +35,10 @@ Pieces:
   serialization behind ``python -m repro cost --input``.
 
 Traffic recording lives in :mod:`repro.obs.recording` (enabled with
-``record=PATH``) and is re-driven by :mod:`repro.replay`.  See
-``docs/serving.md`` for scheduler semantics, ``docs/replay.md`` for
-the record → replay loop, and
+``record=PATH``) and is re-driven by :mod:`repro.replay`;
+``tests/test_loadgen.py`` records traffic served over HTTP and replays
+it bitwise.  See ``docs/serving.md`` for scheduler semantics,
+``docs/replay.md`` for the record → replay loop, and
 ``benchmarks/bench_serve.py`` for the measured throughput win.
 """
 

@@ -28,7 +28,7 @@ The contract is pinned down by ``tests/yieldsim/test_parallel.py``
 (golden determinism + convergence at large lot sizes) and
 ``tests/property_based/test_parallel_parity.py`` (hypothesis sweeps
 over geometry, density, clustering, lot size and worker count), and
-timed by ``benchmarks/bench_mc_shard.py``.
+timed by the MC-shard leg of ``benchmarks/bench_parallel.py``.
 """
 
 from __future__ import annotations

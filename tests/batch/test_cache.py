@@ -193,86 +193,3 @@ class TestConcurrentAccess:
         # A same-key race may compute more than once, but the cache
         # must keep exactly one live entry for the key.
         assert stats.entries == 1
-
-
-class TestPrewarm:
-    def _queries(self):
-        from repro.serve import FabCostQuery
-        grid = [(1e5 * (i + 1), 0.4 + 0.05 * j)
-                for i in range(10) for j in range(5)]
-        return [FabCostQuery(n, lam) for n, lam in grid], grid
-
-    def test_returns_unique_point_count(self):
-        queries, grid = self._queries()
-        cache = BatchCache()
-        # Duplicate the traffic: prewarm coalesces exactly like a flush.
-        assert cache.prewarm(queries + queries) == len(grid)
-
-    def test_prewarmed_service_starts_at_steady_state_hit_rate(self):
-        from repro.serve import CostService
-        queries, _ = self._queries()
-
-        cold = BatchCache()
-        with CostService(cache=cold) as svc:
-            cold_results = svc.map(queries)
-        cold_misses = cold.stats.misses
-
-        warm = BatchCache()
-        warm.prewarm(queries)
-        misses_before = warm.stats.misses
-        with CostService(cache=warm) as svc:
-            warm_results = svc.map(queries)
-        stats = warm.stats
-
-        # The live pass computed nothing: every lookup hit.
-        assert stats.misses == misses_before
-        assert stats.hits >= 1
-        assert cold_misses >= 1
-        # ...and prewarming cannot change a single bit.
-        assert warm_results == cold_results
-
-    def test_groups_by_signature(self):
-        from repro.core.optimization import FIG8_FAB, FabCharacterization
-        from repro.serve import FabCostQuery
-        other = FabCharacterization(
-            cost_growth_rate=FIG8_FAB.cost_growth_rate,
-            reference_cost_dollars=2 * FIG8_FAB.reference_cost_dollars,
-            wafer_radius_cm=FIG8_FAB.wafer_radius_cm,
-            design_density=FIG8_FAB.design_density,
-            defect_coefficient=FIG8_FAB.defect_coefficient,
-            size_exponent_p=FIG8_FAB.size_exponent_p)
-        queries = [FabCostQuery(1e6, 0.8), FabCostQuery(1e6, 0.8, fab=other)]
-        cache = BatchCache()
-        # Same point under two signatures: both count (separate groups).
-        assert cache.prewarm(queries) == 2
-
-    def test_empty_iterable_is_a_noop(self):
-        cache = BatchCache()
-        assert cache.prewarm([]) == 0
-        assert len(cache) == 0
-
-    def test_prewarm_from_recorded_log_round_trip(self, tmp_path):
-        # Record live traffic, then prewarm a fresh cache straight from
-        # the log path: the warmed service must hit on every lookup and
-        # serve bitwise-identical results (satellite of docs/replay.md).
-        from repro.serve import CostService
-        queries, _ = self._queries()
-        log_path = tmp_path / "traffic.jsonl"
-        cold = BatchCache()
-        with CostService(cache=cold, record=log_path) as svc:
-            cold_results = svc.map(queries)
-
-        warm = BatchCache()
-        warmed = warm.prewarm(log_path)
-        assert warmed == len({q.point() for q in queries})
-        misses_before = warm.stats.misses
-        with CostService(cache=warm) as svc:
-            warm_results = svc.map(queries)
-        assert warm.stats.misses == misses_before
-        assert warm_results == cold_results
-
-    def test_prewarm_rejects_non_recorded_paths(self, tmp_path):
-        points = tmp_path / "points.csv"
-        points.write_text("transistors,feature_size\n1e6,0.8\n")
-        with pytest.raises(ParameterError, match="recorded-traffic"):
-            BatchCache().prewarm(points)

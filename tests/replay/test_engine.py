@@ -107,11 +107,6 @@ class TestLogFromProcessPool:
         assert result.n_queries == 3
         assert result.mismatches == 0
 
-    def test_prewarms_through_the_cli(self, log_path, capsys):
-        from repro.cli import main
-        assert main(["cost", "--prewarm", str(log_path)]) == 0
-        assert "from 3 recorded queries" in capsys.readouterr().err
-
     def test_rerecorded_lines_keep_the_format(self, log_path, tmp_path):
         # Replaying the log through a recording scheduler writes the
         # same sig and cost per line; only backend reads "thread".

@@ -1,4 +1,4 @@
-"""Traffic recording: schema, round-trip, crash-safety, detection."""
+"""Traffic recording: schema, round-trip, crash-safety."""
 
 import json
 
@@ -13,9 +13,7 @@ from repro.obs.recording import (
     RECORD_VERSION,
     SHARED_MODELS,
     QueryRecorder,
-    is_recorded_log,
     load_recorded_log,
-    load_recorded_queries,
     query_to_record,
     record_to_query,
     shared_model,
@@ -276,25 +274,6 @@ class TestCrashSafety:
         assert n == 0
         assert recorder.failed
         recorder.close()
-
-
-class TestFormatDetection:
-    def test_detects_recorded_log(self, tmp_path):
-        log_path = tmp_path / "traffic.jsonl"
-        with MicroBatchScheduler(max_batch_size=4, record=log_path,
-                                 cache=None) as sched:
-            sched.submit(FabCostQuery(1e6, 0.8)).result(timeout=10.0)
-        assert is_recorded_log(log_path)
-        assert len(load_recorded_queries(log_path)) == 1
-
-    def test_rejects_points_files_and_garbage(self, tmp_path):
-        points = tmp_path / "points.csv"
-        points.write_text("transistors,feature_size\n1e6,0.8\n")
-        assert not is_recorded_log(points)
-        jsn = tmp_path / "points.json"
-        jsn.write_text('[{"transistors": 1e6, "feature_size": 0.8}]\n')
-        assert not is_recorded_log(jsn)
-        assert not is_recorded_log(tmp_path / "missing.jsonl")
 
 
 class TestSignatureKey:

@@ -267,7 +267,7 @@ class TestBatchIO:
 
 
 class TestServeFlags:
-    """cost --prewarm/--record, and the flags that are gone."""
+    """cost --record, and the flags that are gone."""
 
     def _points_csv(self, tmp_path):
         path = tmp_path / "points.csv"
@@ -277,7 +277,7 @@ class TestServeFlags:
         return path
 
     @pytest.mark.parametrize("command,flags", [
-        ("cost", ("--serve-backend", "--serve-workers")),
+        ("cost", ("--serve-backend", "--serve-workers", "--prewarm")),
         ("serve", ("--backend", "--workers")),
         ("replay", ("--configs", "--workers", "--profile")),
         ("optimize", ("--backend",)),
@@ -293,53 +293,16 @@ class TestServeFlags:
         for flag in flags:
             assert flag not in text
 
-    def test_prewarm_only_reports_unique_points(self, tmp_path, capsys):
-        rc = main(["cost", "--prewarm", str(self._points_csv(tmp_path)),
-                   "--density", "150"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "prewarmed 2 unique points from 2 recorded queries" \
-            in captured.err
-        assert captured.out == ""
-
-    def test_prewarm_then_input_serves_batch(self, tmp_path, capsys):
-        path = str(self._points_csv(tmp_path))
-        rc = main(["cost", "--input", path, "--prewarm", path,
-                   "--density", "150"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "prewarmed 2 unique points" in captured.err
-        lines = captured.out.strip().splitlines()
-        assert len(lines) == 3  # header + one row per point
-
     def test_record_writes_replayable_log(self, tmp_path, capsys):
-        from repro.obs.recording import is_recorded_log, load_recorded_log
+        from repro.obs.recording import load_recorded_log
         log_path = tmp_path / "traffic.jsonl"
         rc = main(["cost", "--input", str(self._points_csv(tmp_path)),
                    "--density", "150", "--record", str(log_path)])
         assert rc == 0
         capsys.readouterr()
-        assert is_recorded_log(log_path)
         log = load_recorded_log(log_path)
         assert len(log) == 2
         assert log.unreplayable == 0
-
-    def test_prewarm_autodetects_recorded_log(self, tmp_path, capsys):
-        log_path = tmp_path / "traffic.jsonl"
-        points = str(self._points_csv(tmp_path))
-        assert main(["cost", "--input", points, "--density", "150",
-                     "--record", str(log_path)]) == 0
-        capsys.readouterr()
-        # Re-serve, prewarming from the recorded log instead of a
-        # points file — same results, and the warm pass reports the
-        # recorded queries.
-        rc = main(["cost", "--input", points, "--density", "150",
-                   "--prewarm", str(log_path)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "prewarmed 2 unique points from 2 recorded queries" \
-            in captured.err
-        assert len(captured.out.strip().splitlines()) == 3
 
 
 class TestReplayCommand:

@@ -11,6 +11,8 @@ from repro.loadgen import (
     format_report,
     run_load,
 )
+from repro.obs.recording import load_recorded_log
+from repro.replay import replay_log
 from repro.serve.http import ServerThread
 
 
@@ -54,11 +56,18 @@ class TestBuildWorkload:
 
 
 class TestRunLoad:
-    def test_mixed_load_against_live_server_bitwise_clean(self):
-        specs = build_workload(80, bulk_size=8, seed=5)
-        with ServerThread(cache=None) as srv:
+    def test_mixed_load_against_live_server_bitwise_clean(self, tmp_path):
+        # Every served cost matches the scalar reference bitwise, and
+        # the traffic the server recorded replays with no mismatch.
+        log = tmp_path / "http-traffic.jsonl"
+        specs = build_workload(80, bulk_size=8, seed=5, mix={
+            "cost": 0.4, "bulk": 0.1, "optimize": 0.1, "chiplet": 0.4})
+        assert {s.kind for s in specs} \
+            == {"cost", "bulk", "optimize", "chiplet"}
+        with ServerThread(record=log, cache=None) as srv:
             result = run_load("127.0.0.1", srv.port, specs,
                               rps=800.0, connections=4)
+        # Leaving the block drained the server and closed the log.
         assert result.requests == 80
         assert result.completed == 80
         assert result.status_counts.get("200") == 80
@@ -68,6 +77,16 @@ class TestRunLoad:
         assert result.connection_errors == 0
         assert result.latency_ms["p50"] <= result.latency_ms["p95"] \
             <= result.latency_ms["p99"] <= result.latency_ms["max"]
+
+        recorded = load_recorded_log(log)
+        assert len(recorded) == sum(len(s.expected) for s in specs
+                                    if s.kind != "optimize")
+        assert {r.kind for r in recorded.records} \
+            == {"fab", "model", "chiplet"}
+        replayed = replay_log(recorded)
+        assert replayed.n_queries == len(recorded)
+        assert replayed.n_skipped == 0
+        assert replayed.mismatches == 0
 
     def test_verification_catches_a_lying_server(self):
         # Same workload, but the expected answers are deliberately
