@@ -33,8 +33,7 @@ from conftest import emit, emit_json
 from repro import obs
 from repro import pool as pool_mod
 from repro.batch import engine as engine_mod
-from repro.batch import evaluate_batch
-from repro.batch.cache import BatchCache
+from repro.batch import default_cache, evaluate_batch
 from repro.core import TransistorCostModel, WaferCostModel
 from repro.geometry import Die, Wafer
 from repro.serve import CostService, FabCostQuery
@@ -91,10 +90,11 @@ def _batch_workload():
     lams = np.linspace(0.35, 1.2, 320)
 
     def run():
+        default_cache().clear()  # every call prices its wafer costs
         evaluate_batch(model, n_transistors=counts[:, None],
                        feature_sizes_um=lams[None, :],
                        design_density=150.0, yield_model=PoissonYield(),
-                       defect_density_per_cm2=0.5, cache=None)
+                       defect_density_per_cm2=0.5)
 
     return run
 
@@ -113,7 +113,8 @@ def _serve_workload():
     queries = [FabCostQuery(10 ** (5 + 2.0 * (i % 40) / 39),
                             0.4 + 1.0 * (i // 40) / 14)
                for i in range(600)]
-    svc = CostService(max_batch_size=256, cache=BatchCache())
+    default_cache().clear()
+    svc = CostService(max_batch_size=256)
 
     def run():
         # One pass is ~1 ms — too short to time reliably, so each
@@ -199,7 +200,7 @@ def test_disabled_observability_overhead(monkeypatch):
     # perturb the other timings.
     serve, svc = _serve_workload()
     try:
-        serve()  # warm the shared BatchCache so both legs replay hits
+        serve()  # warm the cache so both legs replay hits
         serve_inst, serve_base, serve_ratio = timed(serve)
     finally:
         svc.close()

@@ -4,7 +4,7 @@ Four legs time a parallel path against its one-process baseline:
 
 * **sweep pool** — a 1000 × 1000 (10⁶-cell) Fig.-8 landscape through
   :class:`~repro.batch.sweep.TiledSweepRunner` at 4 workers (tiles of
-  50,000 cells) against one uncached full-grid
+  50,000 cells) against one cold full-grid
   :func:`~repro.batch.engine.transistor_cost_batch` call: **≥ 2×**;
 * **chiplet pool** — the 8 × 15,000 (k, N_tr) crossover grid through
   :class:`~repro.batch.sweep.ChipletCrossoverSweep` at 4 workers
@@ -24,7 +24,10 @@ The timing gates assert only where this process may use at least 4
 CPUs (``len(os.sched_getaffinity(0)) >= 4``): with fewer, 4 workers
 cannot run at once, so the timings are recorded with
 ``gate_asserted: false``.  Each time is the best of 2 calls after one
-warm-up call (:func:`_best_of_2`).
+warm-up call (:func:`_best_of_2`).  The two pool legs time cold work
+on both sides: each one-process call and each pooled tile starts on an
+emptied batch cache (:class:`_Cold`), so no timed call replays the
+warm-up's wafer costs.
 
 Records land in ``benchmarks/BENCH_parallel.json`` (one key per leg)
 and the shared ``BENCH_repro.json``.
@@ -35,10 +38,13 @@ from __future__ import annotations
 import math
 import os
 import time
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from conftest import emit, emit_json, update_bench_json
+from repro.batch import default_cache
 from repro.batch.engine import transistor_cost_batch
 from repro.batch.sweep import (
     ChipletCrossoverSweep,
@@ -69,6 +75,21 @@ def _best_of_2(fn):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+@dataclass(frozen=True)
+class _Cold:
+    """A sweep spec whose every tile starts on an emptied batch cache,
+    in whichever process prices it."""
+
+    spec: Any
+
+    def fingerprint(self) -> str:
+        return self.spec.fingerprint()
+
+    def evaluate_tile(self, row_values, col_values, out) -> None:
+        default_cache().clear()
+        self.spec.evaluate_tile(row_values, col_values, out)
 
 
 def _record(key: str, title: str, lines: str, record: dict) -> None:
@@ -105,14 +126,17 @@ def test_sweep_pool_vs_single_process():
     counts = np.geomspace(1e5, 1e7, 1000)
     lams = np.linspace(0.3, 2.0, 1000)
     tile_size = 50_000
-    # The baseline is uncached: a cache would make its timed calls
-    # copies of the warm-up's result.
-    t_single, want = _best_of_2(lambda: transistor_cost_batch(
-        counts[:, None], lams[None, :], cache=None))
-    with TiledSweepRunner(workers=WORKERS, tile_size=tile_size,
-                          cache=None) as runner:
+    # Both sides run cold: a warm cache would make their timed calls
+    # replay the warm-up's wafer costs.
+    def one_process():
+        default_cache().clear()
+        return transistor_cost_batch(counts[:, None], lams[None, :])
+
+    t_single, want = _best_of_2(one_process)
+    with TiledSweepRunner(workers=WORKERS,
+                          tile_size=tile_size) as runner:
         t_pool, result = _best_of_2(
-            lambda: runner.run(FabCostSweep(), counts, lams))
+            lambda: runner.run(_Cold(FabCostSweep()), counts, lams))
     mismatches = int(np.count_nonzero(
         result.values != want.cost_per_transistor_dollars))
     _pool_leg("sweep_pool", "Fig.-8 mega-sweep — process pool vs one "
@@ -125,17 +149,17 @@ def test_chiplet_sweep_pool_vs_single_process():
     ks = np.arange(1, 9, dtype=float)
     counts = np.geomspace(1e5, 1e9, 15_000)
     tile_size = 20_000
-    spec = ChipletCrossoverSweep(feature_size_um=0.8,
-                                 model=ChipletCostModel())
+    spec = _Cold(ChipletCrossoverSweep(feature_size_um=0.8,
+                                       model=ChipletCostModel()))
 
     def one_process():
         out = np.empty((ks.size, counts.size))
-        spec.evaluate_tile(ks, counts, out, cache=None)
+        spec.evaluate_tile(ks, counts, out)
         return out
 
     t_single, want = _best_of_2(one_process)
-    with TiledSweepRunner(workers=WORKERS, tile_size=tile_size,
-                          cache=None) as runner:
+    with TiledSweepRunner(workers=WORKERS,
+                          tile_size=tile_size) as runner:
         t_pool, result = _best_of_2(lambda: runner.run(spec, ks, counts))
     mismatches = int(np.count_nonzero(result.values != want))
     _pool_leg("chiplet_pool", "Chiplet crossover sweep — process pool vs "
@@ -193,7 +217,7 @@ def test_http_open_loop_slo(tmp_path):
     # it has since this gate was set, so the gate prices the same
     # server work.  tests/test_loadgen.py replays such a log.
     with ServerThread(record=tmp_path / "http-traffic.jsonl",
-                      flush_history=65536, cache=None) as srv:
+                      flush_history=65536) as srv:
         result = run_load("127.0.0.1", srv.port, specs, rps=offered_rps,
                           connections=16, timeout_s=120.0, seed=9)
     flushes = srv.server.service.scheduler.recent_flushes

@@ -37,7 +37,8 @@ import time
 import numpy as np
 
 from conftest import emit, emit_json, update_bench_json
-from repro.batch import BatchCache, transistor_cost_batch
+from repro import obs
+from repro.batch import default_cache, transistor_cost_batch
 from repro.batch.engine import chiplet_cost_batch
 from repro.core.optimization import FIG8_FAB, transistor_cost_full
 from repro.core.wafer_cost import WaferCostModel
@@ -81,7 +82,31 @@ def _scalar_grid() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch_grid():
-    return transistor_cost_batch(NTR[:, None], LAM[None, :], cache=None)
+    # Cold: every call prices its die counts and wafer costs afresh.
+    default_cache().clear()
+    return transistor_cost_batch(NTR[:, None], LAM[None, :])
+
+
+def _warm_grid():
+    return transistor_cost_batch(NTR[:, None], LAM[None, :])
+
+
+def _cache_stats(warm_calls: int) -> dict:
+    """The ``batch.cache.*`` traffic of one cold grid and ``warm_calls``
+    warm ones, counted on an isolated metrics registry."""
+    tracing, counting = obs.tracing_enabled(), obs.metrics_enabled()
+    frame = obs.metrics.push_isolated()
+    obs.enable(trace=tracing, metrics=True)
+    try:
+        _batch_grid()
+        for _ in range(warm_calls):
+            _warm_grid()
+    finally:
+        obs.enable(trace=tracing, metrics=counting)
+        counters = obs.metrics.pop_isolated(frame)["counters"]
+    return {"hits": counters.get("batch.cache.hits", 0),
+            "misses": counters.get("batch.cache.misses", 0),
+            "entries": len(default_cache())}
 
 
 def _time_best_of(fn, reps: int) -> float:
@@ -149,11 +174,8 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
 
     # Warm-cache replay: dies-per-wafer and wafer-cost sub-results are
     # memoized, so a repeated sweep over the same grid is cheaper still.
-    cache = BatchCache()
-    transistor_cost_batch(NTR[:, None], LAM[None, :], cache=cache)
-    t_warm = _time_best_of(
-        lambda: transistor_cost_batch(NTR[:, None], LAM[None, :],
-                                      cache=cache), 10)
+    _batch_grid()
+    t_warm = _time_best_of(_warm_grid, 10)
 
     record = {
         "kind": "perf_engine",
@@ -171,9 +193,7 @@ def test_perf_engine_equivalence_and_speedup(benchmark):
         "warm_speedup": t_scalar / t_warm,
         "parity": "bitwise",
         "min_required_speedup": MIN_SPEEDUP,
-        "cache_stats": {"hits": cache.stats.hits,
-                        "misses": cache.stats.misses,
-                        "entries": cache.stats.entries},
+        "cache_stats": _cache_stats(10),
     }
     update_bench_json("BENCH_engine.json", "fig8_grid", record)
     emit_json(record)
@@ -213,12 +233,13 @@ def test_chiplet_batch_vs_scalar_loop():
     t_scalar = time.perf_counter() - t0
 
     chiplet_cost_batch(CHIPLET_NTR[None, :1], CHIPLET_LAM,
-                       CHIPLET_KS[:1, None], model, cache=None)  # warm-up
+                       CHIPLET_KS[:1, None], model)  # warm-up
     t_batch = math.inf
     for _ in range(2):
         t0 = time.perf_counter()
+        default_cache().clear()  # a cold call each time
         result = chiplet_cost_batch(CHIPLET_NTR[None, :], CHIPLET_LAM,
-                                    CHIPLET_KS[:, None], model, cache=None)
+                                    CHIPLET_KS[:, None], model)
         t_batch = min(t_batch, time.perf_counter() - t0)
 
     mismatches = int(np.count_nonzero(

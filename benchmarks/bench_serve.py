@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from conftest import emit, emit_json
-from repro.batch.cache import BatchCache
+from repro.batch import default_cache
 from repro.core import TransistorCostModel, WaferCostModel
 from repro.core.optimization import (
     FIG8_FAB,
@@ -150,10 +150,10 @@ def test_serve_throughput_vs_scalar_loop():
         t_scalar = min(t_scalar, time.perf_counter() - t0)
 
     # Served: one long-lived service; the first pass is the cold
-    # number (fresh cache), later passes the steady state.
+    # number (emptied cache), later passes the steady state.
     t_serve = []
-    with CostService(max_batch_size=256,
-                     flush_history=4096, cache=BatchCache()) as svc:
+    default_cache().clear()
+    with CostService(max_batch_size=256, flush_history=4096) as svc:
         for _ in range(REPS):
             t0 = time.perf_counter()
             got = svc.costs(queries)

@@ -75,7 +75,6 @@ from .technology import (
     TechnologyRoadmap,
 )
 from .batch import (
-    BatchCache,
     BatchCostResult,
     cross_validate_model_suite,
     cross_validate_yield_batch,
@@ -148,7 +147,6 @@ __all__ = [
     "ProductSpec",
     "PRODUCT_CATALOG",
     "TechnologyRoadmap",
-    "BatchCache",
     "BatchCostResult",
     "default_cache",
     "cross_validate_yield_batch",

@@ -17,8 +17,8 @@ Entry points:
   ``dies_per_wafer_batch`` (eq. 4), ``transistors_per_die_batch``
   (eq. 5), ``poisson_yield_batch`` / ``scaled_poisson_yield_batch`` /
   ``yield_for_area_batch`` (eqs. 6–7),
-* :class:`~repro.batch.cache.BatchCache` — the keyed memoization layer
-  shared across sweeps (see :func:`~repro.batch.cache.default_cache`),
+* :func:`~repro.batch.cache.default_cache` — the process's one keyed
+  memoization layer, which every kernel call above shares,
 * :func:`~repro.batch.crossval.cross_validate_yield_batch` — the
   closed-form-vs-Monte-Carlo consumer: one density sweep through the
   batched yield kernels and through process-sharded simulator lots
@@ -32,7 +32,7 @@ See ``docs/performance.md`` for the parity contract and measured
 speedups.
 """
 
-from .cache import BatchCache, CacheStats, array_fingerprint, default_cache
+from .cache import array_fingerprint, default_cache
 from .crossval import (
     ModelValidationRow,
     YieldCrossValidation,
@@ -40,7 +40,6 @@ from .crossval import (
     cross_validate_yield_batch,
 )
 from .engine import (
-    USE_DEFAULT_CACHE,
     BatchCostResult,
     ChipletBatchResult,
     chiplet_cost_batch,
@@ -68,11 +67,8 @@ from .sweep import (
 )
 
 __all__ = [
-    "BatchCache",
-    "CacheStats",
     "array_fingerprint",
     "default_cache",
-    "USE_DEFAULT_CACHE",
     "BatchCostResult",
     "wafer_cost_batch",
     "dies_per_wafer_batch",

@@ -53,17 +53,15 @@ transistor_cost_full`.  The composed kernels price a batch of at most
 
 Caching
 -------
-The dies-per-wafer and wafer-cost sub-results are memoized in a
-:class:`~repro.batch.cache.BatchCache` keyed on the exact input bytes,
-shared across sweeps.  Pass ``cache=None`` to disable, or a private
-:class:`BatchCache` to isolate; by default the process-wide cache from
-:func:`~repro.batch.cache.default_cache` is used.  Cached arrays are
-read-only.  A sub-result of more than :data:`_CACHE_MAX_CELLS` cells
-(a sweep tile's die counts) bypasses the cache entirely.  The eq.-(3)
-wafer cost depends on λ alone, so the composed kernels price it over
-the λ operand as given, before broadcasting: a Fig.-8 tile's wafer
-costs are one λ axis, small enough to cache and shared by every tile
-of the sweep.
+The dies-per-wafer and wafer-cost sub-results are memoized in the
+process-wide :func:`~repro.batch.cache.default_cache`, keyed on the
+exact input bytes and shared by every sweep, flush and scan in the
+process.  Cached arrays are read-only.  A sub-result of more than
+:data:`_CACHE_MAX_CELLS` cells (a sweep tile's die counts) bypasses
+the cache entirely.  The eq.-(3) wafer cost depends on λ alone, so
+the composed kernels price it over the λ operand as given, before
+broadcasting: a Fig.-8 tile's wafer costs are one λ axis, small
+enough to cache and shared by every tile of the sweep.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ from ..yieldsim.models import (
     YIELD_CUTOFF,
     YieldModel,
 )
-from .cache import BatchCache, array_fingerprint, default_cache
+from .cache import array_fingerprint, default_cache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with core.optimization
     from ..core.optimization import FabCharacterization
@@ -140,9 +138,6 @@ _CHUNK_PAD_CELLS = 1 << 13
 #: 65,536-cell sweep tile, whose fresh axes rarely repeat, is above.
 _CACHE_MAX_CELLS = 1 << 14
 
-#: Sentinel: "use the process-wide default cache".
-USE_DEFAULT_CACHE: Any = object()
-
 
 def _deliver(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     # The array-out contract shared by the cached kernels: with
@@ -167,21 +162,9 @@ def _deliver(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _resolve_cache(cache: Any) -> BatchCache | None:
-    if cache is USE_DEFAULT_CACHE:
-        return default_cache()
-    if cache is None or isinstance(cache, BatchCache):
-        return cache
-    raise ParameterError(
-        f"cache must be a BatchCache, None, or USE_DEFAULT_CACHE; "
-        f"got {cache!r}")
-
-
-def _cached(cache: BatchCache | None, kind: str, cells: int, key,
-            compute) -> np.ndarray:
+def _cached(kind: str, cells: int, key, compute) -> np.ndarray:
     # ``key()`` builds the rest of the exact key after ``kind``; it is
-    # only called for a sub-result of at most _CACHE_MAX_CELLS cells
-    # that has a cache to go to.
+    # only called for a sub-result of at most _CACHE_MAX_CELLS cells.
     if _tracing_enabled():
         # A span per *computed* sub-result (cache hits record nothing).
         inner = compute
@@ -190,9 +173,9 @@ def _cached(cache: BatchCache | None, kind: str, cells: int, key,
             with _span(f"batch.compute.{kind}"):
                 return inner()
 
-    if cache is None or cells > _CACHE_MAX_CELLS:
+    if cells > _CACHE_MAX_CELLS:
         return np.asarray(compute())
-    return cache.get_or_compute((kind,) + key(), compute)
+    return default_cache().get_or_compute((kind,) + key(), compute)
 
 
 def _as_float_array(name: str, value) -> np.ndarray:
@@ -228,7 +211,6 @@ def _require_all_fraction(name: str, arr: np.ndarray) -> None:
 
 def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
                      volume_wafers: float | None = None,
-                     cache: Any = USE_DEFAULT_CACHE,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Eq. (3) — C'_w(λ) over an array of λ, optionally with the
     eq.-(2) overhead term at ``volume_wafers``.
@@ -245,13 +227,11 @@ def wafer_cost_batch(model: WaferCostModel, feature_sizes_um, *,
     _require_all_positive("feature_sizes_um", lam)
     if volume_wafers is not None:
         require_positive("volume_wafers", volume_wafers)
-    return _deliver(_wafer_cost(model, lam, volume_wafers,
-                                _resolve_cache(cache)), out)
+    return _deliver(_wafer_cost(model, lam, volume_wafers), out)
 
 
 def _wafer_cost(model: WaferCostModel, lam: np.ndarray,
-                volume_wafers: float | None,
-                cache: BatchCache | None) -> np.ndarray:
+                volume_wafers: float | None) -> np.ndarray:
     # wafer_cost_batch on checked operands: the composed kernels call
     # it after their own λ check.
     if volume_wafers is None:
@@ -271,7 +251,7 @@ def _wafer_cost(model: WaferCostModel, lam: np.ndarray,
         return np.fromiter(map(by_lam.__getitem__, flat), dtype=np.float64,
                            count=len(flat)).reshape(lam.shape)
 
-    return _cached(cache, "wafer_cost", lam.size, key, compute)
+    return _cached("wafer_cost", lam.size, key, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +260,6 @@ def _wafer_cost(model: WaferCostModel, lam: np.ndarray,
 
 def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
                          scribe_cm: float = 0.0,
-                         cache: Any = USE_DEFAULT_CACHE,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Eq. (4) over arrays of die sizes — exact integer parity with
     :func:`repro.geometry.wafer.dies_per_wafer_maly`.
@@ -301,7 +280,6 @@ def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
     _require_all_positive("width_cm", w)
     _require_all_positive("height_cm", h)
     require_nonnegative("scribe_cm", scribe_cm)
-    cache = _resolve_cache(cache)
 
     def key() -> tuple:
         return (wafer.radius_cm, wafer.edge_exclusion_cm, float(scribe_cm),
@@ -312,8 +290,7 @@ def dies_per_wafer_batch(wafer: Wafer, width_cm, height_cm, *,
                                     w.ravel(), h.ravel(),
                                     float(scribe_cm)).reshape(w.shape)
 
-    return _deliver(_cached(cache, "dies_per_wafer", w.size, key, compute),
-                    out)
+    return _deliver(_cached("dies_per_wafer", w.size, key, compute), out)
 
 
 def _dies_per_wafer_rows(radius: float, w: np.ndarray, h: np.ndarray,
@@ -751,8 +728,7 @@ def _observed(kernel: str, cells: int, t0: float) -> None:
 
 
 def transistor_cost_batch(n_transistors, feature_sizes_um,
-                          fab: "FabCharacterization | None" = None, *,
-                          cache: Any = USE_DEFAULT_CACHE
+                          fab: "FabCharacterization | None" = None
                           ) -> BatchCostResult:
     """Batched eqs. (1)+(3)+(4)+(7) — the vector form of
     :func:`repro.core.optimization.transistor_cost_breakdown`, bitwise.
@@ -771,7 +747,6 @@ def transistor_cost_batch(n_transistors, feature_sizes_um,
     n = _as_float_array("n_transistors", n_transistors)
     lam_axis = _as_float_array("feature_sizes_um", feature_sizes_um)
     n, lam = _broadcast(n, lam_axis)
-    cache = _resolve_cache(cache)
 
     obs_on = _obs_enabled()
     t0 = time.perf_counter() if obs_on else 0.0
@@ -782,24 +757,24 @@ def transistor_cost_batch(n_transistors, feature_sizes_um,
                 partial(optimization.transistor_cost_breakdown, fab=fab),
                 (n, lam))
         else:
-            result = _transistor_cost_arrays(fab, n, lam, lam_axis, cache)
+            result = _transistor_cost_arrays(fab, n, lam, lam_axis)
     if obs_on:
         _observed("evaluate", int(n.size), t0)
     return result
 
 
 def _transistor_cost_arrays(fab: "FabCharacterization", n: np.ndarray,
-                            lam: np.ndarray, lam_axis: np.ndarray,
-                            cache: BatchCache | None) -> BatchCostResult:
+                            lam: np.ndarray, lam_axis: np.ndarray
+                            ) -> BatchCostResult:
     _require_all_positive("n_transistors", n)
     _require_all_positive("feature_sizes_um", lam_axis)
     wafer_cost_model = fab.wafer_cost
     width, height, area_cm2 = _die_geometry(n, fab.design_density,
                                             lam_axis, 1.0)
-    n_ch = dies_per_wafer_batch(fab.wafer, width, height, cache=cache)
+    n_ch = dies_per_wafer_batch(fab.wafer, width, height)
     y = _scaled_poisson_yield(n, fab.design_density, fab.defect_coefficient,
                               lam_axis, fab.size_exponent_p)
-    c_w = _wafer_cost(wafer_cost_model, lam_axis, None, cache)
+    c_w = _wafer_cost(wafer_cost_model, lam_axis, None)
     feasible = (n_ch >= 1) & (y >= YIELD_CUTOFF)
     cost = _masked_cost(c_w, n_ch, n, y, feasible)
     return BatchCostResult(
@@ -818,8 +793,7 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
                    yield_model: YieldModel | None = None,
                    defect_density_per_cm2: float | None = None,
                    yield_value=None,
-                   aspect_ratio: float = 1.0,
-                   cache: Any = USE_DEFAULT_CACHE) -> BatchCostResult:
+                   aspect_ratio: float = 1.0) -> BatchCostResult:
     """Batched :meth:`TransistorCostModel.evaluate_masked` over arrays,
     bitwise.
 
@@ -843,7 +817,6 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
     yield_values = points[2] if yield_value is not None else None
     require_positive("design_density", design_density)
     require_positive("aspect_ratio", aspect_ratio)
-    cache = _resolve_cache(cache)
 
     def price(n_i: float, lam_i: float,
               y_i: float | None = None) -> Any:
@@ -863,7 +836,7 @@ def evaluate_batch(model: TransistorCostModel, *, n_transistors,
             result = _evaluate_arrays(
                 model, points[0], points[1], lam_axis, design_density,
                 yield_model, defect_density_per_cm2, yield_values,
-                aspect_ratio, cache)
+                aspect_ratio)
     if obs_on:
         _observed("evaluate", cells, t0)
     return result
@@ -873,16 +846,16 @@ def _evaluate_arrays(model: TransistorCostModel, n: np.ndarray,
                      lam: np.ndarray, lam_axis: np.ndarray,
                      design_density: float, yield_model: YieldModel | None,
                      defect_density_per_cm2: float | None,
-                     yield_values: np.ndarray | None, aspect_ratio: float,
-                     cache: BatchCache | None) -> BatchCostResult:
+                     yield_values: np.ndarray | None, aspect_ratio: float
+                     ) -> BatchCostResult:
     _require_all_positive("n_transistors", n)
     _require_all_positive("feature_sizes_um", lam_axis)
     width, height, area_cm2 = _die_geometry(n, design_density, lam_axis,
                                             aspect_ratio)
-    n_ch = dies_per_wafer_batch(model.wafer, width, height, cache=cache)
+    n_ch = dies_per_wafer_batch(model.wafer, width, height)
     y = _resolve_yield_batch(area_cm2, yield_model, defect_density_per_cm2,
                              yield_values)
-    c_w = _wafer_cost(model.wafer_cost, lam_axis, model.volume_wafers, cache)
+    c_w = _wafer_cost(model.wafer_cost, lam_axis, model.volume_wafers)
     feasible = n_ch >= 1
     cost = _masked_cost(c_w, n_ch, n, y, feasible)
     return BatchCostResult(
@@ -931,8 +904,7 @@ def _reference_area_yield(law: ReferenceAreaYield,
 # ---------------------------------------------------------------------------
 
 def scenario1_cost_batch(model: TransistorCostModel, feature_sizes_um,
-                         design_density: float, *,
-                         cache: Any = USE_DEFAULT_CACHE) -> np.ndarray:
+                         design_density: float) -> np.ndarray:
     """Eq. (8) over an array of λ: ``C_tr = C_w(λ)·d_d·λ² / A_w``.
 
     The vector form of :meth:`TransistorCostModel.scenario1_cost`,
@@ -942,7 +914,7 @@ def scenario1_cost_batch(model: TransistorCostModel, feature_sizes_um,
     _require_all_positive("feature_sizes_um", lam)
     require_positive("design_density", design_density)
     c_w = wafer_cost_batch(model.wafer_cost, lam,
-                           volume_wafers=model.volume_wafers, cache=cache)
+                           volume_wafers=model.volume_wafers)
     wafer_area_um2 = model.wafer.area_cm2 * UM2_PER_CM2
     return c_w * design_density * (lam * lam) / wafer_area_um2
 
@@ -951,8 +923,7 @@ def scenario2_cost_batch(model: TransistorCostModel, feature_sizes_um,
                          design_density: float, *,
                          reference_yield: float = 0.7,
                          reference_area_cm2: float = 1.0,
-                         die_area_cm2=None,
-                         cache: Any = USE_DEFAULT_CACHE) -> np.ndarray:
+                         die_area_cm2=None) -> np.ndarray:
     """Eq. (9) over an array of λ: eq. (8) divided by ``Y₀^{A(λ)/A₀}``.
 
     ``die_area_cm2`` may be an array aligned with λ; the default is the
@@ -971,8 +942,7 @@ def scenario2_cost_batch(model: TransistorCostModel, feature_sizes_um,
         area = _as_float_array("die_area_cm2", die_area_cm2)
     _require_all_positive("die_area_cm2", area)
     y = _reference_area_yield(law, area)
-    return scenario1_cost_batch(model, lam, design_density,
-                                cache=cache) / y
+    return scenario1_cost_batch(model, lam, design_density) / y
 
 
 # ---------------------------------------------------------------------------
@@ -1024,7 +994,6 @@ class ChipletBatchResult:
 
 def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
                        model: "ChipletCostModel | None" = None, *,
-                       cache: Any = USE_DEFAULT_CACHE,
                        out: np.ndarray | None = None
                        ) -> ChipletBatchResult:
     """Batched :meth:`~repro.system.chiplet.ChipletCostModel.
@@ -1043,9 +1012,9 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
     :func:`scaled_poisson_yield_batch`, and the three KGD/assembly pows
     run as ``np.float_power`` (the libm routes in the module
     docstring).  Sub-results (die counts, wafer cost) memoize in the
-    shared :class:`~repro.batch.cache.BatchCache`.  A batch of at most
-    :data:`SCALAR_MAX_POINTS` elements skips the kernel and the cache:
-    each element is priced by ``system_cost`` itself.
+    process-wide :func:`~repro.batch.cache.default_cache`.  A batch of
+    at most :data:`SCALAR_MAX_POINTS` elements skips the kernel and the
+    cache: each element is priced by ``system_cost`` itself.
 
     With ``out`` the composed C_tr lands in the caller's float64
     buffer (e.g. a sweep tile's slab), which also becomes the
@@ -1067,7 +1036,6 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
                         and bool((np.floor(kk) == kk).all())):
         raise ParameterError(
             "chiplets must be integer-valued and >= 1 for every element")
-    cache = _resolve_cache(cache)
 
     def price(n_i: float, lam_i: float, k_i: float) -> Any:
         return model.system_cost(int(k_i), n_i, lam_i)
@@ -1079,8 +1047,7 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
             result = _scalar_points(ChipletBatchResult, price, (n, lam, kk),
                                     out, chiplet_count=kk)
         else:
-            result = _chiplet_cost_arrays(model, n, lam_axis, kk, cache,
-                                          out)
+            result = _chiplet_cost_arrays(model, n, lam_axis, kk, out)
     if obs_on:
         _observed("chiplet", int(n.size), t0)
     return result
@@ -1088,7 +1055,6 @@ def chiplet_cost_batch(n_transistors, feature_sizes_um, chiplets,
 
 def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
                          lam_axis: np.ndarray, kk: np.ndarray,
-                         cache: BatchCache | None,
                          out: np.ndarray | None) -> ChipletBatchResult:
     # ``n`` and ``kk`` come broadcast to the result shape; ``lam_axis``
     # is the λ operand as given, so the λ-only factors (wafer cost,
@@ -1102,11 +1068,11 @@ def _chiplet_cost_arrays(model: "ChipletCostModel", n: np.ndarray,
     n_k = n / kk
     width, height, area_cm2 = _die_geometry(n_k, fab.design_density,
                                             lam_axis, 1.0)
-    n_ch = dies_per_wafer_batch(fab.wafer, width, height, cache=cache)
+    n_ch = dies_per_wafer_batch(fab.wafer, width, height)
     y = _scaled_poisson_yield(n_k, fab.design_density,
                               fab.defect_coefficient, lam_axis,
                               fab.size_exponent_p)
-    c_w = _wafer_cost(wafer_cost_model, lam_axis, None, cache)
+    c_w = _wafer_cost(wafer_cost_model, lam_axis, None)
     pc = model.probe_coverage
     pass_rate = np.float_power(y, pc)
     q = np.float_power(y, 1.0 - pc)

@@ -55,13 +55,7 @@ from .. import pool as _pool
 from ..errors import ParameterError
 from ..obs import metrics as _metrics, span as _span
 from ..obs.state import enabled as _obs_enabled
-from .cache import BatchCache, default_cache
-from .engine import (
-    USE_DEFAULT_CACHE,
-    _resolve_cache,
-    chiplet_cost_batch,
-    transistor_cost_batch,
-)
+from .engine import chiplet_cost_batch, transistor_cost_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with core
     from ..core.optimization import FabCharacterization
@@ -215,12 +209,10 @@ class FabCostSweep:
             f.defect_coefficient, f.size_exponent_p)))
 
     def evaluate_tile(self, row_values: np.ndarray, col_values: np.ndarray,
-                      out: np.ndarray, *,
-                      cache: BatchCache | None = None) -> None:
+                      out: np.ndarray) -> None:
         """Write C_tr for ``row_values × col_values`` into ``out``."""
         result = transistor_cost_batch(
-            row_values[:, None], col_values[None, :],
-            self._resolved_fab(), cache=cache)
+            row_values[:, None], col_values[None, :], self._resolved_fab())
         out[...] = result.cost_per_transistor_dollars
 
 
@@ -252,14 +244,12 @@ class DieAreaCostSweep:
             f.defect_coefficient, f.size_exponent_p)))
 
     def evaluate_tile(self, row_values: np.ndarray, col_values: np.ndarray,
-                      out: np.ndarray, *,
-                      cache: BatchCache | None = None) -> None:
+                      out: np.ndarray) -> None:
         """Write C_tr for ``die areas × feature sizes`` into ``out``."""
         fab = self._resolved_fab()
         lam_sq_density = fab.design_density * col_values * col_values
         n_tr = row_values[:, None] * 1.0e8 / lam_sq_density[None, :]
-        result = transistor_cost_batch(
-            n_tr, col_values[None, :], fab, cache=cache)
+        result = transistor_cost_batch(n_tr, col_values[None, :], fab)
         out[...] = result.cost_per_transistor_dollars
 
 
@@ -285,8 +275,7 @@ class ScenarioSweep:
             f"{fn.__module__}.{getattr(fn, '__qualname__', fn)}")))
 
     def evaluate_tile(self, row_values: np.ndarray, col_values: np.ndarray,
-                      out: np.ndarray, *,
-                      cache: BatchCache | None = None) -> None:
+                      out: np.ndarray) -> None:
         """Write one curve slice per growth-rate row into ``out``."""
         for i, growth_rate in enumerate(row_values.tolist()):
             out[i, :] = self.scenario._curve(col_values, growth_rate)
@@ -335,13 +324,11 @@ class ChipletCrossoverSweep:
             m.probe_coverage)))
 
     def evaluate_tile(self, row_values: np.ndarray, col_values: np.ndarray,
-                      out: np.ndarray, *,
-                      cache: BatchCache | None = None) -> None:
+                      out: np.ndarray) -> None:
         """Write C_tr for ``chiplet counts × budgets`` into ``out``."""
         chiplet_cost_batch(
             col_values[None, :], self.feature_size_um,
-            row_values[:, None], self._resolved_model(),
-            cache=cache, out=out)
+            row_values[:, None], self._resolved_model(), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +420,8 @@ class SweepCheckpoint:
 # worker side
 # ---------------------------------------------------------------------------
 
-def _tile_worker(spec: Any, rows: np.ndarray, cols: np.ndarray, tile: Tile,
-                 use_cache: bool) -> np.ndarray:
+def _tile_worker(spec: Any, rows: np.ndarray, cols: np.ndarray,
+                 tile: Tile) -> np.ndarray:
     """Evaluate one tile into a fresh slab and return it.
 
     ``rows``/``cols`` are the tile's own slices of the two axes.  Runs
@@ -443,8 +430,7 @@ def _tile_worker(spec: Any, rows: np.ndarray, cols: np.ndarray, tile: Tile,
     """
     slab = np.empty(tile.shape, dtype=np.float64)
     with _span("sweep.tile", index=tile.index, points=tile.n_points):
-        spec.evaluate_tile(rows, cols, slab,
-                           cache=default_cache() if use_cache else None)
+        spec.evaluate_tile(rows, cols, slab)
     return slab
 
 
@@ -497,8 +483,7 @@ class TiledSweepRunner:
     def __init__(self, *, workers: int | None = None,
                  tile_size: int = DEFAULT_TILE_SIZE,
                  checkpoint_dir: str | os.PathLike | None = None,
-                 resume: bool = False,
-                 cache: Any = USE_DEFAULT_CACHE) -> None:
+                 resume: bool = False) -> None:
         self.workers = 1 if workers is None else int(workers)
         if self.workers < 1:
             raise ParameterError(
@@ -510,7 +495,6 @@ class TiledSweepRunner:
             raise ParameterError("resume=True requires checkpoint_dir")
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        self._cache = _resolve_cache(cache)
 
     def __enter__(self) -> "TiledSweepRunner":
         return self
@@ -648,8 +632,7 @@ class TiledSweepRunner:
                 spec.evaluate_tile(
                     rows[tile.row_lo:tile.row_hi],
                     cols[tile.col_lo:tile.col_hi],
-                    out[tile.row_lo:tile.row_hi, tile.col_lo:tile.col_hi],
-                    cache=self._cache)
+                    out[tile.row_lo:tile.row_hi, tile.col_lo:tile.col_hi])
             self._finish_tile(tile, out, checkpoint, on_tile, progress,
                               plan)
 
@@ -658,13 +641,12 @@ class TiledSweepRunner:
         # Waves of ~2 tiles per worker: enough in flight to keep the
         # pool busy, small enough that checkpoints and the progress
         # gauge advance throughout the run instead of once at the end.
-        use_cache = self._cache is not None
         wave = 2 * self.workers
         for start in range(0, len(pending), wave):
             tiles = pending[start:start + wave]
             slabs = _pool.run(_tile_worker, [
-                (spec, rows[t.row_lo:t.row_hi], cols[t.col_lo:t.col_hi],
-                 t, use_cache) for t in tiles], self.workers)
+                (spec, rows[t.row_lo:t.row_hi], cols[t.col_lo:t.col_hi], t)
+                for t in tiles], self.workers)
             for tile, slab in zip(tiles, slabs):
                 out[tile.row_lo:tile.row_hi, tile.col_lo:tile.col_hi] = slab
                 self._finish_tile(tile, out, checkpoint, on_tile,

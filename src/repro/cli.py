@@ -263,11 +263,7 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     import numpy as np
 
-    from .batch.sweep import (
-        ChipletCrossoverSweep,
-        FabCostSweep,
-        TiledSweepRunner,
-    )
+    from .batch.sweep import ChipletCrossoverSweep, FabCostSweep
     if args.ntr_points < 1 or args.lam_points < 1:
         raise ParameterError("--ntr-points and --lam-points must be >= 1")
     counts = np.geomspace(args.ntr_lo, args.ntr_hi, args.ntr_points)
@@ -283,30 +279,13 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         spec = FabCostSweep()
         row_values = counts
         col_values = np.linspace(args.lam_lo, args.lam_hi, args.lam_points)
-    with TiledSweepRunner(workers=args.workers,
-                          tile_size=args.tile_size,
-                          checkpoint_dir=args.checkpoint,
-                          resume=args.resume) as runner:
-        result = runner.run(spec, row_values, col_values)
-    if args.output:
-        np.save(args.output, result.values)
-    grid = result.values
-    finite = np.isfinite(grid)
-    stats = result.stats
-    rows = [
-        ("grid points", float(grid.size)),
-        ("feasible cells", float(np.count_nonzero(finite))),
-        ("tiles (computed/resumed/total)",
-         f"{stats['tiles_computed']} / {stats['tiles_resumed']} / "
-         f"{stats['tiles_total']}"),
-        ("tile shape", f"{stats['tile_rows']} x {stats['tile_cols']}"),
-        ("workers", float(stats["workers"])),
-        ("seconds", stats["seconds"]),
-    ]
+    result, summary = _run_sweep(args, spec, row_values, col_values)
+    rows = list(summary.items())
     at = result.argmin()
     if at is not None:
         i, j = at
-        rows.append(("min cost per transistor [$1e-6]", grid[i, j] * 1e6))
+        rows.append(("min cost per transistor [$1e-6]",
+                     result.values[i, j] * 1e6))
         if args.spec == "chiplet":
             rows += [
                 ("optimal chiplet count", float(row_values[i])),
@@ -317,15 +296,54 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                 ("optimal feature size [um]", float(col_values[j])),
                 ("optimal transistor count", float(row_values[i])),
             ]
-    if args.spec == "chiplet" and args.k_max > 1:
-        mono = grid[0]
-        for i in range(1, grid.shape[0]):
-            wins = finite[i] & (grid[i] < mono)
-            first = int(np.argmax(wins)) if wins.any() else None
-            rows.append((
-                f"crossover k={int(row_values[i])} [N_tr]",
-                float(col_values[first]) if first is not None
-                else float("nan")))
+    if args.spec == "chiplet":
+        rows += _crossover_rows(result.values, row_values, col_values)
+    _print_summary(args, rows)
+
+
+def _run_sweep(args: argparse.Namespace, spec: object, row_values,
+               col_values) -> tuple:
+    # The tiled run shared by `sweep` and `chiplet --sweep`: the pool,
+    # checkpoint and --output flags, then the summary rows both print.
+    import numpy as np
+
+    from .batch.sweep import TiledSweepRunner
+    with TiledSweepRunner(workers=args.workers,
+                          tile_size=args.tile_size,
+                          checkpoint_dir=args.checkpoint,
+                          resume=args.resume) as runner:
+        result = runner.run(spec, row_values, col_values)
+    if args.output:
+        np.save(args.output, result.values)
+    stats = result.stats
+    summary = {
+        "grid points": float(result.values.size),
+        "feasible cells": float(np.count_nonzero(np.isfinite(result.values))),
+        "tiles (computed/resumed/total)":
+            f"{stats['tiles_computed']} / {stats['tiles_resumed']} / "
+            f"{stats['tiles_total']}",
+        "tile shape": f"{stats['tile_rows']} x {stats['tile_cols']}",
+        "workers": float(stats["workers"]),
+        "seconds": stats["seconds"],
+    }
+    return result, summary
+
+
+def _crossover_rows(grid, ks, counts) -> list[tuple[str, float]]:
+    # Per chiplet count k > 1 (grid rows after the monolithic first),
+    # the smallest budget at which k chiplets cost less; NaN if none.
+    import numpy as np
+    finite = np.isfinite(grid)
+    rows = []
+    for i in range(1, grid.shape[0]):
+        wins = finite[i] & (grid[i] < grid[0])
+        rows.append((f"crossover k={int(ks[i])} [N_tr]",
+                     float(counts[int(np.argmax(wins))]) if wins.any()
+                     else float("nan")))
+    return rows
+
+
+def _print_summary(args: argparse.Namespace, rows: list) -> None:
     if args.output:
         rows.append(("saved grid", args.output))
     print(ascii_table(("quantity", "value"), rows))
@@ -340,7 +358,7 @@ def _chiplet_model(args: argparse.Namespace):
 def _chiplet_sweep(args: argparse.Namespace) -> None:
     import numpy as np
 
-    from .batch.sweep import ChipletCrossoverSweep, TiledSweepRunner
+    from .batch.sweep import ChipletCrossoverSweep
     if args.k_max < 2:
         raise ParameterError("--k-max must be >= 2 for a crossover sweep")
     if args.ntr_points < 2:
@@ -349,37 +367,13 @@ def _chiplet_sweep(args: argparse.Namespace) -> None:
                                  model=_chiplet_model(args))
     ks = np.arange(1, args.k_max + 1, dtype=float)
     counts = np.geomspace(args.ntr_lo, args.ntr_hi, args.ntr_points)
-    with TiledSweepRunner(workers=args.workers,
-                          tile_size=args.tile_size,
-                          checkpoint_dir=args.checkpoint,
-                          resume=args.resume) as runner:
-        result = runner.run(spec, ks, counts)
-    grid = result.values
-    if args.output:
-        np.save(args.output, grid)
-    finite = np.isfinite(grid)
-    stats = result.stats
-    rows = [
-        ("feature size [um]", args.feature_size),
-        ("grid points", float(grid.size)),
-        ("feasible cells", float(np.count_nonzero(finite))),
-        ("workers", float(stats["workers"])),
-        ("tiles (computed/resumed/total)",
-         f"{stats['tiles_computed']} / {stats['tiles_resumed']} / "
-         f"{stats['tiles_total']}"),
-        ("seconds", stats["seconds"]),
-    ]
-    mono = grid[0]
-    for i in range(1, grid.shape[0]):
-        wins = finite[i] & (grid[i] < mono)
-        if wins.any():
-            value = float(counts[int(np.argmax(wins))])
-        else:
-            value = float("nan")
-        rows.append((f"crossover k={int(ks[i])} [N_tr]", value))
-    if args.output:
-        rows.append(("saved grid", args.output))
-    print(ascii_table(("quantity", "value"), rows))
+    result, summary = _run_sweep(args, spec, ks, counts)
+    rows = [("feature size [um]", args.feature_size)]
+    rows += [(name, summary[name]) for name in (
+        "grid points", "feasible cells", "workers",
+        "tiles (computed/resumed/total)", "seconds")]
+    rows += _crossover_rows(result.values, ks, counts)
+    _print_summary(args, rows)
 
 
 def _cmd_chiplet(args: argparse.Namespace) -> None:

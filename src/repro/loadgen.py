@@ -85,34 +85,34 @@ class RequestSpec:
 
 
 def _reference_costs(points: Sequence[tuple[float, float]],
-                     cache: dict[tuple[float, float], float]) -> tuple:
+                     memo: dict[tuple[float, float], float]) -> tuple:
     out = []
     for n, lam in points:
         key = (n, lam)
-        if key not in cache:
-            cache[key] = scalar_reference_cost(FabCostQuery(n, lam))
-        out.append(cache[key])
+        if key not in memo:
+            memo[key] = scalar_reference_cost(FabCostQuery(n, lam))
+        out.append(memo[key])
     return tuple(out)
 
 
 def _point_reference(n: float, lam: float,
-                     cache: dict[tuple[float, float], float]) -> float:
+                     memo: dict[tuple[float, float], float]) -> float:
     """Scalar reference for a bare point-field body (server defaults)."""
     key = ("point", n, lam)
-    if key not in cache:
-        cache[key] = scalar_reference_cost(point_to_query(
+    if key not in memo:
+        memo[key] = scalar_reference_cost(point_to_query(
             {"transistors": n, "feature_size": lam}))
-    return cache[key]
+    return memo[key]
 
 
 def _chiplet_reference(query: ChipletCostQuery,
-                       cache: dict[Any, float]) -> float:
+                       memo: dict[Any, float]) -> float:
     """Scalar reference for one chiplet assembly query."""
     key = ("chiplet", query.n_transistors, query.feature_size_um,
            query.signature())
-    if key not in cache:
-        cache[key] = scalar_reference_cost(query)
-    return cache[key]
+    if key not in memo:
+        memo[key] = scalar_reference_cost(query)
+    return memo[key]
 
 
 def build_workload(n_requests: int, *,
@@ -274,7 +274,7 @@ def _served_costs(spec: RequestSpec, payload: Any) -> list[float]:
 
 
 def _optimize_mismatches(spec: RequestSpec, payload: Any,
-                         cache: dict[Any, Any]) -> tuple[int, int]:
+                         memo: dict[Any, Any]) -> tuple[int, int]:
     """(checked, mismatched) for one optimize response, bitwise."""
     from .core.optimization import optimal_feature_size_for_die_area
 
@@ -283,9 +283,9 @@ def _optimize_mismatches(spec: RequestSpec, payload: Any,
     costs = payload["cost_per_transistor_dollars"]
     for area, lam, cost in zip(spec.die_areas or (), lams, costs):
         key = ("opt", area)
-        if key not in cache:
-            cache[key] = optimal_feature_size_for_die_area(area)
-        ref_lam, ref_cost = cache[key]
+        if key not in memo:
+            memo[key] = optimal_feature_size_for_die_area(area)
+        ref_lam, ref_cost = memo[key]
         checked += 1
         if lam != ref_lam or cost != ref_cost:
             mismatched += 1

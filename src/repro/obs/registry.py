@@ -5,7 +5,7 @@ three metric kinds:
 
 * **Counter** — a monotonically increasing total
   (``batch.cache.hits``, ``mc.wafers_simulated``),
-* **Gauge** — a last-written value (``batch.cache.entries``),
+* **Gauge** — a last-written value (``serve.queue.depth``),
 * **Histogram** — a running summary of observations: count, sum, min,
   max, mean (``mc.worker.wall_seconds``).
 

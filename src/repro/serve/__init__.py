@@ -25,7 +25,8 @@ Pieces:
   ``max_batch_size`` requests with one flusher at a time, signature
   coalescing + point dedup, inline pricing of each group on the
   flushing thread (:class:`~repro.serve.backend.ThreadBackend`,
-  sharing the :class:`~repro.batch.cache.BatchCache`), and
+  whose kernels memoize in the process-wide
+  :func:`~repro.batch.cache.default_cache`), and
   :mod:`repro.obs` spans/metrics per flush.
 * :class:`~repro.serve.service.CostService` — the thread-safe
   synchronous client, whose waits flush inline;

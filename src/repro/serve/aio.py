@@ -37,7 +37,6 @@ import asyncio
 import threading
 from typing import Any, Callable, Iterable, TypeVar
 
-from ..batch.engine import USE_DEFAULT_CACHE
 from ..errors import BackpressureError
 from .query import CostQuery, ServedCost
 from .scheduler import CostTicket, MicroBatchScheduler
@@ -68,8 +67,7 @@ class AsyncCostService:
                  max_batch_size: int = 256,
                  max_queue_depth: int = 10_000,
                  flush_history: int = 0,
-                 record: Any = None,
-                 cache: Any = USE_DEFAULT_CACHE) -> None:
+                 record: Any = None) -> None:
         if service is not None:
             self.scheduler: MicroBatchScheduler = service.scheduler
             self._owns_scheduler = False
@@ -77,7 +75,7 @@ class AsyncCostService:
             self.scheduler = MicroBatchScheduler(
                 max_batch_size=max_batch_size,
                 max_queue_depth=max_queue_depth,
-                flush_history=flush_history, record=record, cache=cache)
+                flush_history=flush_history, record=record)
             self._owns_scheduler = True
         # The loop whose flush callback is scheduled and has not run.
         self._flush_loop: asyncio.AbstractEventLoop | None = None

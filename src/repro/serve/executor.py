@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..batch.cache import BatchCache
 from ..batch.engine import chiplet_cost_batch, evaluate_batch, \
     transistor_cost_batch
 from ..errors import ParameterError
@@ -100,32 +99,29 @@ class GroupResult:
             feasible=bool(feasible[slot]))
 
 
-def _fab_result(exemplar, n: np.ndarray, lam: np.ndarray,
-                cache: BatchCache | None) -> tuple:
-    r = transistor_cost_batch(n, lam, exemplar.fab, cache=cache)
+def _fab_result(exemplar, n: np.ndarray, lam: np.ndarray) -> tuple:
+    r = transistor_cost_batch(n, lam, exemplar.fab)
     return r, r.die_area_cm2, r.yield_value
 
 
-def _model_result(exemplar, n: np.ndarray, lam: np.ndarray,
-                  cache: BatchCache | None) -> tuple:
+def _model_result(exemplar, n: np.ndarray, lam: np.ndarray) -> tuple:
     r = evaluate_batch(
         exemplar.model, n_transistors=n, feature_sizes_um=lam,
         design_density=exemplar.design_density,
         yield_model=exemplar.yield_model,
         defect_density_per_cm2=exemplar.defect_density_per_cm2,
         yield_value=exemplar.yield_value,
-        aspect_ratio=exemplar.aspect_ratio, cache=cache)
+        aspect_ratio=exemplar.aspect_ratio)
     return r, r.die_area_cm2, r.yield_value
 
 
-def _chiplet_result(exemplar, n: np.ndarray, lam: np.ndarray,
-                    cache: BatchCache | None) -> tuple:
+def _chiplet_result(exemplar, n: np.ndarray, lam: np.ndarray) -> tuple:
     # The ServedCost projection: die_area is the per-chiplet area,
     # dies_per_wafer the per-chiplet eq.-(4) count, yield_value the
     # effective (probe × assembly) system yield — the quantities the
     # eq.-(1)-shaped cost composes.
     r = chiplet_cost_batch(n, lam, float(exemplar.chiplets),
-                           exemplar.model, cache=cache)
+                           exemplar.model)
     return r, r.chiplet_area_cm2, r.effective_yield
 
 
@@ -133,8 +129,8 @@ _KERNELS = {"fab": _fab_result, "model": _model_result,
             "chiplet": _chiplet_result}
 
 
-def execute_group(exemplar: CostQuery, points: list[tuple[float, float]],
-                  *, cache: BatchCache | None = None) -> GroupResult:
+def execute_group(exemplar: CostQuery,
+                  points: list[tuple[float, float]]) -> GroupResult:
     """Price one coalesced group of unique ``(N_tr, λ)`` points.
 
     ``exemplar`` is any query of the group (they share a signature, so
@@ -147,7 +143,7 @@ def execute_group(exemplar: CostQuery, points: list[tuple[float, float]],
         raise ParameterError(f"unknown query kind {exemplar.kind!r}")
     n = np.array([p[0] for p in points], dtype=np.float64)
     lam = np.array([p[1] for p in points], dtype=np.float64)
-    r, area, y = kernel(exemplar, n, lam, cache)
+    r, area, y = kernel(exemplar, n, lam)
     return GroupResult(
         n_transistors=n, feature_sizes_um=lam,
         wafer_cost_dollars=r.wafer_cost_dollars, die_area_cm2=area,

@@ -23,8 +23,8 @@ traffic allows.  The scheduler starts no thread of its own:
    callers).
 3. **Execute** — each group is priced inline by
    :meth:`~repro.serve.backend.ThreadBackend.run_group`, which runs
-   :func:`repro.serve.executor.execute_group` against the shared
-   :class:`~repro.batch.cache.BatchCache`.  A group of several unique
+   :func:`repro.serve.executor.execute_group` against the process-wide
+   :func:`~repro.batch.cache.default_cache`.  A group of several unique
    points that raises is priced again point by point, so each request
    gets its own point's cost or its own point's exception.
 4. **Fan out** — tickets are completed under one condition broadcast
@@ -58,8 +58,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from ..batch.cache import BatchCache
-from ..batch.engine import USE_DEFAULT_CACHE, _resolve_cache
 from ..errors import (
     BackpressureError,
     ParameterError,
@@ -220,17 +218,12 @@ class MicroBatchScheduler:
         backend, and served cost.  ``None`` (default) disables
         recording.  The file is appended to and flushed once per
         scheduler flush (crash loses at most the final line).
-    cache:
-        The :class:`~repro.batch.cache.BatchCache` shared by every
-        flush (and safely by other users — it is thread-safe).
-        Defaults to the process-wide cache; pass ``None`` to disable.
     """
 
     def __init__(self, *, max_batch_size: int = 256,
                  max_queue_depth: int = 10_000,
                  flush_history: int = 0,
-                 record: str | os.PathLike | None = None,
-                 cache: Any = USE_DEFAULT_CACHE) -> None:
+                 record: str | os.PathLike | None = None) -> None:
         if max_batch_size < 1:
             raise ParameterError(
                 f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -246,7 +239,6 @@ class MicroBatchScheduler:
         self._recorder: QueryRecorder | None = \
             QueryRecorder(record) if record is not None else None
         self._flush_count = 0
-        self.cache: BatchCache | None = _resolve_cache(cache)
         self._backend = ThreadBackend()
         self._history: deque[FlushRecord] | None = \
             deque(maxlen=flush_history) if flush_history else None
@@ -453,8 +445,8 @@ class MicroBatchScheduler:
                    groups=len(groups)) as sp:
             for sig, group in groups.items():
                 try:
-                    result = backend.run_group(
-                        group.exemplar, group.points, self.cache)
+                    result = backend.run_group(group.exemplar,
+                                               group.points)
                 except BaseException as exc:  # propagate to the waiters
                     if isinstance(exc, Exception) and len(group.points) > 1:
                         self._run_pointwise(group)
@@ -504,8 +496,7 @@ class MicroBatchScheduler:
             by_slot[ticket._slot].append(ticket)
         for point, members in zip(group.points, by_slot):
             try:
-                result = self._backend.run_group(group.exemplar, [point],
-                                                 self.cache)
+                result = self._backend.run_group(group.exemplar, [point])
             except BaseException as exc:  # propagate to the waiters
                 self._complete(members, None, exc)
             else:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from ..batch.engine import USE_DEFAULT_CACHE
 from .query import CostQuery, ServedCost
 from .scheduler import CostTicket, MicroBatchScheduler
 
@@ -43,18 +42,17 @@ class CostService:
     Keyword arguments are forwarded verbatim to
     :class:`~repro.serve.scheduler.MicroBatchScheduler` — see it for
     the tuning surface (``max_batch_size``, ``max_queue_depth``,
-    ``flush_history``, ``record``, ``cache``).
+    ``flush_history``, ``record``).
     """
 
     def __init__(self, *, max_batch_size: int = 256,
                  max_queue_depth: int = 10_000,
                  flush_history: int = 0,
-                 record: Any = None,
-                 cache: Any = USE_DEFAULT_CACHE) -> None:
+                 record: Any = None) -> None:
         self.scheduler = MicroBatchScheduler(
             max_batch_size=max_batch_size,
             max_queue_depth=max_queue_depth,
-            flush_history=flush_history, record=record, cache=cache)
+            flush_history=flush_history, record=record)
 
     # -- lifecycle -------------------------------------------------------
 

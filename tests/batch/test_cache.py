@@ -1,13 +1,22 @@
-"""Tests for :mod:`repro.batch.cache`."""
+"""Tests for :mod:`repro.batch.cache`.
+
+Every test runs on the process-wide :func:`default_cache`, emptied
+before each test (``tests/conftest.py``); its traffic is read from the
+``batch.cache.{hits,misses,evictions}`` metrics (``cache_counts``).
+"""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.batch import BatchCache, default_cache
-from repro.batch.cache import array_fingerprint
-from repro.errors import ParameterError
+from repro.batch import default_cache
+from repro.batch.cache import MAX_ENTRIES, BatchCache, array_fingerprint
+
+
+def _fill(cache, keys):
+    for key in keys:
+        cache.get_or_compute(key, lambda: np.array([1.0]))
 
 
 class TestArrayFingerprint:
@@ -30,8 +39,8 @@ class TestArrayFingerprint:
 
 
 class TestBatchCache:
-    def test_miss_then_hit_returns_same_object(self):
-        cache = BatchCache()
+    def test_miss_then_hit_returns_same_object(self, cache_counts):
+        cache = default_cache()
         calls = []
 
         def compute():
@@ -42,88 +51,80 @@ class TestBatchCache:
         second = cache.get_or_compute("k", compute)
         assert first is second
         assert len(calls) == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        assert (cache_counts("hits"), cache_counts("misses")) == (1, 1)
 
     def test_cached_arrays_are_read_only(self):
-        cache = BatchCache()
-        arr = cache.get_or_compute("k", lambda: np.array([1.0]))
+        arr = default_cache().get_or_compute("k", lambda: np.array([1.0]))
         with pytest.raises(ValueError):
             arr[0] = 9.0
 
     def test_distinct_keys_distinct_entries(self):
-        cache = BatchCache()
+        cache = default_cache()
         a = cache.get_or_compute(("x", 1), lambda: np.array([1.0]))
         b = cache.get_or_compute(("x", 2), lambda: np.array([2.0]))
         assert a[0] == 1.0 and b[0] == 2.0
         assert len(cache) == 2
 
     def test_lru_eviction(self):
-        cache = BatchCache(max_entries=2)
-        cache.get_or_compute("a", lambda: np.array([1.0]))
-        cache.get_or_compute("b", lambda: np.array([2.0]))
-        cache.get_or_compute("a", lambda: np.array([1.0]))  # refresh "a"
-        cache.get_or_compute("c", lambda: np.array([3.0]))  # evicts "b"
+        cache = default_cache()
+        _fill(cache, range(MAX_ENTRIES))
+        _fill(cache, [0])              # refresh key 0
+        _fill(cache, ["new"])          # evicts key 1, the oldest
+        assert len(cache) == MAX_ENTRIES
         calls = []
-        cache.get_or_compute("a", lambda: calls.append(1) or np.array([1.0]))
-        assert not calls  # "a" survived
-        cache.get_or_compute("b", lambda: calls.append(1) or np.array([2.0]))
-        assert calls  # "b" was evicted
+        cache.get_or_compute(0, lambda: calls.append(1) or np.array([1.0]))
+        assert not calls  # key 0 survived
+        cache.get_or_compute(1, lambda: calls.append(1) or np.array([1.0]))
+        assert calls  # key 1 was evicted
 
-    def test_clear_keeps_counters(self):
-        cache = BatchCache()
-        cache.get_or_compute("k", lambda: np.array([1.0]))
+    def test_clear_keeps_counters(self, cache_counts):
+        # clear() drops the entries; the metrics keep their totals.
+        cache = default_cache()
+        _fill(cache, ["k"])
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.misses == 1
+        assert cache_counts("misses") == 1
 
-    def test_evictions_counted_under_lru_pressure(self):
-        cache = BatchCache(max_entries=2)
-        for key in ("a", "b", "c", "d"):
-            cache.get_or_compute(key, lambda: np.array([1.0]))
-        assert cache.stats.evictions == 2
-        assert cache.stats.misses == 4
+    def test_evictions_counted_under_lru_pressure(self, cache_counts):
+        _fill(default_cache(), range(MAX_ENTRIES + 2))
+        assert cache_counts("evictions") == 2
+        assert cache_counts("misses") == MAX_ENTRIES + 2
 
-    def test_no_pressure_no_evictions(self):
-        cache = BatchCache(max_entries=8)
-        for key in ("a", "b", "c"):
-            cache.get_or_compute(key, lambda: np.array([1.0]))
-        assert cache.stats.evictions == 0
+    def test_no_pressure_no_evictions(self, cache_counts):
+        _fill(default_cache(), range(MAX_ENTRIES))
+        assert cache_counts("evictions") == 0
 
-    def test_clear_is_not_an_eviction(self):
-        cache = BatchCache(max_entries=2)
-        cache.get_or_compute("a", lambda: np.array([1.0]))
-        cache.get_or_compute("b", lambda: np.array([2.0]))
+    def test_clear_is_not_an_eviction(self, cache_counts):
+        cache = default_cache()
+        _fill(cache, ["a", "b"])
         cache.clear()
-        assert cache.stats.evictions == 0
+        assert cache_counts("evictions") == 0
 
-    def test_evictions_survive_clear(self):
-        cache = BatchCache(max_entries=1)
-        cache.get_or_compute("a", lambda: np.array([1.0]))
-        cache.get_or_compute("b", lambda: np.array([2.0]))  # evicts "a"
+    def test_evictions_survive_clear(self, cache_counts):
+        cache = default_cache()
+        _fill(cache, range(MAX_ENTRIES + 1))  # evicts key 0
         cache.clear()
-        assert cache.stats.evictions == 1
+        assert cache_counts("evictions") == 1
 
-    def test_untouched_hit_rate_zero(self):
-        # Regression pin: hits + misses == 0 must yield 0.0, not a
-        # ZeroDivisionError — a service polls stats before traffic.
-        assert BatchCache().stats.hit_rate == 0.0
+    def test_untouched_hit_rate_zero(self, cache_counts):
+        # No lookup, no traffic: both counters read 0.
+        assert len(default_cache()) == 0
+        assert cache_counts("hits") == cache_counts("misses") == 0
 
-    def test_hit_rate_zero_after_clear_without_traffic(self):
-        cache = BatchCache()
-        cache.clear()
-        assert cache.stats.hit_rate == 0.0
+    def test_hit_rate_zero_after_clear_without_traffic(self, cache_counts):
+        default_cache().clear()
+        assert cache_counts("hits") == cache_counts("misses") == 0
 
-    def test_hit_rate_reflects_lifetime_traffic(self):
-        cache = BatchCache()
-        cache.get_or_compute("k", lambda: np.array([1.0]))
-        for _ in range(3):
-            cache.get_or_compute("k", lambda: np.array([1.0]))
-        assert cache.stats.hit_rate == 0.75
+    def test_hit_rate_reflects_lifetime_traffic(self, cache_counts):
+        _fill(default_cache(), ["k"] * 4)
+        hits, misses = cache_counts("hits"), cache_counts("misses")
+        assert (hits, misses) == (3, 1)
+        assert hits / (hits + misses) == 0.75
 
     def test_invalid_max_entries(self):
-        with pytest.raises(ParameterError):
+        # The bound is a module constant, not a constructor option.
+        assert MAX_ENTRIES == 128
+        with pytest.raises(TypeError):
             BatchCache(max_entries=0)
 
     def test_default_cache_is_singleton(self):
@@ -131,17 +132,17 @@ class TestBatchCache:
 
 
 class TestConcurrentAccess:
-    """Regression: one BatchCache shared by concurrent sweeps.
+    """Regression: the one cache shared by concurrent flushes and sweeps.
 
-    The serve scheduler hands the same cache to every flush (and a
-    worker pool may hit it from several threads at once), so lookups,
-    insertions, evictions, ``len()`` and ``stats`` must all stay
-    coherent under contention.
+    Every scheduler flush and every in-process sweep tile of the
+    process goes through the same cache, so lookups, insertions,
+    evictions and ``len()`` must all stay coherent under contention.
     """
 
-    def test_hammered_cache_stays_consistent(self):
-        cache = BatchCache(max_entries=16)
-        n_threads, per_thread = 8, 200
+    def test_hammered_cache_stays_consistent(self, cache_counts):
+        cache = default_cache()
+        n_threads, per_thread = 8, 400
+        n_keys = MAX_ENTRIES + 16  # contended + evicting key set
         barrier = threading.Barrier(n_threads)
         errors = []
 
@@ -149,13 +150,12 @@ class TestConcurrentAccess:
             try:
                 barrier.wait()
                 for i in range(per_thread):
-                    key = ("k", i % 24)  # contended + evicting key set
+                    key = ("k", (i + tid) % n_keys)
                     value = cache.get_or_compute(
-                        key, lambda i=i: np.array([float(i % 24)]))
+                        key, lambda i=i: np.array([float(i % n_keys)]))
                     assert value.shape == (1,)
                     assert not value.flags.writeable
                     len(cache)          # must never race the evictor
-                    cache.stats         # snapshot under contention
             except BaseException as exc:
                 errors.append(exc)
 
@@ -166,13 +166,14 @@ class TestConcurrentAccess:
         for t in threads:
             t.join()
         assert not errors
-        stats = cache.stats
         # Every lookup is either a hit or a miss — none lost to races.
-        assert stats.hits + stats.misses == n_threads * per_thread
-        assert stats.entries == len(cache) <= 16
+        lookups = cache_counts("hits") + cache_counts("misses")
+        assert lookups == n_threads * per_thread
+        assert cache_counts("evictions") > 0
+        assert len(cache) == MAX_ENTRIES
 
-    def test_concurrent_same_key_returns_equal_arrays(self):
-        cache = BatchCache()
+    def test_concurrent_same_key_returns_equal_arrays(self, cache_counts):
+        cache = default_cache()
         results = [None] * 6
         barrier = threading.Barrier(len(results))
 
@@ -188,8 +189,7 @@ class TestConcurrentAccess:
         for t in threads:
             t.join()
         assert all(np.array_equal(r, np.array([42.0])) for r in results)
-        stats = cache.stats
-        assert stats.hits + stats.misses == len(results)
+        assert cache_counts("hits") + cache_counts("misses") == len(results)
         # A same-key race may compute more than once, but the cache
         # must keep exactly one live entry for the key.
-        assert stats.entries == 1
+        assert len(cache) == 1

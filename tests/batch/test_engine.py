@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from repro.batch import (
-    BatchCache,
-    CacheStats,
     chiplet_cost_batch,
+    default_cache,
     dies_per_wafer_batch,
     evaluate_batch,
     scaled_poisson_yield_batch,
@@ -84,25 +83,24 @@ class TestGenerationsBatch:
     def test_matches_scalar_law(self, law):
         model = WaferCostModel(reference_cost_dollars=700.0,
                                cost_growth_rate=1.8, generation_model=law)
-        costs = wafer_cost_batch(model, LAMS, cache=None)
+        costs = wafer_cost_batch(model, LAMS)
         for k, lam in enumerate(LAMS):
             assert _bits(costs[k]) == _bits(model.pure_cost(float(lam)))
 
     def test_rejects_bad_shrink(self):
         with pytest.raises(ParameterError):
-            wafer_cost_batch(WaferCostModel(shrink=1.5), LAMS, cache=None)
+            wafer_cost_batch(WaferCostModel(shrink=1.5), LAMS)
 
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(ParameterError):
-            wafer_cost_batch(WaferCostModel(), np.array([0.5, -1.0]),
-                             cache=None)
+            wafer_cost_batch(WaferCostModel(), np.array([0.5, -1.0]))
 
 
 class TestWaferCostBatch:
     def test_pure_cost_parity(self):
         model = WaferCostModel(reference_cost_dollars=700.0,
                                cost_growth_rate=1.8)
-        costs = wafer_cost_batch(model, LAMS, cache=None)
+        costs = wafer_cost_batch(model, LAMS)
         for k, lam in enumerate(LAMS):
             assert _bits(costs[k]) == _bits(model.pure_cost(float(lam)))
 
@@ -110,8 +108,7 @@ class TestWaferCostBatch:
         model = WaferCostModel(reference_cost_dollars=700.0,
                                cost_growth_rate=1.8,
                                overhead_dollars=1e6)
-        costs = wafer_cost_batch(model, LAMS, volume_wafers=2500.0,
-                                 cache=None)
+        costs = wafer_cost_batch(model, LAMS, volume_wafers=2500.0)
         for k, lam in enumerate(LAMS):
             assert _bits(costs[k]) \
                 == _bits(model.cost_at_volume(float(lam), 2500.0))
@@ -123,7 +120,7 @@ class TestWaferCostBatch:
         with pytest.raises(OverflowError):
             model.pure_cost(1e-160)
         with pytest.raises(OverflowError):
-            wafer_cost_batch(model, [0.8, 1e-160], cache=None)
+            wafer_cost_batch(model, [0.8, 1e-160])
 
 
 class TestDiesPerWaferBatch:
@@ -132,8 +129,7 @@ class TestDiesPerWaferBatch:
         areas = np.geomspace(0.01, 50.0, 40)
         dies = [Die.from_area(float(a)) for a in areas]
         counts = dies_per_wafer_batch(wafer, [d.width_cm for d in dies],
-                                      [d.height_cm for d in dies],
-                                      cache=None)
+                                      [d.height_cm for d in dies])
         assert counts.dtype == np.int64
         assert counts.tolist() == [dies_per_wafer_maly(wafer, d)
                                    for d in dies]
@@ -144,7 +140,7 @@ class TestDiesPerWaferBatch:
         for radius, side in ((5.0, 1.0), (4.0, 0.8), (9.0, 1.8),
                              (11.0, 2.2)):
             wafer = Wafer(radius_cm=radius)
-            counts = dies_per_wafer_batch(wafer, [side], [side], cache=None)
+            counts = dies_per_wafer_batch(wafer, [side], [side])
             assert int(counts[0]) == 64 \
                 == dies_per_wafer_maly(wafer, Die.square(side))
 
@@ -152,18 +148,17 @@ class TestDiesPerWaferBatch:
         wafer = Wafer(radius_cm=10.0, edge_exclusion_cm=0.4)
         die = Die(width_cm=0.9, height_cm=1.2, scribe_cm=0.02)
         counts = dies_per_wafer_batch(wafer, [die.width_cm], [die.height_cm],
-                                      scribe_cm=0.02, cache=None)
+                                      scribe_cm=0.02)
         assert int(counts[0]) == dies_per_wafer_maly(wafer, die)
 
     def test_oversize_die_counts_zero(self):
         wafer = Wafer(radius_cm=5.0)
-        counts = dies_per_wafer_batch(wafer, [11.0, 1.0], [1.0, 11.0],
-                                      cache=None)
+        counts = dies_per_wafer_batch(wafer, [11.0, 1.0], [1.0, 11.0])
         assert counts.tolist() == [0, 0]
         # However thin: a die wider than the wafer counts 0 before its
         # 1e10 rows would reach the row guard, on both paths.
-        assert dies_per_wafer_batch(wafer, [11.0, 1.0], [1e-9, 1.0],
-                                    cache=None).tolist()[0] == 0
+        assert dies_per_wafer_batch(
+            wafer, [11.0, 1.0], [1e-9, 1.0]).tolist()[0] == 0
         assert dies_per_wafer_maly(
             wafer, Die(width_cm=11.0, height_cm=1e-9)) == 0
         # Width 2R·(1 + 1e-12) and 50,000 rows of height: on the rows
@@ -175,15 +170,14 @@ class TestDiesPerWaferBatch:
         small = Die.square(1.0)
         counts = dies_per_wafer_batch(
             wafer, [wide.width_cm, small.width_cm],
-            [wide.height_cm, small.height_cm], cache=None)
+            [wide.height_cm, small.height_cm])
         assert counts.tolist() == [0, dies_per_wafer_maly(wafer, small)]
         assert dies_per_wafer_maly(wafer, wide) == 0
 
     def test_broadcasts_width_against_height(self):
         wafer = Wafer(radius_cm=7.5)
         counts = dies_per_wafer_batch(
-            wafer, np.array([[0.5], [1.0]]), np.array([[0.5, 1.0]]),
-            cache=None)
+            wafer, np.array([[0.5], [1.0]]), np.array([[0.5, 1.0]]))
         assert counts.shape == (2, 2)
         for i, w in enumerate((0.5, 1.0)):
             for j, h in enumerate((0.5, 1.0)):
@@ -200,7 +194,7 @@ class TestDiesPerWaferBatch:
         heights = rng.uniform(0.03, 0.12, 2400)
         rows = np.floor(2.0 * wafer.usable_radius_cm / heights)
         assert (rows + 2).sum() > 8 * _ROW_CHUNK_BUDGET
-        counts = dies_per_wafer_batch(wafer, widths, heights, cache=None)
+        counts = dies_per_wafer_batch(wafer, widths, heights)
         assert counts.tolist() == [
             dies_per_wafer_maly(wafer, Die(width_cm=float(w),
                                            height_cm=float(h)))
@@ -234,8 +228,7 @@ class TestDiesPerWaferBatch:
         wafer = Wafer(radius_cm=7.5)
         for height in (1e-9, 1e-300, 5e-324):
             with pytest.raises(ParameterError, match="wafer rows"):
-                dies_per_wafer_batch(wafer, [1.0, 1.0], [1.0, height],
-                                     cache=None)
+                dies_per_wafer_batch(wafer, [1.0, 1.0], [1.0, height])
             with pytest.raises(ParameterError, match="wafer rows"):
                 dies_per_wafer_maly(wafer,
                                     Die(width_cm=1.0, height_cm=height))
@@ -249,12 +242,12 @@ class TestDiesPerWaferBatch:
         over = span / (MAX_WAFER_ROWS * (1.0 + 1e-9))
         assert span / under < MAX_WAFER_ROWS < span / over
         die = Die(width_cm=2.0, height_cm=under)
-        assert int(dies_per_wafer_batch(wafer, 2.0, under, cache=None)) \
+        assert int(dies_per_wafer_batch(wafer, 2.0, under)) \
             == dies_per_wafer_maly(wafer, die)
         with pytest.raises(ParameterError):
             dies_per_wafer_maly(wafer, Die(width_cm=2.0, height_cm=over))
         with pytest.raises(ParameterError):
-            dies_per_wafer_batch(wafer, 2.0, over, cache=None)
+            dies_per_wafer_batch(wafer, 2.0, over)
 
     def test_peak_allocation_stays_within_nine_budgets(self):
         # 65,536 dies of 100-375 rows, whose unchunked chord matrix
@@ -268,7 +261,7 @@ class TestDiesPerWaferBatch:
         budget_bytes = _ROW_CHUNK_BUDGET * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:
-            dies_per_wafer_batch(wafer, widths, heights, cache=None)
+            dies_per_wafer_batch(wafer, widths, heights)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -372,7 +365,7 @@ class TestYieldBatches:
         result = evaluate_batch(
             model, n_transistors=counts[:, None],
             feature_sizes_um=lams[None, :], design_density=150.0,
-            yield_model=law, defect_density_per_cm2=0.6, cache=None)
+            yield_model=law, defect_density_per_cm2=0.6)
         for i, n_tr in enumerate(counts):
             for j, lam in enumerate(lams):
                 scalar = model.evaluate(
@@ -391,8 +384,7 @@ class TestTransistorCostBatch:
     def test_fig8_grid_matches_scalar(self):
         lams = np.linspace(0.3, 2.0, 12)
         counts = np.geomspace(1e5, 1e7, 11)
-        result = transistor_cost_batch(counts[:, None], lams[None, :],
-                                       cache=None)
+        result = transistor_cost_batch(counts[:, None], lams[None, :])
         assert result.shape == (11, 12)
         for i, n_tr in enumerate(counts):
             for j, lam in enumerate(lams):
@@ -402,15 +394,13 @@ class TestTransistorCostBatch:
 
     def test_infeasible_cells_masked_not_raised(self):
         # 1e10 transistors at 2 µm is a die far larger than the wafer.
-        result = transistor_cost_batch(np.array([1e10]), np.array([2.0]),
-                                       cache=None)
+        result = transistor_cost_batch(np.array([1e10]), np.array([2.0]))
         assert not result.feasible[0]
         assert math.isinf(result.cost_per_transistor_dollars[0])
         assert result.n_feasible == 0
 
     def test_derived_properties(self):
-        result = transistor_cost_batch(np.array([1e6]), np.array([0.8]),
-                                       cache=None)
+        result = transistor_cost_batch(np.array([1e6]), np.array([0.8]))
         assert result.n_feasible == 1
         assert float(result.cost_per_transistor_microdollars[0]) == \
             float(result.cost_per_transistor_dollars[0]) * 1e6
@@ -421,23 +411,28 @@ class TestTransistorCostBatch:
             == float(result.wafer_cost_dollars[0]) / good
 
     def test_cost_per_good_die_inf_where_no_dies(self):
-        result = transistor_cost_batch(np.array([1e10]), np.array([2.0]),
-                                       cache=None)
+        result = transistor_cost_batch(np.array([1e10]), np.array([2.0]))
         assert math.isinf(result.cost_per_good_die_dollars[0])
 
-    def test_cache_reuse_across_calls(self):
-        cache = BatchCache()
+    def test_cache_reuse_across_calls(self, cache_counts):
         lams = np.linspace(0.4, 1.6, 8)
-        transistor_cost_batch(np.array([[1e6]]), lams[None, :], cache=cache)
-        before = cache.stats.misses
-        transistor_cost_batch(np.array([[1e6]]), lams[None, :], cache=cache)
-        assert cache.stats.misses == before
-        assert cache.stats.hits >= 2  # dies-per-wafer and wafer-cost
+        transistor_cost_batch(np.array([[1e6]]), lams[None, :])
+        before = cache_counts("misses")
+        transistor_cost_batch(np.array([[1e6]]), lams[None, :])
+        assert cache_counts("misses") == before
+        assert cache_counts("hits") >= 2  # dies-per-wafer and wafer-cost
 
     def test_rejects_bad_cache_argument(self):
-        with pytest.raises(ParameterError):
+        # No kernel takes a cache: every call shares default_cache().
+        import inspect
+        for kernel in (wafer_cost_batch, dies_per_wafer_batch,
+                       transistor_cost_batch, evaluate_batch,
+                       scenario1_cost_batch, scenario2_cost_batch,
+                       chiplet_cost_batch):
+            assert "cache" not in inspect.signature(kernel).parameters
+        with pytest.raises(TypeError):
             transistor_cost_batch(np.array([1e6]), np.array([1.0]),
-                                  cache="yes please")
+                                  cache=None)
 
 
 class TestEvaluateBatch:
@@ -445,8 +440,7 @@ class TestEvaluateBatch:
         model = _model()
         result = evaluate_batch(model, n_transistors=np.array([2e6]),
                                 feature_sizes_um=np.array([0.8]),
-                                design_density=152.0, yield_value=0.6,
-                                cache=None)
+                                design_density=152.0, yield_value=0.6)
         scalar = model.evaluate(n_transistors=2e6, feature_size_um=0.8,
                                 design_density=152.0, yield_value=0.6)
         assert int(result.dies_per_wafer[0]) == scalar.dies_per_wafer
@@ -459,8 +453,7 @@ class TestEvaluateBatch:
         law = ReferenceAreaYield(0.7, 1.0)
         result = evaluate_batch(model, n_transistors=np.array([2e6]),
                                 feature_sizes_um=np.array([0.8]),
-                                design_density=152.0, yield_model=law,
-                                cache=None)
+                                design_density=152.0, yield_model=law)
         scalar = model.evaluate(n_transistors=2e6, feature_size_um=0.8,
                                 design_density=152.0, yield_model=law)
         assert _bits(result.yield_value[0]) == _bits(scalar.yield_value)
@@ -473,7 +466,7 @@ class TestEvaluateBatch:
                                 feature_sizes_um=np.array([0.8]),
                                 design_density=152.0,
                                 yield_model=MurphyYield(),
-                                defect_density_per_cm2=0.9, cache=None)
+                                defect_density_per_cm2=0.9)
         scalar = model.evaluate(n_transistors=2e6, feature_size_um=0.8,
                                 design_density=152.0,
                                 yield_model=MurphyYield(),
@@ -488,8 +481,7 @@ class TestEvaluateBatch:
                            design_density=152.0, yield_value=0.5)
         result = evaluate_batch(model, n_transistors=np.array([1e10]),
                                 feature_sizes_um=np.array([2.0]),
-                                design_density=152.0, yield_value=0.5,
-                                cache=None)
+                                design_density=152.0, yield_value=0.5)
         assert not result.feasible[0]
         assert math.isinf(result.cost_per_transistor_dollars[0])
 
@@ -499,18 +491,18 @@ class TestEvaluateBatch:
             evaluate_batch(model, n_transistors=np.array([1e6]),
                            feature_sizes_um=np.array([0.8]),
                            design_density=152.0, yield_value=0.5,
-                           yield_model=PoissonYield(), cache=None)
+                           yield_model=PoissonYield())
         with pytest.raises(ParameterError):
             evaluate_batch(model, n_transistors=np.array([1e6]),
                            feature_sizes_um=np.array([0.8]),
                            design_density=152.0,
-                           yield_model=PoissonYield(), cache=None)
+                           yield_model=PoissonYield())
 
 
 class TestScenarioBatches:
     def test_scenario1_parity(self):
         model = _model()
-        got = scenario1_cost_batch(model, LAMS, 30.0, cache=None)
+        got = scenario1_cost_batch(model, LAMS, 30.0)
         for k, lam in enumerate(LAMS):
             assert _bits(got[k]) == _bits(model.scenario1_cost(float(lam),
                                                                30.0))
@@ -518,7 +510,7 @@ class TestScenarioBatches:
     def test_scenario2_parity_with_default_trend(self):
         model = _model()
         got = scenario2_cost_batch(model, LAMS, 200.0,
-                                   reference_yield=0.7, cache=None)
+                                   reference_yield=0.7)
         for k, lam in enumerate(LAMS):
             expected = model.scenario2_cost(
                 float(lam), 200.0, reference_yield=0.7,
@@ -530,8 +522,7 @@ class TestScenarioBatches:
         model = _model()
         areas = np.full(LAMS.shape, 0.8)
         got = scenario2_cost_batch(model, LAMS, 200.0,
-                                   reference_yield=0.7, die_area_cm2=areas,
-                                   cache=None)
+                                   reference_yield=0.7, die_area_cm2=areas)
         for k, lam in enumerate(LAMS):
             expected = model.scenario2_cost(
                 float(lam), 200.0, reference_yield=0.7,
@@ -544,9 +535,9 @@ class TestArrayOut:
         model = WaferCostModel(reference_cost_dollars=500.0,
                                cost_growth_rate=1.8)
         lam = np.array([0.5, 0.8, 1.2])
-        plain = wafer_cost_batch(model, lam, cache=None)
+        plain = wafer_cost_batch(model, lam)
         out = np.empty(3, dtype=np.float64)
-        got = wafer_cost_batch(model, lam, cache=None, out=out)
+        got = wafer_cost_batch(model, lam, out=out)
         assert got is out
         assert (out == plain).all()
 
@@ -554,17 +545,15 @@ class TestArrayOut:
         model = WaferCostModel(reference_cost_dollars=500.0,
                                cost_growth_rate=1.8)
         with pytest.raises(ParameterError):
-            wafer_cost_batch(model, [0.5, 0.8], cache=None,
-                             out=np.empty(3))
+            wafer_cost_batch(model, [0.5, 0.8], out=np.empty(3))
 
     def test_die_counts_land_exactly_in_float64_out(self):
         wafer = Wafer(radius_cm=7.5)
         width = np.array([0.3, 0.8, 1.4, 20.0])  # last one never fits
         height = np.array([0.4, 0.6, 1.4, 20.0])
-        counts = dies_per_wafer_batch(wafer, width, height, cache=None)
+        counts = dies_per_wafer_batch(wafer, width, height)
         out = np.empty(4, dtype=np.float64)
-        got = dies_per_wafer_batch(wafer, width, height, cache=None,
-                                   out=out)
+        got = dies_per_wafer_batch(wafer, width, height, out=out)
         assert got is out
         assert counts.dtype == np.int64
         assert (out.astype(np.int64) == counts).all()
@@ -572,17 +561,17 @@ class TestArrayOut:
     def test_cache_hit_is_copied_into_out(self):
         # The cached array is frozen; out= must hand the caller a
         # writable copy, never the read-only cache entry itself.
-        cache = BatchCache()
         model = WaferCostModel(reference_cost_dollars=500.0,
                                cost_growth_rate=1.8)
         lam = np.array([0.5, 0.8])
-        first = wafer_cost_batch(model, lam, cache=cache)
+        first = wafer_cost_batch(model, lam)
+        assert not first.flags.writeable  # the cache's own entry
         out = np.empty(2, dtype=np.float64)
-        got = wafer_cost_batch(model, lam, cache=cache, out=out)
+        got = wafer_cost_batch(model, lam, out=out)
         assert got is out
         assert (out == first).all()
         out[0] = -1.0  # caller may scribble on its buffer...
-        again = wafer_cost_batch(model, lam, cache=cache)
+        again = wafer_cost_batch(model, lam)
         assert again[0] == first[0]  # ...without corrupting the cache
 
     def test_yield_out_buffer(self):
@@ -604,7 +593,7 @@ class TestArrayOut:
         wafer = Wafer(radius_cm=7.5)
         with pytest.raises(ParameterError):
             dies_per_wafer_batch(wafer, [0.3, 0.8], [0.4, 0.6],
-                                 cache=None, out=np.empty((2, 1)))
+                                 out=np.empty((2, 1)))
 
     def test_out_non_float64_rejected(self):
         # ...and never a silent cast: a float32 or integer buffer is
@@ -613,11 +602,11 @@ class TestArrayOut:
                                cost_growth_rate=1.8)
         for bad_dtype in (np.float32, np.int64):
             with pytest.raises(ParameterError):
-                wafer_cost_batch(model, [0.5, 0.8], cache=None,
+                wafer_cost_batch(model, [0.5, 0.8],
                                  out=np.empty(2, dtype=bad_dtype))
         wafer = Wafer(radius_cm=7.5)
         with pytest.raises(ParameterError):
-            dies_per_wafer_batch(wafer, [0.3], [0.4], cache=None,
+            dies_per_wafer_batch(wafer, [0.3], [0.4],
                                  out=np.empty(1, dtype=np.float32))
         with pytest.raises(ParameterError):
             scaled_poisson_yield_batch([1e6], 150.0, 1.0, [0.8], 3.0,
@@ -635,55 +624,51 @@ class TestCacheAdmission:
         return (10.0 ** rng.uniform(5.0, 7.5, size),
                 rng.uniform(0.35, 1.4, size))
 
-    def _calls(self, n, lam, cache):
+    def _calls(self, n, lam):
         wafer = Wafer(radius_cm=7.5)
         side = np.sqrt(n * 152.0 * lam * lam / 1e8)
-        dies_per_wafer_batch(wafer, side, side, cache=cache)
-        transistor_cost_batch(n, lam, cache=cache)
-        chiplet_cost_batch(n, lam, 2.0, cache=cache)
+        dies_per_wafer_batch(wafer, side, side)
+        transistor_cost_batch(n, lam)
+        chiplet_cost_batch(n, lam, 2.0)
 
-    def test_tile_sized_calls_bypass_the_cache_serve_sized_ones_hit(self):
-        cache = BatchCache()
-        self._calls(*self._flat(self.TILE), cache)
-        assert len(cache) == 0
-        assert cache.stats == CacheStats(hits=0, misses=0, entries=0)
+    def test_tile_sized_calls_bypass_the_cache_serve_sized_ones_hit(
+            self, cache_counts):
+        self._calls(*self._flat(self.TILE))
+        assert len(default_cache()) == 0
+        assert cache_counts("hits") == cache_counts("misses") == 0
         n, lam = self._flat(32)
-        self._calls(n, lam, cache)
-        first = cache.stats
+        self._calls(n, lam)
+        hits, misses = cache_counts("hits"), cache_counts("misses")
         # One wafer-cost path: the chiplet kernel (same fab, same λ)
         # reads the entry the fab kernel stored; nothing else repeats.
-        assert first.misses >= 3 and first.hits == 1
-        assert len(cache) == first.misses
-        self._calls(n, lam, cache)
-        again = cache.stats
-        assert again.misses == first.misses
-        assert again.hits - first.hits == first.misses + first.hits
+        assert misses >= 3 and hits == 1
+        assert len(default_cache()) == misses
+        self._calls(n, lam)
+        assert cache_counts("misses") == misses
+        assert cache_counts("hits") - hits == misses + hits
 
-    def test_admission_bound_is_inclusive(self):
-        cache = BatchCache()
+    def test_admission_bound_is_inclusive(self, cache_counts):
         wafer = Wafer(radius_cm=7.5)
         for cells in (_CACHE_MAX_CELLS, _CACHE_MAX_CELLS + 1):
             side = np.linspace(0.1, 1.0, cells)
-            dies_per_wafer_batch(wafer, side, side, cache=cache)
-        assert cache.stats.misses == 1 and len(cache) == 1
+            dies_per_wafer_batch(wafer, side, side)
+        assert cache_counts("misses") == 1 and len(default_cache()) == 1
 
-    def test_fig8_tile_caches_one_wafer_cost_per_lambda(self):
-        cache = BatchCache()
+    def test_fig8_tile_caches_one_wafer_cost_per_lambda(self, cache_counts):
         counts = np.geomspace(1e5, 3e7, 128)
         lams = np.linspace(0.35, 1.4, 512)
-        tile = transistor_cost_batch(counts[:, None], lams[None, :],
-                                     cache=cache)
+        tile = transistor_cost_batch(counts[:, None], lams[None, :])
         # The 65,536 die counts bypass the cache; the one entry is the
         # wafer cost of the 512 λ, which a later call finds.
-        assert cache.stats.misses == 1 and len(cache) == 1
+        assert cache_counts("misses") == 1 and len(default_cache()) == 1
         c_w = wafer_cost_batch(
             WaferCostModel(
                 reference_cost_dollars=FIG8_FAB.reference_cost_dollars,
                 cost_growth_rate=FIG8_FAB.cost_growth_rate),
-            lams[None, :], cache=cache)
-        assert cache.stats.hits == 1 and c_w.shape == (1, lams.size)
+            lams[None, :])
+        assert cache_counts("hits") == 1 and c_w.shape == (1, lams.size)
         full = transistor_cost_batch(
-            counts[:, None], np.broadcast_to(lams, tile.shape), cache=None)
+            counts[:, None], np.broadcast_to(lams, tile.shape))
         for name in ("cost_per_transistor_dollars", "wafer_cost_dollars",
                      "yield_value", "dies_per_wafer", "die_area_cm2"):
             assert getattr(tile, name).tobytes() \
@@ -705,8 +690,7 @@ class TestChipletClamp:
         assert any(700.0 < e < 745.0 for e in exponents)
         assert any(e > 745.0 for e in exponents)
         assert len(counts) > SCALAR_MAX_POINTS
-        result = chiplet_cost_batch(np.array(counts), lam, 1.0, model,
-                                    cache=None)
+        result = chiplet_cost_batch(np.array(counts), lam, 1.0, model)
         for i, (n, e) in enumerate(zip(counts, exponents)):
             ref = model.system_cost(1, n, lam)
             got = float(result.die_yield[i])
@@ -722,13 +706,13 @@ class TestChipletClamp:
 _KERNEL_CALLS = {
     "generations": lambda bad: wafer_cost_batch(
         WaferCostModel(generation_model=GenerationModel.INVERSE),
-        [0.8, bad], cache=None),
+        [0.8, bad]),
     "wafer_cost": lambda bad: wafer_cost_batch(
-        _model().wafer_cost, [0.8, bad], cache=None),
+        _model().wafer_cost, [0.8, bad]),
     "dies_per_wafer_width": lambda bad: dies_per_wafer_batch(
-        Wafer(radius_cm=7.5), [bad, 1.0], [1.0, 1.0], cache=None),
+        Wafer(radius_cm=7.5), [bad, 1.0], [1.0, 1.0]),
     "dies_per_wafer_height": lambda bad: dies_per_wafer_batch(
-        Wafer(radius_cm=7.5), [1.0, 1.0], [1.0, bad], cache=None),
+        Wafer(radius_cm=7.5), [1.0, 1.0], [1.0, bad]),
     "transistors_per_die": lambda bad: transistors_per_die_batch(
         [1.0, bad], 150.0, 0.8),
     "poisson_yield": lambda bad: poisson_yield_batch([1.0, bad], 0.5),
@@ -739,22 +723,21 @@ _KERNEL_CALLS = {
     "yield_from_expectation": lambda bad: yield_from_expectation_batch(
         MurphyYield(), [0.1, bad]),
     "transistor_cost": lambda bad: transistor_cost_batch(
-        [bad], [0.5], cache=None),
+        [bad], [0.5]),
     "evaluate": lambda bad: evaluate_batch(
         _model(), n_transistors=[1e6], feature_sizes_um=[bad],
-        design_density=150.0, yield_value=0.8, cache=None),
+        design_density=150.0, yield_value=0.8),
     "evaluate_yield_value": lambda bad: evaluate_batch(
         _model(), n_transistors=[1e6], feature_sizes_um=[0.8],
-        design_density=150.0, yield_value=[bad], cache=None),
+        design_density=150.0, yield_value=[bad]),
     "scenario1": lambda bad: scenario1_cost_batch(
-        _model(), [0.8, bad], 150.0, cache=None),
+        _model(), [0.8, bad], 150.0),
     "scenario2": lambda bad: scenario2_cost_batch(
-        _model(), [0.8, 1.0], 150.0, die_area_cm2=[1.0, bad],
-        cache=None),
+        _model(), [0.8, 1.0], 150.0, die_area_cm2=[1.0, bad]),
     "chiplet_transistors": lambda bad: chiplet_cost_batch(
-        [1e6, bad], 0.8, 2, cache=None),
+        [1e6, bad], 0.8, 2),
     "chiplet_chiplets": lambda bad: chiplet_cost_batch(
-        [1e6, 2e6], 0.8, [2.0, bad], cache=None),
+        [1e6, 2e6], 0.8, [2.0, bad]),
     "optimal_feature_sizes": lambda bad: optimal_feature_sizes(
         [1e6, bad]),
     "optimal_feature_size_for_die_areas": lambda bad:
@@ -777,7 +760,7 @@ class TestNonFiniteInputs:
         with pytest.raises(ParameterError, match="finite"):
             transistor_cost_full(math.nan, 0.5)
         with pytest.raises(ParameterError, match="finite"):
-            transistor_cost_batch([math.nan], [0.5], cache=None)
+            transistor_cost_batch([math.nan], [0.5])
 
 
 #: Pow grid: the chiplet kernel's bases y and q·y_bond lie in [0, 1],
@@ -846,7 +829,7 @@ class TestLibmRoutes:
         lam = rng.choice([0.35, 0.5, 0.8, 1.2], 3_000)
         k = rng.integers(1, 9, 3_000).astype(np.float64)
         model = ChipletCostModel(probe_coverage=0.83)
-        result = chiplet_cost_batch(n, lam, k, model, cache=None)
+        result = chiplet_cost_batch(n, lam, k, model)
         refs = [model.system_cost(int(k_i), n_i, lam_i) for n_i, lam_i, k_i
                 in zip(n.tolist(), lam.tolist(), k.tolist())]
         for name in ("die_yield", "assembly_yield", "effective_yield",

@@ -211,11 +211,11 @@ class TestSpecs:
         areas = np.array([0.25, 1.0, 2.5])
         lams = np.linspace(0.4, 1.6, 11)
         out = np.empty((3, 11), dtype=np.float64)
-        DieAreaCostSweep().evaluate_tile(areas, lams, out, cache=None)
+        DieAreaCostSweep().evaluate_tile(areas, lams, out)
         for i, area in enumerate(areas):
             n_tr = area * 1.0e8 / (FIG8_FAB.design_density * lams * lams)
             want = transistor_cost_batch(
-                n_tr, lams, FIG8_FAB, cache=None).cost_per_transistor_dollars
+                n_tr, lams, FIG8_FAB).cost_per_transistor_dollars
             assert np.array_equal(out[i], want)
 
     def test_die_area_sweep_argmin_matches_scalar_optimizer(self):

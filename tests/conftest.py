@@ -1,4 +1,10 @@
-"""Shared fixtures: environment-selected sweep worker count.
+"""Shared fixtures: a cold batch cache per test, and an
+environment-selected sweep worker count.
+
+Every batch kernel memoizes in the one process-wide
+:func:`repro.batch.default_cache`, so each test starts with it empty:
+a test that counts cache traffic or ``batch.compute.*`` spans must not
+see entries an earlier test left behind.
 
 ``REPRO_SWEEP_WORKERS`` reruns every test that goes through
 :class:`repro.batch.sweep.TiledSweepRunner` at that worker count — the
@@ -14,6 +20,26 @@ import os
 import pytest
 
 _SWEEP_WORKERS = os.environ.get("REPRO_SWEEP_WORKERS")
+
+
+@pytest.fixture(autouse=True)
+def _cold_batch_cache():
+    from repro.batch import default_cache
+    default_cache().clear()
+
+
+@pytest.fixture
+def cache_counts():
+    """Metrics on, on a clean registry, for one test;
+    ``cache_counts(name)`` reads the ``batch.cache.<name>`` counter."""
+    from repro import obs
+    from repro.obs.state import STATE
+    prev = (STATE.tracing, STATE.metrics)
+    obs.metrics.reset()
+    obs.enable(trace=False, metrics=True)
+    yield lambda name: obs.metrics.counter(f"batch.cache.{name}").value
+    STATE.tracing, STATE.metrics = prev
+    obs.metrics.reset()
 
 
 @pytest.fixture(autouse=True, scope="session")

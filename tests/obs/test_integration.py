@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.batch import BatchCache, evaluate_batch, transistor_cost_batch
+from repro.batch import default_cache, evaluate_batch, transistor_cost_batch
+from repro.batch.cache import MAX_ENTRIES
 from repro.batch.engine import SCALAR_MAX_POINTS
 from repro.core import CostLandscape, TransistorCostModel, WaferCostModel
 from repro.core.optimization import optimal_feature_size
@@ -38,7 +39,7 @@ def model():
 
 class TestBatchEngineHooks:
     def test_transistor_cost_batch_span_and_metrics(self, obs_on):
-        transistor_cost_batch(COUNTS, 0.8, cache=BatchCache())
+        transistor_cost_batch(COUNTS, 0.8)
         names = _names()
         assert "batch.transistor_cost" in names
         assert "batch.compute.dies_per_wafer" in names
@@ -50,7 +51,7 @@ class TestBatchEngineHooks:
         assert hist["batch.evaluate.seconds"]["count"] == 1
 
     def test_compute_spans_nest_under_evaluation(self, obs_on):
-        transistor_cost_batch(COUNTS, 0.8, cache=BatchCache())
+        transistor_cost_batch(COUNTS, 0.8)
         recs = {r.name: r for r in obs.get_trace()}
         outer = recs["batch.transistor_cost"]
         assert recs["batch.compute.dies_per_wafer"].parent_id \
@@ -58,10 +59,9 @@ class TestBatchEngineHooks:
         assert recs["batch.compute.wafer_cost"].parent_id == outer.span_id
 
     def test_cache_hits_skip_compute_spans(self, obs_on):
-        cache = BatchCache()
-        transistor_cost_batch(COUNTS, 0.8, cache=cache)
+        transistor_cost_batch(COUNTS, 0.8)
         obs.clear_trace()
-        transistor_cost_batch(COUNTS, 0.8, cache=cache)
+        transistor_cost_batch(COUNTS, 0.8)
         names = _names()
         assert "batch.transistor_cost" in names
         assert not any(n.startswith("batch.compute.") for n in names)
@@ -70,26 +70,26 @@ class TestBatchEngineHooks:
         evaluate_batch(model, n_transistors=[1e6, 2e6, 3e6],
                        feature_sizes_um=0.8, design_density=150.0,
                        yield_model=PoissonYield(),
-                       defect_density_per_cm2=0.5, cache=BatchCache())
+                       defect_density_per_cm2=0.5)
         assert "batch.evaluate" in _names()
         counters = _counters()
         assert counters["batch.evaluate.calls"] == 1
         assert counters["batch.evaluate.cells"] == 3
 
     def test_cache_counters_promoted_to_registry(self, obs_on):
-        cache = BatchCache(max_entries=1)
+        cache = default_cache()
         cache.get_or_compute("a", lambda: np.ones(2))
         cache.get_or_compute("a", lambda: np.ones(2))
-        cache.get_or_compute("b", lambda: np.ones(2))  # evicts "a"
+        for key in range(MAX_ENTRIES):  # the last one evicts "a"
+            cache.get_or_compute(key, lambda: np.ones(2))
         counters = _counters()
         assert counters["batch.cache.hits"] == 1
-        assert counters["batch.cache.misses"] == 2
+        assert counters["batch.cache.misses"] == MAX_ENTRIES + 1
         assert counters["batch.cache.evictions"] == 1
 
     def test_disabled_leaves_no_record(self, model):
         evaluate_batch(model, n_transistors=1e6, feature_sizes_um=0.8,
-                       design_density=150.0, yield_value=0.7,
-                       cache=BatchCache())
+                       design_density=150.0, yield_value=0.7)
         assert obs.get_trace() == []
         assert _counters() == {}
 

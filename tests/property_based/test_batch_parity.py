@@ -74,7 +74,7 @@ class TestFullModelParity:
         lam_arr = np.asarray(lams)
         ntr_arr = np.asarray(ntrs)
         result = transistor_cost_batch(ntr_arr[:, None], lam_arr[None, :],
-                                       fab, cache=None)
+                                       fab)
         for i, n_tr in enumerate(ntrs):
             for j, lam in enumerate(lams):
                 scalar = transistor_cost_full(n_tr, lam, fab)
@@ -97,7 +97,7 @@ class TestFullModelParity:
         result = evaluate_batch(
             model, n_transistors=np.array([ntr]),
             feature_sizes_um=np.array([lam]), design_density=density,
-            yield_value=yield_value, aspect_ratio=aspect, cache=None)
+            yield_value=yield_value, aspect_ratio=aspect)
         try:
             scalar = model.evaluate(
                 n_transistors=ntr, feature_size_um=lam,
@@ -128,7 +128,7 @@ class TestSubmodelParity:
         model = WaferCostModel(reference_cost_dollars=c0,
                                cost_growth_rate=growth,
                                generation_model=law)
-        costs = wafer_cost_batch(model, np.asarray(lams), cache=None)
+        costs = wafer_cost_batch(model, np.asarray(lams))
         for k, lam in enumerate(lams):
             assert _bits(costs[k]) == _bits(model.pure_cost(lam))
 
@@ -141,8 +141,7 @@ class TestSubmodelParity:
         wafer = Wafer(radius_cm=radius)
         dies = [Die.from_area(a, aspect_ratio=aspect) for a in areas]
         counts = dies_per_wafer_batch(
-            wafer, [d.width_cm for d in dies], [d.height_cm for d in dies],
-            cache=None)
+            wafer, [d.width_cm for d in dies], [d.height_cm for d in dies])
         expected = [dies_per_wafer_maly(wafer, d) for d in dies]
         assert counts.tolist() == expected
 
@@ -172,7 +171,7 @@ class TestSubmodelParity:
         heights = np.where(rows == 0, span * (1.0 + frac),
                            span / (rows + frac))
         widths = rng.uniform(0.005, 0.5 * span, n)
-        counts = dies_per_wafer_batch(wafer, widths, heights, cache=None)
+        counts = dies_per_wafer_batch(wafer, widths, heights)
         assert counts.tolist() == [
             dies_per_wafer_maly(wafer, Die(width_cm=w, height_cm=h))
             for w, h in zip(widths.tolist(), heights.tolist())]
@@ -210,14 +209,12 @@ class TestSubmodelParity:
             wafer, Die(width_cm=w, height_cm=h, scribe_cm=scribe))
             for h in heights.tolist()] for w in widths.tolist()]
         counts = dies_per_wafer_batch(wafer, widths[:, None],
-                                      heights[None, :], scribe_cm=scribe,
-                                      cache=None)
+                                      heights[None, :], scribe_cm=scribe)
         assert counts.shape == (widths.size, heights.size)
         assert counts.tolist() == expected
         for i, w in enumerate(widths.tolist()):
             for j, h in enumerate(heights.tolist()):
-                single = dies_per_wafer_batch(wafer, w, h, scribe_cm=scribe,
-                                              cache=None)
+                single = dies_per_wafer_batch(wafer, w, h, scribe_cm=scribe)
                 assert single.shape == ()
                 assert int(single) == expected[i][j]
 
@@ -284,7 +281,7 @@ def _assert_one_result(exemplar, point, reference, sweep_cells):
     for size in GROUP_SIZES:
         group = [point] + _PADDING[:size - 1]
         got = _outcome(lambda: _row_bits(*astuple(
-            execute_group(exemplar, group, cache=None).served(0))))
+            execute_group(exemplar, group).served(0))))
         assert got == want, f"group of {size}"
     cells = _outcome(sweep_cells)
     assert cells == (want if isinstance(want, type) else {want[6]}), \
@@ -317,7 +314,7 @@ class TestOnePointOneResult:
                              b.cost_per_transistor_dollars, b.feasible)
 
         def sweep_cells():
-            plane = TiledSweepRunner(cache=None).run(
+            plane = TiledSweepRunner().run(
                 FabCostSweep(fab), [n] * 8, [lam] * 8)
             return {_bits(v) for v in plane.values.ravel().tolist()}
 
@@ -359,7 +356,7 @@ class TestOnePointOneResult:
         def sweep_cells():
             plane = evaluate_batch(model, n_transistors=np.full((8, 1), n),
                                    feature_sizes_um=np.full((1, 8), lam),
-                                   cache=None, **spec)
+                                   **spec)
             return {_bits(v) for v in
                     plane.cost_per_transistor_dollars.ravel().tolist()}
 
@@ -385,7 +382,7 @@ class TestOnePointOneResult:
                              b.cost_per_transistor_dollars, b.feasible)
 
         def sweep_cells():
-            plane = TiledSweepRunner(cache=None).run(
+            plane = TiledSweepRunner().run(
                 ChipletCrossoverSweep(lam, model), [float(chiplets)] * 8,
                 [n] * 8)
             return {_bits(v) for v in plane.values.ravel().tolist()}

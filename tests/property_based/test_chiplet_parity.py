@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.cache import BatchCache
+from repro.batch import default_cache
 from repro.batch.engine import chiplet_cost_batch
 from repro.batch.sweep import ChipletCrossoverSweep, TiledSweepRunner
 from repro.serve import ChipletCostQuery, CostService, scalar_reference_cost
@@ -62,7 +62,6 @@ def _model(packaging, coverage):
 
 
 def _serve(queries, **service_kwargs):
-    service_kwargs.setdefault("cache", BatchCache())
     with CostService(**service_kwargs) as svc:
         return svc.map(queries)
 
@@ -84,7 +83,7 @@ class TestKernelParity:
         ns = np.array([n for n, _, _ in points])
         lams = np.array([lam for _, lam, _ in points])
         ks = np.array([float(k) for _, _, k in points])
-        result = chiplet_cost_batch(ns, lams, ks, model, cache=None)
+        result = chiplet_cost_batch(ns, lams, ks, model)
         for i, (n, lam, k) in enumerate(points):
             want = model.system_cost(k, n, lam)
             assert bool(result.feasible[i]) == want.feasible
@@ -107,22 +106,22 @@ class TestKernelParity:
         ns = np.array([n for n, _, _ in points])
         lams = np.array([lam for _, lam, _ in points])
         ks = np.array([float(k) for _, _, k in points])
-        whole = chiplet_cost_batch(ns, lams, ks, model, cache=None)
+        whole = chiplet_cost_batch(ns, lams, ks, model)
 
         cut = min(split, len(points) - 1)
         out = np.empty(len(points))
         left = chiplet_cost_batch(ns[:cut], lams[:cut], ks[:cut], model,
-                                  cache=None, out=out[:cut])
+                                  out=out[:cut])
         right = chiplet_cost_batch(ns[cut:], lams[cut:], ks[cut:], model,
-                                   cache=None, out=out[cut:])
+                                   out=out[cut:])
         assert left.cost_per_transistor_dollars.base is out
         assert right.cost_per_transistor_dollars.base is out
         np.testing.assert_array_equal(
             out, whole.cost_per_transistor_dollars)
 
         singles = [float(chiplet_cost_batch(
-            np.array([n]), np.array([lam]), float(k), model,
-            cache=None).cost_per_transistor_dollars[0])
+            np.array([n]), np.array([lam]), float(k),
+            model).cost_per_transistor_dollars[0])
             for n, lam, k in points]
         np.testing.assert_array_equal(
             np.array(singles), whole.cost_per_transistor_dollars)
@@ -135,14 +134,12 @@ class TestKernelParity:
         ns = np.array([n for n, _, _ in points])
         lams = np.array([lam for _, lam, _ in points])
         ks = np.array([float(k) for _, _, k in points])
-        cache = BatchCache()
-        cold = chiplet_cost_batch(ns, lams, ks, model, cache=cache)
-        warm = chiplet_cost_batch(ns, lams, ks, model, cache=cache)
-        uncached = chiplet_cost_batch(ns, lams, ks, model, cache=None)
-        np.testing.assert_array_equal(cold.cost_per_transistor_dollars,
-                                      warm.cost_per_transistor_dollars)
-        np.testing.assert_array_equal(cold.cost_per_transistor_dollars,
-                                      uncached.cost_per_transistor_dollars)
+        default_cache().clear()  # once per example, not per test
+        cold = chiplet_cost_batch(ns, lams, ks, model)
+        warm = chiplet_cost_batch(ns, lams, ks, model)
+        for name, _ in _FIELD_PAIRS:
+            assert getattr(cold, name).tobytes() \
+                == getattr(warm, name).tobytes(), name
 
 
 class TestServeMatrixParity:
@@ -199,7 +196,7 @@ class TestSweepParity:
         ks = np.arange(1, k_max + 1, dtype=float)
         counts = np.geomspace(1e5, 1e9, n_points)
         direct = np.empty((k_max, n_points))
-        spec.evaluate_tile(ks, counts, direct, cache=None)
+        spec.evaluate_tile(ks, counts, direct)
         with TiledSweepRunner(workers=workers,
                               tile_size=tile_size) as runner:
             tiled = runner.run(spec, ks, counts)
@@ -222,5 +219,5 @@ class TestSweepParity:
         np.testing.assert_array_equal(resumed.values, first.values)
 
         direct = np.empty(first.values.shape)
-        spec.evaluate_tile(ks, counts, direct, cache=None)
+        spec.evaluate_tile(ks, counts, direct)
         np.testing.assert_array_equal(first.values, direct)

@@ -18,7 +18,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.cache import BatchCache
 from repro.core.optimization import (
     FabCharacterization,
     transistor_cost_full,
@@ -36,7 +35,6 @@ point_strategy = st.tuples(ntr_strategy, lam_strategy)
 
 
 def _serve(queries, **service_kwargs):
-    service_kwargs.setdefault("cache", BatchCache())
     with CostService(**service_kwargs) as svc:
         return svc.map(queries)
 
@@ -178,8 +176,7 @@ class TestAsyncParity:
         sync_served = _serve(queries, max_batch_size=6)
 
         async def run():
-            async with AsyncCostService(max_batch_size=6,
-                                        cache=BatchCache()) as svc:
+            async with AsyncCostService(max_batch_size=6) as svc:
                 return await svc.map(queries)
 
         async_served = asyncio.run(run())

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.cache import BatchCache
 from repro.batch.engine import (
     yield_for_area_batch,
     yield_from_expectation_batch,
@@ -152,7 +151,6 @@ class TestBatchedVsScalar:
 
 
 def _serve(queries, **service_kwargs):
-    service_kwargs.setdefault("cache", BatchCache())
     with CostService(**service_kwargs) as svc:
         return svc.map(queries)
 

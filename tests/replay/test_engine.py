@@ -18,8 +18,7 @@ def _record_log(tmp_path, n=40):
     log_path = tmp_path / "traffic.jsonl"
     queries = [FabCostQuery(1e5 * (i % 10 + 1), 0.6 + 0.1 * (i % 3))
                for i in range(n)]
-    with MicroBatchScheduler(max_batch_size=16, record=log_path,
-                             cache=None) as sched:
+    with MicroBatchScheduler(max_batch_size=16, record=log_path) as sched:
         for t in sched.submit_many(queries):
             t.result(timeout=10.0)
     return log_path
@@ -112,7 +111,7 @@ class TestLogFromProcessPool:
         # same sig and cost per line; only backend reads "thread".
         out = tmp_path / "again.jsonl"
         queries = [r.query for r in load_recorded_log(log_path).records]
-        with MicroBatchScheduler(record=out, cache=None) as sched:
+        with MicroBatchScheduler(record=out) as sched:
             for t in sched.submit_many(queries):
                 t.result(timeout=10.0)
         old = [json.loads(line) for line in PROCESS_POOL_LOG.splitlines()]

@@ -20,8 +20,7 @@ def recorded_log(tmp_path_factory):
     log_path = tmp_path_factory.mktemp("traffic") / "traffic.jsonl"
     queries = [FabCostQuery(1e5 * (i % 8 + 1), 0.6 + 0.1 * (i % 3))
                for i in range(60)]
-    with MicroBatchScheduler(max_batch_size=16, record=log_path,
-                             cache=None) as sched:
+    with MicroBatchScheduler(max_batch_size=16, record=log_path) as sched:
         for t in sched.submit_many(queries):
             t.result(timeout=10.0)
     return log_path

@@ -12,7 +12,7 @@ from repro.serve import AsyncCostService, CostService, FabCostQuery
 class TestAsyncQueries:
     def test_cost_matches_scalar_reference(self):
         async def run():
-            async with AsyncCostService(cache=None) as svc:
+            async with AsyncCostService() as svc:
                 return await svc.cost(FabCostQuery(3.1e6, 0.8))
 
         got = asyncio.run(run())
@@ -23,8 +23,7 @@ class TestAsyncQueries:
                    for i in range(30)]
 
         async def run():
-            async with AsyncCostService(max_batch_size=64,
-                                        cache=None) as svc:
+            async with AsyncCostService(max_batch_size=64) as svc:
                 return await asyncio.gather(
                     *(svc.cost(q) for q in queries))
 
@@ -38,7 +37,7 @@ class TestAsyncQueries:
                    FabCostQuery(3e6, 0.4)]
 
         async def run():
-            async with AsyncCostService(cache=None) as svc:
+            async with AsyncCostService() as svc:
                 return await svc.map(queries)
 
         served = asyncio.run(run())
@@ -47,7 +46,7 @@ class TestAsyncQueries:
 
     def test_evaluate_returns_served_breakdown(self):
         async def run():
-            async with AsyncCostService(cache=None) as svc:
+            async with AsyncCostService() as svc:
                 return await svc.evaluate(FabCostQuery(3.1e6, 0.8))
 
         served = asyncio.run(run())
@@ -58,7 +57,7 @@ class TestAsyncQueries:
 
 class TestSharedScheduler:
     def test_wrapping_shares_the_sync_scheduler(self):
-        svc = CostService(cache=None)
+        svc = CostService()
         try:
             async_svc = AsyncCostService(service=svc)
             assert async_svc.scheduler is svc.scheduler
@@ -76,7 +75,7 @@ class TestSharedScheduler:
 
 def _full_service() -> CostService:
     # A full queue: nothing drains it until someone drives it.
-    svc = CostService(max_queue_depth=2, max_batch_size=2, cache=None)
+    svc = CostService(max_queue_depth=2, max_batch_size=2)
     svc.submit_many([FabCostQuery(1e6, 0.6), FabCostQuery(2e6, 0.6)])
     return svc
 
@@ -99,7 +98,7 @@ class TestAsyncBackpressure:
         # loop to make room, and the bulk resumes after the tickets it
         # already issued — so every query is queued exactly once.
         svc = CostService(max_queue_depth=6, max_batch_size=2,
-                          flush_history=16, cache=None)
+                          flush_history=16)
         svc.submit_many([FabCostQuery(1e6 * (i + 1), 0.6) for i in range(4)])
         queries = [FabCostQuery(1e5 * (i + 1), 0.7) for i in range(8)]
 
@@ -131,8 +130,7 @@ class TestSubmitBulk:
         queries += queries[:5]  # duplicates dedup within the flush
 
         async def run():
-            async with AsyncCostService(max_batch_size=1000,
-                                        cache=None) as svc:
+            async with AsyncCostService(max_batch_size=1000) as svc:
                 return await svc.map_bulk(queries)
 
         served = asyncio.run(run())
@@ -148,8 +146,7 @@ class TestSubmitBulk:
 
         async def run():
             async with AsyncCostService(max_batch_size=1000,
-                                        flush_history=8,
-                                        cache=None) as svc:
+                                        flush_history=8) as svc:
                 await svc.map_bulk(queries)
                 return svc.scheduler.recent_flushes
 
@@ -159,7 +156,7 @@ class TestSubmitBulk:
 
     def test_empty_bulk(self):
         async def run():
-            async with AsyncCostService(cache=None) as svc:
+            async with AsyncCostService() as svc:
                 return await svc.map_bulk([])
 
         assert asyncio.run(run()) == []
@@ -168,7 +165,7 @@ class TestSubmitBulk:
         queries = [FabCostQuery(1e6, 0.8), FabCostQuery(2e6, 0.5)]
 
         async def run():
-            async with AsyncCostService(cache=None) as svc:
+            async with AsyncCostService() as svc:
                 costs = await svc.costs_bulk(queries)
                 served = await svc.map_bulk(queries)
                 return costs, served
@@ -208,8 +205,7 @@ class TestSubmitBulk:
 
             loop.call_soon_threadsafe = counting
             async with AsyncCostService(max_batch_size=8,
-                                        flush_history=8,
-                                        cache=None) as svc:
+                                        flush_history=8) as svc:
                 costs = await svc.costs_bulk(queries)
                 landed = crossings.count("_land")
             return costs, landed, svc.scheduler.recent_flushes
@@ -231,8 +227,7 @@ class TestSubmitBulk:
         queries = [FabCostQuery(1e5 * (i + 1), 0.6) for i in range(12)]
 
         async def run():
-            async with AsyncCostService(max_batch_size=4,
-                                        cache=None) as svc:
+            async with AsyncCostService(max_batch_size=4) as svc:
                 with pytest.raises(RuntimeError, match="executor exploded"):
                     await asyncio.wait_for(svc.map_bulk(queries), 10)
 
@@ -252,8 +247,7 @@ class TestCancellation:
             loop.set_exception_handler(
                 lambda _loop, context: loop_errors.append(context))
             async with AsyncCostService(max_batch_size=1000,
-                                        flush_history=4,
-                                        cache=None) as svc:
+                                        flush_history=4) as svc:
                 waiter = asyncio.ensure_future(
                     svc.evaluate(FabCostQuery(1e6, 0.8)))
                 await asyncio.sleep(0)  # submitted; its flush is queued
@@ -279,8 +273,7 @@ class TestCancellation:
         queries = [FabCostQuery(1e5 * (i + 1), 0.8) for i in range(20)]
 
         async def run():
-            async with AsyncCostService(max_batch_size=1000,
-                                        cache=None) as svc:
+            async with AsyncCostService(max_batch_size=1000) as svc:
                 futures = [await svc.submit(q) for q in queries]
                 for future in futures:
                     future.cancel()  # before their flush callback runs
@@ -303,8 +296,8 @@ class TestLoopFlushing:
                    for i in range(30)]
 
         async def run():
-            async with AsyncCostService(max_batch_size=64, flush_history=8,
-                                        cache=None) as svc:
+            async with AsyncCostService(max_batch_size=64,
+                                        flush_history=8) as svc:
                 costs = await asyncio.gather(
                     *(svc.cost(q) for q in queries))
                 return costs, svc.scheduler.recent_flushes
@@ -323,17 +316,16 @@ class TestLoopFlushing:
         events = []
         original = ThreadBackend.run_group
 
-        def spy(self, exemplar, points, cache):
+        def spy(self, exemplar, points):
             events.append(("flush", len(points)))
-            return original(self, exemplar, points, cache)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", spy)
         queries = [FabCostQuery(1e5 * (i + 1), 0.7) for i in range(12)]
 
         async def run():
             loop = asyncio.get_running_loop()
-            async with AsyncCostService(max_batch_size=4,
-                                        cache=None) as svc:
+            async with AsyncCostService(max_batch_size=4) as svc:
                 futures = [await svc.submit(q) for q in queries]
                 loop.call_soon(events.append, ("other", 0))
                 tickets = await asyncio.gather(*futures)

@@ -69,8 +69,8 @@ def _bits(served) -> tuple:
 
 
 def _assert_small_equals_large(exemplar, points, k):
-    small = execute_group(exemplar, points[:k], cache=None)
-    large = execute_group(exemplar, points, cache=None)
+    small = execute_group(exemplar, points[:k])
+    large = execute_group(exemplar, points)
     for slot in range(k):
         assert _bits(small.served(slot)) == _bits(large.served(slot))
 
@@ -190,7 +190,7 @@ class TestInfeasiblePoints:
         exemplar = ModelCostQuery(*point, model=_model(),
                                   design_density=150.0,
                                   **_yield_spec(form, 0.7, 0.5))
-        served = execute_group(exemplar, [point], cache=None).served(0)
+        served = execute_group(exemplar, [point]).served(0)
         assert served.dies_per_wafer == 0
         assert not served.feasible
         assert served.cost_per_transistor_dollars == math.inf
@@ -204,7 +204,7 @@ class TestInfeasiblePoints:
                                   design_density=150.0,
                                   yield_model=PoissonYield(),
                                   defect_density_per_cm2=1e4)
-        served = execute_group(exemplar, [point], cache=None).served(0)
+        served = execute_group(exemplar, [point]).served(0)
         assert served.yield_value == 0.0
         assert served.feasible
         assert served.cost_per_transistor_dollars == math.inf
@@ -223,7 +223,7 @@ class TestInfeasiblePoints:
             == (0, 1.0, False)
         _assert_small_equals_large(FabCostQuery(*point), points, 1)
         n, lams = np.array(points).T
-        batch = transistor_cost_batch(n, lams, cache=None)
+        batch = transistor_cost_batch(n, lams)
         assert float(batch.cost_per_transistor_dollars[0]) \
             == ref.cost_per_transistor_dollars == math.inf
         assert float(batch.yield_value[0]).hex() == ref.yield_value.hex()
@@ -241,7 +241,7 @@ class TestInfeasiblePoints:
         _assert_small_equals_large(
             ChipletCostQuery(*point, chiplets=4, model=model), points, 1)
         n, lams = np.array(points).T
-        batch = chiplet_cost_batch(n, lams, 4.0, model, cache=None)
+        batch = chiplet_cost_batch(n, lams, 4.0, model)
         for name in ("chiplet_area_cm2", "wafer_cost_dollars", "die_yield",
                      "assembly_yield", "effective_yield",
                      "packaging_cost_dollars",
@@ -270,18 +270,18 @@ class TestRouting:
 
     def test_chiplet_groups_route_the_same_way(self, no_kernel):
         exemplar = ChipletCostQuery(1e6, 0.8, chiplets=2)
-        assert len(execute_group(exemplar, _PADDING[:K], cache=None)) == K
+        assert len(execute_group(exemplar, _PADDING[:K])) == K
         with pytest.raises(AssertionError, match="dies_per_wafer_batch"):
-            execute_group(exemplar, _PADDING + [(5e6, 1.2)], cache=None)
+            execute_group(exemplar, _PADDING + [(5e6, 1.2)])
 
     def test_small_group_skips_the_kernel(self, exemplar, no_kernel):
         points = _PADDING[:K]
-        result = execute_group(exemplar, points, cache=None)
+        result = execute_group(exemplar, points)
         assert len(result) == K
 
     def test_larger_group_uses_the_kernel(self, exemplar, no_kernel):
         with pytest.raises(AssertionError, match="dies_per_wafer_batch"):
-            execute_group(exemplar, _PADDING + [(5e6, 1.2)], cache=None)
+            execute_group(exemplar, _PADDING + [(5e6, 1.2)])
 
     # Every size from 1 past K: at most K points take one system_cost
     # call each, a larger batch takes none.
@@ -300,7 +300,7 @@ class TestRouting:
         ns = np.geomspace(1e5, 1e8, size)
         out = np.empty(size)
         result = chiplet_cost_batch(ns, 0.6, 4.0, ChipletCostModel(),
-                                    cache=None, out=out)
+                                    out=out)
         assert len(seen) == calls
         assert result.cost_per_transistor_dollars is out
 
@@ -358,10 +358,10 @@ class TestThreadBackend:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_run_group_matches_scalar_reference(self, k):
         # The scheduler's one execution call, on both sides of the
-        # small-group threshold K: inline, no cache, scalar-exact.
+        # small-group threshold K: inline and scalar-exact.
         points = [(1e5 * (i + 1), 0.8) for i in range(k)]
         result = ThreadBackend().run_group(FabCostQuery(*points[0]),
-                                           points, None)
+                                           points)
         for slot, (n, lam) in enumerate(points):
             assert result.cost(slot) == transistor_cost_full(n, lam,
                                                              FIG8_FAB)

@@ -179,7 +179,7 @@ class TestRequestParser:
 class TestEndpoints:
     @pytest.fixture(scope="class")
     def server(self):
-        with ServerThread(cache=None) as srv:
+        with ServerThread() as srv:
             yield srv
 
     def test_cost_recorded_query_payload_bitwise(self, server):
@@ -352,7 +352,7 @@ class TestOptimizeBodies:
 
     @pytest.fixture(scope="class")
     def server(self):
-        with ServerThread(cache=None) as srv:
+        with ServerThread() as srv:
             yield srv
 
     @pytest.mark.parametrize("name", sorted(_BAD_OPTIMIZE_BODIES))
@@ -388,7 +388,7 @@ class TestHostilePoints:
 
     @pytest.fixture(scope="class")
     def server(self):
-        with ServerThread(cache=None) as srv:
+        with ServerThread() as srv:
             yield srv
 
     def test_tiny_die_refused_fast_while_others_are_served(self, server):
@@ -482,7 +482,7 @@ class TestEdgeValueStatus:
 
     @pytest.fixture(scope="class")
     def server(self):
-        with ServerThread(cache=None) as srv:
+        with ServerThread() as srv:
             yield srv
 
     @pytest.mark.parametrize("kind", sorted(_EDGE_BODIES))
@@ -517,7 +517,7 @@ class TestBackpressure:
         # A full queue that nothing has flushed yet: submits with the
         # server's zero timeout must 429 immediately, without pricing
         # anything to make room.
-        svc = CostService(max_queue_depth=2, max_batch_size=2, cache=None)
+        svc = CostService(max_queue_depth=2, max_batch_size=2)
         svc.submit_many([FabCostQuery(1e6, 0.6), FabCostQuery(2e6, 0.6)])
         return CostHttpServer(service=AsyncCostService(service=svc))
 
@@ -558,15 +558,14 @@ class TestGracefulDrain:
             threading.Event()
         original = ThreadBackend.run_group
 
-        def gated(self, exemplar, points, cache):
+        def gated(self, exemplar, points):
             if threading.get_ident() in holder_ids:
                 parked.set()
                 assert release.wait(timeout=30)
-            return original(self, exemplar, points, cache)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", gated)
-        with ServerThread(record=log, max_batch_size=1000,
-                          cache=None) as srv:
+        with ServerThread(record=log, max_batch_size=1000) as srv:
             assert srv.server is not None and srv._loop is not None
             sched = srv.server.service.scheduler
 
@@ -635,7 +634,7 @@ class TestGracefulDrain:
         # so the start -> drain -> drain -> exit cycle repeats with the
         # gap between the two drains swept across it.
         for i in range(100):
-            srv = ServerThread(cache=None)
+            srv = ServerThread()
             with srv:
                 srv.drain(timeout=10)
                 time.sleep(i * 1e-5)
@@ -650,7 +649,7 @@ class TestLoopFlushing:
 
     def test_pipelined_burst_is_one_flush(self):
         counts = [1e5 * (i + 1) for i in range(12)]
-        with ServerThread(flush_history=8, cache=None) as srv:
+        with ServerThread(flush_history=8) as srv:
             with socket.create_connection(("127.0.0.1", srv.port),
                                           timeout=30) as sock:
                 sock.sendall(b"".join(_request_bytes(
@@ -678,15 +677,15 @@ class TestLoopFlushing:
         flushes = []
         original = ThreadBackend.run_group
 
-        def spy(self, exemplar, points, cache):
+        def spy(self, exemplar, points):
             if not flushes:
                 second.sendall(_request_bytes("GET", "/healthz"))
             flushes.append(len(points))
-            return original(self, exemplar, points, cache)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", spy)
         counts = [1e5 * (i + 1) for i in range(16)]
-        with ServerThread(max_batch_size=2, cache=None) as srv:
+        with ServerThread(max_batch_size=2) as srv:
             second.settimeout(30)
             second.connect(("127.0.0.1", srv.port))
             try:
@@ -723,7 +722,7 @@ class TestLoopFlushing:
         before = set(threading.enumerate())
 
         async def run():
-            async with CostHttpServer(cache=None) as server:
+            async with CostHttpServer() as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port)
                 writer.write(b"".join(
@@ -751,7 +750,7 @@ class TestLoopFlushing:
 
 class TestServerConstruction:
     def test_service_conflicts_with_scheduler_kwargs(self):
-        svc = AsyncCostService(cache=None)
+        svc = AsyncCostService()
         with pytest.raises(ParameterError):
             CostHttpServer(service=svc, max_batch_size=8)
 

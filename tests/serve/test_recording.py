@@ -173,8 +173,7 @@ class TestRecorderThroughScheduler:
     def test_lines_carry_schema_and_bitwise_costs(self, tmp_path):
         log_path = tmp_path / "traffic.jsonl"
         queries = _mixed_queries()
-        with MicroBatchScheduler(max_batch_size=64, record=log_path,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=64, record=log_path) as sched:
             tickets = sched.submit_many(queries)
             costs = [t.cost(timeout=10.0) for t in tickets]
         lines = [json.loads(line)
@@ -192,8 +191,7 @@ class TestRecorderThroughScheduler:
     def test_loaded_log_replays_to_equal_queries(self, tmp_path):
         log_path = tmp_path / "traffic.jsonl"
         queries = _mixed_queries()
-        with MicroBatchScheduler(max_batch_size=64, record=log_path,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=64, record=log_path) as sched:
             for t in sched.submit_many(queries):
                 t.result(timeout=10.0)
         log = load_recorded_log(log_path)
@@ -209,8 +207,7 @@ class TestRecorderThroughScheduler:
             """A custom law the recorder must refuse to serialize."""
 
         log_path = tmp_path / "traffic.jsonl"
-        with MicroBatchScheduler(max_batch_size=4, record=log_path,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=4, record=log_path) as sched:
             sched.submit(_model_query(yield_model=Weird())).result(
                 timeout=10.0)
             assert sched.recorder is not None
@@ -224,8 +221,8 @@ class TestRecorderThroughScheduler:
     def test_append_mode_accumulates_across_schedulers(self, tmp_path):
         log_path = tmp_path / "traffic.jsonl"
         for _ in range(2):
-            with MicroBatchScheduler(max_batch_size=4, record=log_path,
-                                     cache=None) as sched:
+            with MicroBatchScheduler(max_batch_size=4,
+                                     record=log_path) as sched:
                 sched.submit(FabCostQuery(1e6, 0.8)).result(timeout=10.0)
         assert len(load_recorded_log(log_path)) == 2
 
@@ -233,8 +230,7 @@ class TestRecorderThroughScheduler:
 class TestCrashSafety:
     def _write_log(self, tmp_path, n=4):
         log_path = tmp_path / "traffic.jsonl"
-        with MicroBatchScheduler(max_batch_size=8, record=log_path,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=8, record=log_path) as sched:
             for t in sched.submit_many(
                     [FabCostQuery(1e5 * (i + 1), 0.8) for i in range(n)]):
                 t.result(timeout=10.0)

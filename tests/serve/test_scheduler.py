@@ -32,10 +32,10 @@ class TestValidation:
 
 
 class TestNewValidation:
-    # The cache and flush-telemetry knobs.
+    # Edge values of the size knobs, and the flush-telemetry knob.
     @pytest.mark.parametrize("kwargs", [
-        dict(cache={}),             # a dict is not a BatchCache
-        dict(cache="default"),      # nor is a name for the default one
+        dict(max_batch_size=-1),                  # a negative batch
+        dict(max_batch_size=1, max_queue_depth=0),  # a queue of none
         dict(flush_history=-1),
     ])
     def test_bad_parameters(self, kwargs):
@@ -48,8 +48,7 @@ class TestFlushing:
         # Nothing is priced until a caller drives the scheduler; each
         # flush_once call drains at most max_batch_size requests and
         # says whether more remain.
-        with MicroBatchScheduler(max_batch_size=8, flush_history=8,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=8, flush_history=8) as sched:
             tickets = sched.submit_many(_queries(20))
             assert sched.queue_depth == 20
             assert not any(t.done() for t in tickets)
@@ -70,12 +69,12 @@ class TestFlushing:
         threads = []
         original = ThreadBackend.run_group
 
-        def spy(self, *args):
+        def spy(self, exemplar, points):
             threads.append(threading.get_ident())
-            return original(self, *args)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", spy)
-        with MicroBatchScheduler(max_batch_size=1000, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=1000) as sched:
             ticket = sched.submit(FabCostQuery(1e6, 0.8))
             assert ticket.result(timeout=5.0).feasible
         assert threads == [threading.get_ident()]
@@ -83,8 +82,8 @@ class TestFlushing:
     def test_bulk_submission_is_one_flush(self):
         # submit_many is pre-coalesced: one wait prices the whole bulk
         # in one flush when it fits max_batch_size.
-        with MicroBatchScheduler(max_batch_size=1000, flush_history=4,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=1000,
+                                 flush_history=4) as sched:
             tickets = sched.submit_many(_queries(16))
             tickets[0].result(timeout=5.0)
             assert all(t.done() for t in tickets)
@@ -92,7 +91,7 @@ class TestFlushing:
 
     def test_results_match_scalar_reference(self):
         queries = _queries(32, lam=0.7)
-        with MicroBatchScheduler(max_batch_size=8, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=8) as sched:
             tickets = sched.submit_many(queries)
             got = [t.cost(timeout=5.0) for t in tickets]
         want = [transistor_cost_full(q.n_transistors, q.feature_size_um,
@@ -103,7 +102,7 @@ class TestFlushing:
 class TestCoalescing:
     def test_duplicates_share_one_slot(self):
         query = FabCostQuery(1e6, 0.8)
-        with MicroBatchScheduler(max_batch_size=64, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=64) as sched:
             tickets = sched.submit_many([query] * 10)
             results = [t.result(timeout=5.0) for t in tickets]
         slots = {t._slot for t in tickets}
@@ -121,7 +120,7 @@ class TestCoalescing:
             size_exponent_p=FIG8_FAB.size_exponent_p)
         q_a = FabCostQuery(1e6, 0.8)
         q_b = FabCostQuery(1e6, 0.8, fab=other)
-        with MicroBatchScheduler(max_batch_size=64, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=64) as sched:
             ta, tb = sched.submit_many([q_a, q_b])
             cost_a = ta.cost(timeout=5.0)
             cost_b = tb.cost(timeout=5.0)
@@ -135,8 +134,7 @@ class TestBackpressure:
         # Nothing drains the queue until someone drives it, so four
         # submits fill it, and a fifth with timeout=0 is refused
         # without flushing anything to make room.
-        sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4,
-                                    cache=None)
+        sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4)
         sched.submit_many(_queries(4))
         with pytest.raises(BackpressureError):
             sched._submit_all((FabCostQuery(1e6, 0.8),), timeout=0)
@@ -144,8 +142,7 @@ class TestBackpressure:
         sched.close()
 
     def test_partial_bulk_carries_issued_tickets(self):
-        sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4,
-                                    cache=None)
+        sched = MicroBatchScheduler(max_batch_size=4, max_queue_depth=4)
         sched.submit_many(_queries(2, lam=0.6))
         try:
             sched._submit_all(tuple(_queries(4)), timeout=0)
@@ -162,13 +159,12 @@ class TestBackpressure:
         threads = []
         original = ThreadBackend.run_group
 
-        def spy(self, *args):
+        def spy(self, exemplar, points):
             threads.append(threading.get_ident())
-            return original(self, *args)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", spy)
-        with MicroBatchScheduler(max_batch_size=2, max_queue_depth=2,
-                                 cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=2, max_queue_depth=2) as sched:
             tickets = sched.submit_many(_queries(12), timeout=10.0)
             assert len(tickets) == 12
             assert sum(t.done() for t in tickets) == 10
@@ -187,7 +183,7 @@ class TestFailureFanOut:
             raise boom
 
         monkeypatch.setattr("repro.serve.backend.execute_group", explode)
-        with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=4) as sched:
             tickets = sched.submit_many(_queries(4))
             for ticket in tickets:
                 with pytest.raises(RuntimeError, match="executor exploded"):
@@ -199,7 +195,7 @@ class TestExecutionSeam:
                                                          monkeypatch):
         # External tracing wraps ThreadBackend.run_group and sizes the
         # work from its positional arguments; every coalesced group must
-        # pass through it exactly once, as (exemplar, points, cache).
+        # pass through it exactly once, as (exemplar, points).
         from repro.core.optimization import FabCharacterization
         from repro.serve.backend import ThreadBackend
         calls = []
@@ -212,15 +208,15 @@ class TestExecutionSeam:
         monkeypatch.setattr(ThreadBackend, "run_group", spy)
         other = FabCharacterization(reference_cost_dollars=900.0)
         queries = _queries(3) + [FabCostQuery(1e6, 0.8, fab=other)]
-        with MicroBatchScheduler(max_batch_size=64, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=64) as sched:
             for ticket in sched.submit_many(queries):
                 ticket.result(timeout=5.0)
-        assert calls == [(3, {}), (3, {})]
+        assert calls == [(2, {}), (2, {})]
 
 
 class TestTickets:
     def test_result_timeout(self):
-        sched = MicroBatchScheduler(cache=None)  # never started
+        sched = MicroBatchScheduler()  # never started
         ticket = CostTicket(FabCostQuery(1e6, 0.8), sched, 0.0)
         with pytest.raises(TimeoutError):
             ticket.result(timeout=0.01)
@@ -229,7 +225,7 @@ class TestTickets:
 
     def test_done_callback_fires_after_completion(self):
         landed = threading.Event()
-        with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=4) as sched:
             ticket = sched.submit(FabCostQuery(1e6, 0.8))
             ticket.add_done_callback(lambda t: landed.set())
             ticket.result(timeout=5.0)
@@ -240,7 +236,7 @@ class TestTickets:
         # waiting there on a pending ticket would wait on itself, so it
         # raises instead of hanging.
         errors = []
-        with MicroBatchScheduler(max_batch_size=1, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=1) as sched:
             first, second = sched.submit_many(_queries(2))
 
             def wait_on_second(_ticket):
@@ -258,7 +254,7 @@ class TestTickets:
                 2e5, 0.8, FIG8_FAB)
 
     def test_done_callback_immediate_when_already_done(self):
-        with MicroBatchScheduler(max_batch_size=1, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=1) as sched:
             ticket = sched.submit(FabCostQuery(1e6, 0.8))
             ticket.result(timeout=5.0)
             calls = []
@@ -268,7 +264,7 @@ class TestTickets:
 
 class TestClose:
     def test_close_drains_pending(self):
-        sched = MicroBatchScheduler(max_batch_size=4, cache=None)
+        sched = MicroBatchScheduler(max_batch_size=4)
         tickets = sched.submit_many(_queries(10))
         assert not any(t.done() for t in tickets)
         sched.close()
@@ -278,7 +274,7 @@ class TestClose:
             for t in tickets]
 
     def test_submit_after_close_raises(self):
-        sched = MicroBatchScheduler(cache=None)
+        sched = MicroBatchScheduler()
         sched.close()
         with pytest.raises(ServiceClosedError):
             sched.submit(FabCostQuery(1e6, 0.8))
@@ -286,7 +282,7 @@ class TestClose:
             sched.submit_many(_queries(2))
 
     def test_close_is_idempotent(self):
-        sched = MicroBatchScheduler(cache=None)
+        sched = MicroBatchScheduler()
         sched.close()
         sched.close()
 
@@ -298,7 +294,7 @@ class TestObservability:
         prev = (obs_state.STATE.tracing, obs_state.STATE.metrics)
         obs.enable()
         try:
-            with MicroBatchScheduler(max_batch_size=8, cache=None) as sched:
+            with MicroBatchScheduler(max_batch_size=8) as sched:
                 query = FabCostQuery(1e6, 0.8)
                 tickets = sched.submit_many([query] * 6 + _queries(2))
                 for ticket in tickets:
@@ -321,7 +317,7 @@ class TestObservability:
 
 class TestFlushHistory:
     def test_disabled_by_default(self):
-        with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=4) as sched:
             sched.submit_many(_queries(4))
             for t in sched._pending:
                 pass
@@ -329,7 +325,7 @@ class TestFlushHistory:
 
     def test_records_flush_shapes(self):
         with MicroBatchScheduler(max_batch_size=4,
-                                 flush_history=8, cache=None) as sched:
+                                 flush_history=8) as sched:
             query = FabCostQuery(1e6, 0.8)
             tickets = sched.submit_many([query, query] + _queries(2))
             for ticket in tickets:
@@ -344,7 +340,7 @@ class TestFlushHistory:
 
     def test_history_is_bounded(self):
         with MicroBatchScheduler(max_batch_size=2,
-                                 flush_history=3, cache=None) as sched:
+                                 flush_history=3) as sched:
             tickets = sched.submit_many(_queries(16))
             for ticket in tickets:
                 ticket.result(timeout=5.0)
@@ -353,8 +349,7 @@ class TestFlushHistory:
 
 class TestBackpressureDiagnostics:
     def test_error_carries_queue_depth(self):
-        sched = MicroBatchScheduler(max_batch_size=2, max_queue_depth=3,
-                                    cache=None)
+        sched = MicroBatchScheduler(max_batch_size=2, max_queue_depth=3)
         sched.submit_many(_queries(3))  # nothing drains until driven
         with pytest.raises(BackpressureError) as excinfo:
             sched.submit(FabCostQuery(1e6, 0.8), timeout=0)
@@ -366,7 +361,7 @@ class TestBackpressureDiagnostics:
 class TestFlushHistoryDetail:
     def test_ring_evicts_oldest_flush_ids(self):
         with MicroBatchScheduler(max_batch_size=2,
-                                 flush_history=3, cache=None) as sched:
+                                 flush_history=3) as sched:
             for t in sched.submit_many(_queries(16)):
                 t.result(timeout=5.0)
         records = sched.recent_flushes
@@ -377,7 +372,7 @@ class TestFlushHistoryDetail:
         assert ids == [6, 7, 8]
 
     def test_no_detail_without_history_or_recorder(self):
-        with MicroBatchScheduler(max_batch_size=4, cache=None) as sched:
+        with MicroBatchScheduler(max_batch_size=4) as sched:
             for t in sched.submit_many(_queries(4)):
                 t.result(timeout=5.0)
         assert sched.recent_flushes == []
@@ -396,7 +391,7 @@ class TestFlushHistoryDetail:
                     return
 
         with MicroBatchScheduler(max_batch_size=2,
-                                 flush_history=4, cache=None) as sched:
+                                 flush_history=4) as sched:
             readers = [threading.Thread(target=read_loop, args=(sched,))
                        for _ in range(2)]
             for r in readers:
@@ -434,14 +429,14 @@ class TestContention:
         active, overlaps, calls = [0], [0], [0]
         original = ThreadBackend.run_group
 
-        def counted(self, exemplar, points, cache):
+        def counted(self, exemplar, points):
             with guard:
                 active[0] += 1
                 calls[0] += 1
                 if active[0] > 1:
                     overlaps[0] += 1
             try:
-                return original(self, exemplar, points, cache)
+                return original(self, exemplar, points)
             finally:
                 with guard:
                     active[0] -= 1
@@ -449,7 +444,7 @@ class TestContention:
         monkeypatch.setattr(ThreadBackend, "run_group", counted)
         from repro.core.optimization import FabCharacterization
         other = FabCharacterization(reference_cost_dollars=900.0)
-        svc = CostService(max_batch_size=8, max_queue_depth=32, cache=None)
+        svc = CostService(max_batch_size=8, max_queue_depth=32)
         asvc = AsyncCostService(service=svc)
         cores = len(os.sched_getaffinity(0)) \
             if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.batch.cache import BatchCache
 from repro.core.optimization import FIG8_FAB, transistor_cost_full
 from repro.core.transistor_cost import TransistorCostModel
 from repro.core.wafer_cost import WaferCostModel
@@ -15,12 +14,12 @@ from repro.yieldsim import ReferenceAreaYield
 
 class TestSingleQueries:
     def test_cost_matches_scalar_reference(self):
-        with CostService(cache=None) as svc:
+        with CostService() as svc:
             got = svc.cost(FabCostQuery(3.1e6, 0.8))
         assert got == transistor_cost_full(3.1e6, 0.8, FIG8_FAB)
 
     def test_evaluate_returns_full_breakdown(self):
-        with CostService(cache=None) as svc:
+        with CostService() as svc:
             served = svc.evaluate(FabCostQuery(3.1e6, 0.8))
         assert served.feasible
         assert served.dies_per_wafer >= 1
@@ -29,7 +28,7 @@ class TestSingleQueries:
 
     def test_infeasible_point_served_as_inf(self):
         # A die far larger than the wafer: scalar reference returns inf.
-        with CostService(cache=None) as svc:
+        with CostService() as svc:
             served = svc.evaluate(FabCostQuery(1e9, 3.0))
         assert not served.feasible
         assert served.cost_per_transistor_dollars == float("inf")
@@ -43,7 +42,7 @@ class TestSingleQueries:
                                  reference_area_cm2=1.0)
         want = model.evaluate(n_transistors=3.1e6, feature_size_um=0.8,
                               design_density=150.0, yield_model=law)
-        with CostService(cache=None) as svc:
+        with CostService() as svc:
             served = svc.evaluate(ModelCostQuery(
                 3.1e6, 0.8, model=model, design_density=150.0,
                 yield_model=law))
@@ -59,7 +58,7 @@ class TestBulk:
     def test_map_preserves_submission_order(self):
         queries = [FabCostQuery(1e5 * (i + 1), 0.5 + 0.01 * i)
                    for i in range(40)]
-        with CostService(max_batch_size=16, cache=BatchCache()) as svc:
+        with CostService(max_batch_size=16) as svc:
             served = svc.map(queries)
         for query, result in zip(queries, served):
             assert result.n_transistors == query.n_transistors
@@ -70,14 +69,14 @@ class TestBulk:
 
     def test_costs_returns_floats(self):
         queries = [FabCostQuery(1e6, 0.8)] * 5
-        with CostService(cache=None) as svc:
+        with CostService() as svc:
             costs = svc.costs(queries)
         assert len(costs) == 5
         assert all(isinstance(c, float) for c in costs)
         assert len(set(costs)) == 1
 
     def test_queue_depth_visible(self):
-        svc = CostService(max_batch_size=1000, cache=None)
+        svc = CostService(max_batch_size=1000)
         assert svc.queue_depth == 0
         tickets = svc.submit_many([FabCostQuery(1e6, 0.8)] * 3)
         assert svc.queue_depth == 3  # pending until someone waits
@@ -93,13 +92,13 @@ class TestInlineFlushing:
         threads = []
         original = ThreadBackend.run_group
 
-        def spy(self, *args):
+        def spy(self, exemplar, points):
             threads.append(threading.get_ident())
-            return original(self, *args)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", spy)
         before = threading.active_count()
-        with CostService(cache=None) as svc:
+        with CostService() as svc:
             got = svc.cost(FabCostQuery(3.1e6, 0.8))
             served = svc.map([FabCostQuery(1e6, 0.6)] * 3)
             assert threading.active_count() == before
@@ -112,8 +111,7 @@ class TestConcurrentSubmitters:
     def test_many_threads_share_one_service(self):
         n_threads, per_thread = 8, 25
         errors = []
-        with CostService(max_batch_size=64,
-                         cache=BatchCache()) as svc:
+        with CostService(max_batch_size=64) as svc:
             def worker(tid):
                 try:
                     queries = [FabCostQuery(1e5 * (tid + 1) + 997 * i,
@@ -140,11 +138,11 @@ class TestConcurrentSubmitters:
 class TestConstructorForwarding:
     def test_knobs_reach_the_scheduler(self):
         svc = CostService(max_batch_size=32,
-                          max_queue_depth=64, flush_history=16, cache=None)
+                          max_queue_depth=64, flush_history=16)
         sched = svc.scheduler
         assert sched.max_batch_size == 32
         assert sched.max_queue_depth == 64
-        assert sched.cache is None
+        assert not hasattr(sched, "cache")  # one cache per process
         assert sched.recent_flushes == []  # history armed but empty
 
     def test_async_facade_forwards_the_same_knobs(self):
@@ -159,7 +157,7 @@ class TestConstructorForwarding:
 
         from repro.serve import AsyncCostService, MicroBatchScheduler
         knobs = ["max_batch_size", "max_queue_depth",
-                 "flush_history", "record", "cache"]
+                 "flush_history", "record"]
         for cls, extra in ((MicroBatchScheduler, []), (CostService, []),
                            (AsyncCostService, ["service"])):
             params = list(inspect.signature(cls).parameters)
@@ -177,15 +175,14 @@ class TestInFlightBackpressure:
         release = _threading.Event()
         original = ThreadBackend.run_group
 
-        def gated(self, exemplar, points, cache):
+        def gated(self, exemplar, points):
             started.set()
             assert release.wait(timeout=10.0)
-            return original(self, exemplar, points, cache)
+            return original(self, exemplar, points)
 
         monkeypatch.setattr(ThreadBackend, "run_group", gated)
         queries = [FabCostQuery(1e5 * (i + 1), 0.8) for i in range(4)]
-        with CostService(max_batch_size=2, max_queue_depth=2,
-                         cache=None) as svc:
+        with CostService(max_batch_size=2, max_queue_depth=2) as svc:
             # First pair: a caller's wait drains it into a flush that
             # parks inside the (gated) executor on the caller's thread.
             in_flight = svc.submit_many(queries[:2])
@@ -241,7 +238,7 @@ class TestOneRefusedPoint:
         tiny = point_to_query({"transistors": 1, "feature_size": 1e-9})
         assert good.signature() == tiny.signature()  # one group
         log = tmp_path / "traffic.jsonl"
-        with CostService(cache=None, record=log) as svc:
+        with CostService(record=log) as svc:
             tickets = svc.submit_many([good, tiny, good])
             assert tickets[0].cost(timeout=5.0).hex() \
                 == scalar_reference_cost(good).hex()

@@ -426,6 +426,213 @@ class TestSweepCommand:
         assert "sweep.tile" in trace.read_text()
 
 
+def _summary_rows(out):
+    # The (quantity, value) rows of a printed summary table, without
+    # the wall-clock ``seconds`` row.
+    header, _rule, *lines = out.strip("\n").splitlines()
+    assert [c.strip() for c in header.split("|")] == ["quantity", "value"]
+    rows = [tuple(c.strip() for c in line.split("|")) for line in lines]
+    return [row for row in rows if row[0] != "seconds"]
+
+
+_CHIPLET_SWEEP = ["chiplet", "--sweep", "--k-max", "4",
+                  "--ntr-points", "60", "--tile-size", "60"]
+_CHIPLET_SWEEP_ROWS = [
+    ("feature size [um]", "0.8"),
+    ("grid points", "240"),
+    ("feasible cells", "182"),
+    ("workers", "1"),
+    ("tiles (computed/resumed/total)", "4 / 0 / 4"),
+    ("crossover k=2 [N_tr]", "2.183e+05"),
+    ("crossover k=3 [N_tr]", "2.551e+05"),
+    ("crossover k=4 [N_tr]", "2.982e+05"),
+]
+
+
+class TestSweepSummaryRows:
+    """Every printed row of ``chiplet`` and ``sweep``, pinned.
+
+    ``seconds`` is left out: it is a wall-clock reading.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _fresh_obs(self):
+        # An earlier --metrics run leaves metrics on, which appends the
+        # metrics table to stdout.
+        from repro import obs
+        obs.disable()
+        yield
+
+    def test_chiplet_single_point(self, capsys):
+        assert main(["chiplet", "--transistors", "1e7", "--chiplets", "4",
+                     "--packaging", "interposer"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("chiplets", "4"),
+            ("transistors per chiplet", "2.5e+06"),
+            ("chiplet area [cm^2]", "2.432"),
+            ("wafer cost [$]", "617.2"),
+            ("chiplet dies per wafer", "57"),
+            ("die yield", "3.126e-05"),
+            ("assembly yield", "0.1231"),
+            ("effective yield", "6.464e-06"),
+            ("packaging cost [$]", "51.11"),
+            ("silicon cost per transistor [$1e-6]", "6.7e+05"),
+            ("overhead cost per transistor [$1e-6]", "3.614e+04"),
+            ("cost per transistor [$1e-6]", "7.062e+05"),
+            ("system cost [$]", "7.062e+06"),
+            ("feasible", "1"),
+        ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_chiplet_crossover_sweep(self, workers, capsys):
+        assert main(_CHIPLET_SWEEP + ["--workers", workers]) == 0
+        want = [("workers", workers) if row[0] == "workers" else row
+                for row in _CHIPLET_SWEEP_ROWS]
+        assert _summary_rows(capsys.readouterr().out) == want
+
+    def test_chiplet_crossover_sweep_model_flags(self, capsys):
+        assert main(_CHIPLET_SWEEP + [
+            "--feature-size", "0.5", "--packaging", "interposer",
+            "--probe-coverage", "0.5"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("feature size [um]", "0.5"),
+            ("grid points", "240"),
+            ("feasible cells", "170"),
+            ("workers", "1"),
+            ("tiles (computed/resumed/total)", "4 / 0 / 4"),
+            ("crossover k=2 [N_tr]", "2.551e+05"),
+            ("crossover k=3 [N_tr]", "2.982e+05"),
+            ("crossover k=4 [N_tr]", "3.486e+05"),
+        ]
+
+    def test_chiplet_crossover_never_reached_prints_nan(self, capsys):
+        assert main(["chiplet", "--sweep", "--k-max", "3", "--ntr-lo", "1e5",
+                     "--ntr-hi", "2e5", "--ntr-points", "5"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("feature size [um]", "0.8"),
+            ("grid points", "15"),
+            ("feasible cells", "15"),
+            ("workers", "1"),
+            ("tiles (computed/resumed/total)", "1 / 0 / 1"),
+            ("crossover k=2 [N_tr]", "nan"),
+            ("crossover k=3 [N_tr]", "nan"),
+        ]
+
+    def test_chiplet_crossover_resume_and_output(self, tmp_path, capsys):
+        import numpy as np
+        ckpt, grid = str(tmp_path / "run"), tmp_path / "grid.npy"
+        assert main(_CHIPLET_SWEEP + ["--checkpoint", ckpt]) == 0
+        assert _summary_rows(capsys.readouterr().out) == _CHIPLET_SWEEP_ROWS
+        assert main(_CHIPLET_SWEEP + ["--checkpoint", ckpt, "--resume",
+                                      "--output", str(grid)]) == 0
+        want = [("tiles (computed/resumed/total)", "0 / 4 / 4")
+                if row[0].startswith("tiles") else row
+                for row in _CHIPLET_SWEEP_ROWS]
+        assert _summary_rows(capsys.readouterr().out) == want + [
+            ("saved grid", str(grid))]
+        assert np.load(grid).shape == (4, 60)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chiplet", "--sweep", "--k-max", "1"],
+         "--k-max must be >= 2 for a crossover sweep"),
+        (["chiplet", "--sweep", "--ntr-points", "1"],
+         "--ntr-points must be >= 2"),
+        (["sweep", "--spec", "chiplet", "--k-max", "0"],
+         "--k-max must be >= 1"),
+    ])
+    def test_bad_sweep_flags_exit_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    def test_sweep_spec_chiplet(self, capsys):
+        assert main(["sweep", "--spec", "chiplet", "--k-max", "4",
+                     "--ntr-points", "60", "--tile-size", "60"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("grid points", "240"),
+            ("feasible cells", "240"),
+            ("tiles (computed/resumed/total)", "4 / 0 / 4"),
+            ("tile shape", "1 x 60"),
+            ("workers", "1"),
+            ("min cost per transistor [$1e-6]", "61.15"),
+            ("optimal chiplet count", "4"),
+            ("optimal transistor count", "1.727e+05"),
+            ("crossover k=2 [N_tr]", "1e+05"),
+            ("crossover k=3 [N_tr]", "1e+05"),
+            ("crossover k=4 [N_tr]", "1e+05"),
+        ]
+
+    def test_sweep_spec_chiplet_at_lam_lo(self, capsys):
+        assert main(["sweep", "--spec", "chiplet", "--k-max", "3",
+                     "--ntr-points", "20", "--lam-lo", "0.8",
+                     "--ntr-hi", "1e9", "--tile-size", "25"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("grid points", "60"),
+            ("feasible cells", "44"),
+            ("tiles (computed/resumed/total)", "3 / 0 / 3"),
+            ("tile shape", "1 x 20"),
+            ("workers", "1"),
+            ("min cost per transistor [$1e-6]", "21.59"),
+            ("optimal chiplet count", "3"),
+            ("optimal transistor count", "4.281e+05"),
+            ("crossover k=2 [N_tr]", "2.637e+05"),
+            ("crossover k=3 [N_tr]", "2.637e+05"),
+        ]
+
+    def test_sweep_spec_chiplet_one_row_has_no_crossover(self, capsys):
+        assert main(["sweep", "--spec", "chiplet", "--k-max", "1",
+                     "--ntr-points", "60", "--tile-size", "60"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("grid points", "60"),
+            ("feasible cells", "60"),
+            ("tiles (computed/resumed/total)", "1 / 0 / 1"),
+            ("tile shape", "1 x 60"),
+            ("workers", "1"),
+            ("min cost per transistor [$1e-6]", "107.8"),
+            ("optimal chiplet count", "1"),
+            ("optimal transistor count", "1e+05"),
+        ]
+
+    def test_sweep_spec_chiplet_all_infeasible(self, capsys):
+        assert main(["sweep", "--spec", "chiplet", "--k-max", "2",
+                     "--ntr-lo", "1e12", "--ntr-hi", "1e13",
+                     "--ntr-points", "2", "--lam-lo", "2.0"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("grid points", "4"),
+            ("feasible cells", "0"),
+            ("tiles (computed/resumed/total)", "1 / 0 / 1"),
+            ("tile shape", "2 x 2"),
+            ("workers", "1"),
+            ("crossover k=2 [N_tr]", "nan"),
+        ]
+
+    def test_sweep_fab(self, tmp_path, capsys):
+        grid = tmp_path / "grid.npy"
+        assert main(["sweep", "--ntr-points", "12", "--lam-points", "15",
+                     "--tile-size", "40", "--output", str(grid)]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("grid points", "180"),
+            ("feasible cells", "178"),
+            ("tiles (computed/resumed/total)", "6 / 0 / 6"),
+            ("tile shape", "2 x 15"),
+            ("workers", "1"),
+            ("min cost per transistor [$1e-6]", "5.323"),
+            ("optimal feature size [um]", "0.6643"),
+            ("optimal transistor count", "1e+05"),
+            ("saved grid", str(grid)),
+        ]
+
+    def test_sweep_fab_all_infeasible(self, capsys):
+        assert main(["sweep", "--ntr-lo", "1e12", "--ntr-hi", "1e12",
+                     "--ntr-points", "1", "--lam-points", "2"]) == 0
+        assert _summary_rows(capsys.readouterr().out) == [
+            ("grid points", "2"),
+            ("feasible cells", "0"),
+            ("tiles (computed/resumed/total)", "1 / 0 / 1"),
+            ("tile shape", "1 x 2"),
+            ("workers", "1"),
+        ]
+
+
 class TestFitYield:
     _SMALL = ["fit-yield", "--lots", "2", "--wafers", "2", "--seed", "7",
               "--wafer-radius", "5.0"]
@@ -518,7 +725,7 @@ class TestServeAndLoadgenCommands:
 
     def test_loadgen_against_live_server(self, capsys):
         from repro.serve.http import ServerThread
-        with ServerThread(cache=None) as srv:
+        with ServerThread() as srv:
             rc = main(["loadgen", "--port", str(srv.port),
                        "--requests", "20", "--rps", "400",
                        "--connections", "2", "--seed", "3"])

@@ -64,7 +64,7 @@ class TestRunLoad:
             "cost": 0.4, "bulk": 0.1, "optimize": 0.1, "chiplet": 0.4})
         assert {s.kind for s in specs} \
             == {"cost", "bulk", "optimize", "chiplet"}
-        with ServerThread(record=log, cache=None) as srv:
+        with ServerThread(record=log) as srv:
             result = run_load("127.0.0.1", srv.port, specs,
                               rps=800.0, connections=4)
         # Leaving the block drained the server and closed the log.
@@ -95,7 +95,7 @@ class TestRunLoad:
         import dataclasses
         lies = [dataclasses.replace(s, expected=(-1.0,) * len(s.expected))
                 for s in specs]
-        with ServerThread(cache=None) as srv:
+        with ServerThread() as srv:
             result = run_load("127.0.0.1", srv.port, lies,
                               rps=500.0, connections=2)
         assert result.mismatches == result.verified_costs == 10
